@@ -5,89 +5,10 @@ knots; the package computes their invariants, enumerates the census by
 crossing number, verifies the closed-form counts, searches for
 epimorphisms between knot groups, and classifies minimality for small
 braid index.  Everything is exact: big integers and fractions only.
-"""
 
-from .contfrac import (
-    NotAKnotFraction,
-    Word,
-    WordParseError,
-    eval_word,
-    format_fraction,
-    format_word,
-    negate,
-    parse_fraction,
-    parse_word,
-    rev_neg,
-    reverse,
-    sign_changes,
-    to_reduced_even,
-)
-from .knot import (
-    KnotClass,
-    MirrorClass,
-    NotAKnot,
-    braid_index,
-    canonical_word,
-    crossing_number,
-    display_name,
-    genus,
-    is_torus_two_strand,
-    knot_from_word,
-    mirror_canonical_word,
-    mirror_class,
-    mirror_orbit,
-)
-from .census import (
-    CensusRow,
-    DEFAULT_ENUM_CEILING,
-    IdentityCheck,
-    NonIntegralFormula,
-    ResourceBound,
-    SignClassCount,
-    brute_counts,
-    closed_avg_braid,
-    closed_avg_braid_star,
-    closed_avg_genus,
-    closed_n,
-    closed_row,
-    closed_tk,
-    closed_tk_star,
-    closed_ts,
-    closed_ts_star,
-    enumerate_words,
-    is_mirror_representative,
-    verify_identities,
-    verify_row,
-)
-from .epim import (
-    AuditFailure,
-    BudgetExceeded,
-    EpiGraph,
-    EpiWitness,
-    InequalityAudit,
-    MergeCancellation,
-    OrsParams,
-    SearchBudget,
-    admits_epi,
-    audit_inequality,
-    audit_params,
-    epi_graph,
-    epi_targets,
-    graph_to_dot,
-    graph_to_json,
-    is_minimal,
-    ors_compose,
-)
-from .classify import (
-    NonminimalType,
-    StructureTag,
-    Table1Row,
-    nonminimal_matches,
-    nonminimal_type,
-    reconstruct_params,
-    structure,
-    table1,
-    table1_diff,
-)
+The API is the submodules: ``bridgekit.contfrac``, ``bridgekit.knot``,
+``bridgekit.census``, ``bridgekit.epim``, ``bridgekit.classify`` and
+``bridgekit.cli``.
+"""
 
 __version__ = "0.1.0"

@@ -20,17 +20,15 @@ test suite treats the enumeration as the oracle for the formulas.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import mul
 from typing import Iterator, Sequence
 
-from .contfrac import Word, format_fraction
+from .contfrac import Word, format_fraction, negate, rev_neg, reverse
 
 DEFAULT_ENUM_CEILING = 22
 
@@ -106,8 +104,9 @@ def _raw_words(c: int, *, ell: int | None = None) -> Iterator[Word]:
     for m, ell_value in _partitions(c, ell):
         total = (c + ell_value) // 2
         for signs in _sign_vectors(2 * m, ell_value):
+            steps = tuple(2 * s for s in signs)
             for parts in _compositions(total, 2 * m):
-                yield tuple(s * 2 * n for s, n in zip(signs, parts))
+                yield tuple(map(mul, steps, parts))
 
 
 def enumerate_words(c: int, *, ell: int | None = None) -> Iterator[Word]:
@@ -120,7 +119,7 @@ def enumerate_words(c: int, *, ell: int | None = None) -> Iterator[Word]:
     if c < 3:
         raise ValueError(f"crossing number must be >= 3, got {c}")
     for word in _raw_words(c, ell=ell):
-        if word <= tuple(-x for x in reversed(word)):
+        if word <= rev_neg(word):
             yield word
 
 
@@ -131,26 +130,7 @@ def is_mirror_representative(word: Word) -> bool:
     keeping only words at most that quotients the census by mirror
     image, with equality covering the amphichiral case.
     """
-    negated = tuple(-x for x in word)
-    reversed_ = word[::-1]
-    return word <= min(negated, reversed_)
-
-
-def _count_partition(task: tuple[int, int, int]) -> tuple[int, int, int, int]:
-    """Count canonical (and mirror-canonical) words in one (m, ell) slice."""
-    c, m, ell = task
-    total = (c + ell) // 2
-    count = 0
-    star = 0
-    for signs in _sign_vectors(2 * m, ell):
-        for parts in _compositions(total, 2 * m):
-            word = tuple(s * 2 * n for s, n in zip(signs, parts))
-            if word > tuple(-x for x in reversed(word)):
-                continue
-            count += 1
-            if is_mirror_representative(word):
-                star += 1
-    return m, ell, count, star
+    return word <= min(negate(word), reverse(word))
 
 
 # ---------------------------------------------------------------------------
@@ -203,32 +183,24 @@ def _assemble_row(
     )
 
 
-def brute_counts(
-    c: int, *, ceiling: int = DEFAULT_ENUM_CEILING, workers: int = 1
-) -> CensusRow:
-    """All census aggregates for crossing number c by direct enumeration.
-
-    The (m, ell) slices are independent, so with workers > 1 they are
-    counted in parallel; totals are merged by integer addition and the
-    result is identical regardless of scheduling.
-    """
+def brute_counts(c: int, *, ceiling: int = DEFAULT_ENUM_CEILING) -> CensusRow:
+    """All census aggregates for crossing number c by direct enumeration."""
     if c < 3:
         raise ValueError(f"crossing number must be >= 3, got {c}")
     if c > ceiling:
         raise ResourceBound(f"c={c} exceeds the enumeration ceiling {ceiling}")
-    tasks = [(c, m, ell) for m, ell in _partitions(c)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_count_partition, tasks))
-    else:
-        results = [_count_partition(task) for task in tasks]
     by_ell: dict[int, int] = {}
     by_ell_star: dict[int, int] = {}
     genus_total = 0
-    for m, ell, count, star in results:
-        by_ell[ell] = by_ell.get(ell, 0) + count
-        by_ell_star[ell] = by_ell_star.get(ell, 0) + star
-        genus_total += m * count
+    for ell in sorted({ell for _, ell in _partitions(c)}):
+        count = star = 0
+        for word in enumerate_words(c, ell=ell):
+            count += 1
+            genus_total += len(word) // 2
+            if is_mirror_representative(word):
+                star += 1
+        by_ell[ell] = count
+        by_ell_star[ell] = star
     return _assemble_row(c, by_ell, by_ell_star, genus_total)
 
 
@@ -403,13 +375,13 @@ TABLE2_REFERENCE: dict[int, tuple[int, int, Fraction, int, int, Fraction]] = {
 }
 
 
-def verify_row(c: int, row: CensusRow | None = None, *, workers: int = 1) -> list[str]:
+def verify_row(c: int, row: CensusRow | None = None) -> list[str]:
     """Mismatch descriptions between enumeration, formulas, and reference.
 
     Empty list = everything agrees exactly.
     """
     if row is None:
-        row = brute_counts(c, workers=workers)
+        row = brute_counts(c)
     problems = []
 
     def expect(label: str, got, want) -> None:
@@ -576,11 +548,16 @@ def verify_identities(n_max: int) -> list[IdentityCheck]:
 # Emission
 # ---------------------------------------------------------------------------
 
-_COLUMNS = ("c", "TK", "TS", "avg braid", "TK*", "TS*", "avg braid*")
+COLUMNS = ("c", "TK", "TS", "avg braid", "TK*", "TS*", "avg braid*")
+# The up-to-mirror table keeps c and the three starred columns.
+MIRROR_COLUMNS = COLUMNS[:1] + COLUMNS[4:]
+MIRROR_KEYS = ("c", "tk_star", "ts_star", "avg_braid_star")
 
 
-def _row_cells(row: CensusRow, fmt=format_fraction) -> tuple[str, ...]:
-    return (
+def row_cells(
+    row: CensusRow, fmt=format_fraction, *, up_to_mirror: bool = False
+) -> tuple[str, ...]:
+    cells = (
         str(row.c),
         str(row.tk),
         str(row.ts),
@@ -589,28 +566,10 @@ def _row_cells(row: CensusRow, fmt=format_fraction) -> tuple[str, ...]:
         str(row.ts_star),
         fmt(row.avg_braid_star),
     )
+    return cells[:1] + cells[4:] if up_to_mirror else cells
 
 
-def rows_to_markdown(rows: Sequence[CensusRow], fmt=format_fraction) -> str:
-    lines = [
-        "| " + " | ".join(_COLUMNS) + " |",
-        "|" + "|".join("---" for _ in _COLUMNS) + "|",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(_row_cells(row, fmt)) + " |")
-    return "\n".join(lines)
-
-
-def rows_to_csv(rows: Sequence[CensusRow], fmt=format_fraction) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_COLUMNS)
-    for row in rows:
-        writer.writerow(_row_cells(row, fmt))
-    return buffer.getvalue().rstrip("\n")
-
-
-def rows_to_json(rows: Sequence[CensusRow]) -> str:
+def rows_to_json(rows: Sequence[CensusRow], *, up_to_mirror: bool = False) -> str:
     payload = [
         {
             "c": row.c,
@@ -625,4 +584,6 @@ def rows_to_json(rows: Sequence[CensusRow]) -> str:
         }
         for row in rows
     ]
+    if up_to_mirror:
+        payload = [{key: entry[key] for key in MIRROR_KEYS} for entry in payload]
     return json.dumps(payload, indent=2)

@@ -23,8 +23,6 @@ orbit.  All positions are 1-based.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -438,14 +436,14 @@ def table1_diff(rows: Sequence[Table1Row], *, c_max: int = 15) -> list[str]:
 # Emission
 # ---------------------------------------------------------------------------
 
-_COLUMNS = ("braid", "type", "c", "even continued fraction", "onto")
+COLUMNS = ("braid", "type", "c", "even continued fraction", "onto")
 
 
 def _bracketed(word: Word) -> str:
     return "[" + ", ".join(str(e) for e in word) + "]"
 
 
-def _row_cells(row: Table1Row) -> tuple[str, ...]:
+def row_cells(row: Table1Row) -> tuple[str, ...]:
     return (
         str(row.braid),
         row.kind,
@@ -453,25 +451,6 @@ def _row_cells(row: Table1Row) -> tuple[str, ...]:
         _bracketed(row.word),
         " and ".join(row.images),
     )
-
-
-def rows_to_markdown(rows: Sequence[Table1Row]) -> str:
-    lines = [
-        "| " + " | ".join(_COLUMNS) + " |",
-        "|" + "|".join("---" for _ in _COLUMNS) + "|",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(_row_cells(row)) + " |")
-    return "\n".join(lines)
-
-
-def rows_to_csv(rows: Sequence[Table1Row]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_COLUMNS)
-    for row in rows:
-        writer.writerow(_row_cells(row))
-    return buffer.getvalue().rstrip("\n")
 
 
 def rows_to_json(rows: Sequence[Table1Row]) -> str:

@@ -12,7 +12,9 @@ Exit codes: 0 success, 2 verification mismatch, 3 parse error,
 from __future__ import annotations
 
 import argparse
+import csv
 import decimal
+import io
 import json
 import os
 import sys
@@ -43,7 +45,6 @@ class Config:
     enumeration_ceiling: int = census.DEFAULT_ENUM_CEILING
     search_budget: int = epim.DEFAULT_SEARCH_BUDGET
     output_format: str = "md"
-    parallelism: int = 0
     decimal: bool = False
 
     def validate(self) -> None:
@@ -53,16 +54,6 @@ class Config:
             raise ValueError("search_budget must be positive")
         if self.output_format not in FORMATS:
             raise ValueError(f"output_format must be one of {FORMATS}")
-        if self.parallelism < 0:
-            raise ValueError("parallelism must be >= 0")
-
-    @property
-    def workers(self) -> int:
-        # auto resolves to serial: enumeration slices under the default
-        # ceiling are too small to amortize process startup
-        if self.parallelism == 0:
-            return 1
-        return self.parallelism
 
     def budget(self) -> epim.SearchBudget:
         return epim.SearchBudget(max_nodes=self.search_budget)
@@ -79,7 +70,7 @@ def load_config(path: str | None, env=os.environ) -> Config:
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = (part.strip() for part in line.partition("="))
-                if key in ("enumeration_ceiling", "search_budget", "parallelism"):
+                if key in ("enumeration_ceiling", "search_budget"):
                     setattr(config, key, int(value))
                 elif key == "output_format":
                     config.output_format = value
@@ -113,6 +104,24 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def format_table(
+    columns: tuple[str, ...], rows: list[tuple[str, ...]], output_format: str
+) -> str:
+    """Render rows of cell strings as csv, or as a markdown table otherwise."""
+    if output_format == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+        return buffer.getvalue().rstrip("\n")
+    lines = [
+        "| " + " | ".join(columns) + " |",
+        "|" + "|".join("---" for _ in columns) + "|",
+    ]
+    lines.extend("| " + " | ".join(cells) + " |" for cells in rows)
+    return "\n".join(lines)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -144,27 +153,27 @@ def cmd_invariants(config: Config, args) -> int:
 
 def cmd_census(config: Config, args) -> int:
     crossings = _parse_range(args.range)
+    if args.formulas_only and args.verify:
+        raise ValueError(
+            "--verify compares enumeration with the closed forms, "
+            "and --formulas-only skips the enumeration"
+        )
     if args.formulas_only:
         rows = [census.closed_row(c) for c in crossings]
     else:
-        rows = [
-            census.brute_counts(c, ceiling=config.enumeration_ceiling, workers=config.workers)
-            for c in crossings
-        ]
-    fmt = _fraction_formatter(config)
-    if args.up_to_mirror:
-        lines = ["| c | TK* | TS* | avg braid* |", "|---|---|---|---|"]
-        for row in rows:
-            lines.append(
-                f"| {row.c} | {row.tk_star} | {row.ts_star} | {fmt(row.avg_braid_star)} |"
-            )
-        print("\n".join(lines))
-    elif config.output_format == "json":
-        print(census.rows_to_json(rows))
-    elif config.output_format == "csv":
-        print(census.rows_to_csv(rows, fmt))
+        rows = [census.brute_counts(c, ceiling=config.enumeration_ceiling) for c in crossings]
+    mirror = args.up_to_mirror
+    if config.output_format == "json":
+        print(census.rows_to_json(rows, up_to_mirror=mirror))
     else:
-        print(census.rows_to_markdown(rows, fmt))
+        fmt = _fraction_formatter(config)
+        print(
+            format_table(
+                census.MIRROR_COLUMNS if mirror else census.COLUMNS,
+                [census.row_cells(row, fmt, up_to_mirror=mirror) for row in rows],
+                config.output_format,
+            )
+        )
     if args.verify:
         problems = []
         for row in rows:
@@ -241,10 +250,9 @@ def cmd_table1(config: Config, args) -> int:
     )
     if config.output_format == "json":
         print(classify.rows_to_json(rows))
-    elif config.output_format == "csv":
-        print(classify.rows_to_csv(rows))
     else:
-        print(classify.rows_to_markdown(rows))
+        cells = [classify.row_cells(row) for row in rows]
+        print(format_table(classify.COLUMNS, cells, config.output_format))
     if args.chiral:
         return EXIT_OK
     diff = classify.table1_diff(rows, c_max=args.max_c)
@@ -283,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=FORMATS, help="output format")
     parser.add_argument("--ceiling", type=int, help="enumeration ceiling override")
     parser.add_argument("--budget", type=int, help="search node budget override")
-    parser.add_argument("--parallelism", type=int, help="worker count (0 = auto)")
     parser.add_argument(
         "--decimal", action="store_true", help="render fractions with 12 significant digits"
     )
@@ -338,8 +345,6 @@ def main(argv: list[str] | None = None) -> int:
             config.enumeration_ceiling = args.ceiling
         if args.budget is not None:
             config.search_budget = args.budget
-        if args.parallelism is not None:
-            config.parallelism = args.parallelism
         config.decimal = args.decimal
         config.validate()
     except (ValueError, OSError) as exc:

@@ -86,17 +86,6 @@ class KnotClass:
         }
 
 
-@dataclass(frozen=True, order=True)
-class MirrorClass:
-    """Representative of a two-bridge knot up to mirror image."""
-
-    canon: Word
-    crossing: int
-    braid: int
-    genus: int
-    signchg: int
-
-
 def knot_from_word(word: Word) -> KnotClass:
     word = check_even_word(word)
     if eval_word(word).denominator % 2 == 0:
@@ -111,15 +100,9 @@ def knot_from_word(word: Word) -> KnotClass:
     )
 
 
-def mirror_class(knot: KnotClass) -> MirrorClass:
-    canon = mirror_canonical_word(knot.canon)
-    return MirrorClass(
-        canon=canon,
-        crossing=knot.crossing,
-        braid=knot.braid,
-        genus=knot.genus,
-        signchg=sign_changes(canon),
-    )
+def mirror_class(knot: KnotClass) -> KnotClass:
+    """The knot's class up to mirror image, as the class of its mirror-canonical word."""
+    return knot_from_word(mirror_canonical_word(knot.canon))
 
 
 def is_torus_two_strand(knot: KnotClass) -> int | None:
@@ -144,6 +127,5 @@ KNOT_NAMES = {
 }
 
 
-def display_name(knot: KnotClass | MirrorClass) -> str:
-    canon = knot.canon if isinstance(knot, MirrorClass) else mirror_canonical_word(knot.canon)
-    return KNOT_NAMES.get(canon, format_word(knot.canon))
+def display_name(knot: KnotClass) -> str:
+    return KNOT_NAMES.get(mirror_canonical_word(knot.canon), format_word(knot.canon))

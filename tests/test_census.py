@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bridgekit.census import (
+    COLUMNS,
     TABLE2_REFERENCE,
     NonIntegralFormula,
     ResourceBound,
@@ -21,13 +22,13 @@ from bridgekit.census import (
     enumerate_words,
     exact_div,
     is_mirror_representative,
-    rows_to_csv,
+    row_cells,
     rows_to_json,
-    rows_to_markdown,
     verify_identities,
     verify_row,
     _raw_words,
 )
+from bridgekit.cli import format_table
 from bridgekit.knot import canonical_word, crossing_number, genus
 
 
@@ -97,9 +98,6 @@ class TestBruteCounts:
         with pytest.raises(ResourceBound):
             brute_counts(23)
         brute_counts(8, ceiling=8)  # at the ceiling is fine
-
-    def test_parallel_matches_serial(self):
-        assert brute_counts(11, workers=2) == brute_counts(11, workers=1)
 
     def test_avg_genus(self):
         # five 6-crossing knots: two of genus 1, three of genus 2
@@ -219,13 +217,13 @@ class TestEmission:
         self.rows = [brute_counts(c) for c in (3, 4, 5)]
 
     def test_markdown_layout(self):
-        text = rows_to_markdown(self.rows)
+        text = format_table(COLUMNS, [row_cells(row) for row in self.rows], "md")
         lines = text.splitlines()
         assert lines[0].startswith("| c | TK | TS | avg braid | TK* | TS* | avg braid* |")
         assert "| 5 | 4 | 8 | 5/2 | 2 | 4 | 5/2 |" in lines
 
     def test_csv(self):
-        text = rows_to_csv(self.rows)
+        text = format_table(COLUMNS, [row_cells(row) for row in self.rows], "csv")
         assert text.splitlines()[1] == "3,2,2,2,1,1,2"
 
     def test_json(self):

@@ -4,17 +4,18 @@ import pytest
 
 from bridgekit.census import enumerate_words
 from bridgekit.classify import (
+    COLUMNS,
     TABLE1_REFERENCE,
     nonminimal_matches,
     nonminimal_type,
     reconstruct_params,
-    rows_to_csv,
+    row_cells,
     rows_to_json,
-    rows_to_markdown,
     structure,
     table1,
     table1_diff,
 )
+from bridgekit.cli import format_table
 from bridgekit.epim import is_minimal, ors_compose
 from bridgekit.knot import canonical_word, knot_from_word
 
@@ -156,11 +157,11 @@ class TestEmission:
         self.rows = table1(9)
 
     def test_markdown(self):
-        text = rows_to_markdown(self.rows)
+        text = format_table(COLUMNS, [row_cells(row) for row in self.rows], "md")
         assert "| 4 | 4B3 | 9 | [2, -4, 4, -2] | 3_1 |" in text
 
     def test_csv(self):
-        text = rows_to_csv(self.rows)
+        text = format_table(COLUMNS, [row_cells(row) for row in self.rows], "csv")
         assert text.splitlines()[0] == "braid,type,c,even continued fraction,onto"
         assert '4,4B3,9,"[2, -4, 4, -2]",3_1' in text
 

@@ -76,11 +76,6 @@ class TestCensus:
         code, _, err = run(capsys, "census", "9")
         assert code == EXIT_RESOURCE
 
-    def test_parallelism_is_invisible_in_output(self, capsys):
-        _, serial, _ = run(capsys, "--parallelism", "1", "census", "3..10")
-        _, parallel, _ = run(capsys, "--parallelism", "2", "census", "3..10")
-        assert serial == parallel
-
     def test_csv_format(self, capsys):
         _, out, _ = run(capsys, "--format", "csv", "census", "5")
         assert "5,4,8,5/2,2,4,5/2" in out
@@ -88,6 +83,30 @@ class TestCensus:
     def test_up_to_mirror_columns(self, capsys):
         _, out, _ = run(capsys, "census", "6", "--up-to-mirror")
         assert "| 6 | 3 | 4 | 10/3 |" in out
+
+    def test_up_to_mirror_csv(self, capsys):
+        code, out, _ = run(capsys, "--format", "csv", "census", "5..6", "--up-to-mirror")
+        assert code == EXIT_OK
+        assert out.splitlines() == ["c,TK*,TS*,avg braid*", "5,2,4,5/2", "6,3,4,10/3"]
+
+    def test_up_to_mirror_json(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "census", "6", "--up-to-mirror")
+        assert code == EXIT_OK
+        assert json.loads(out) == [{"c": 6, "tk_star": 3, "ts_star": 4, "avg_braid_star": "10/3"}]
+
+    def test_formulas_only_verify_refused(self, capsys):
+        code, out, err = run(capsys, "census", "16..17", "--formulas-only", "--verify")
+        assert code == EXIT_PARSE
+        assert "invalid input" in err
+        assert out == ""
+
+    def test_parallelism_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--parallelism", "2", "census", "5"])
+        assert excinfo.value.code == 2
+        with pytest.raises(SystemExit):
+            main(["census", "5", "--parallelism", "2"])
+        assert "unrecognized arguments: --parallelism 2" in capsys.readouterr().err
 
     def test_verify_mismatch_exits_2(self, capsys, monkeypatch):
         import bridgekit.census as census
