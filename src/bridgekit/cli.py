@@ -361,6 +361,9 @@ def main(argv: list[str] | None = None) -> int:
     except epim.BudgetExceeded as exc:
         print(f"search budget exceeded: {exc} (partial results: {len(exc.partial)})", file=sys.stderr)
         return EXIT_RESOURCE
+    except (epim.AuditFailure, epim.MergeCancellation) as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -142,7 +142,8 @@ def to_reduced_even(r: Fraction | int | str) -> Word:
         entries.append(a)
         rest = z - a
     word = tuple(entries)
-    assert len(word) % 2 == 0 and eval_word(word) == r
+    if len(word) % 2 or eval_word(word) != r:
+        raise ArithmeticError(f"expansion {word} of {r} is not a reduced even word for it")
     return word
 
 

@@ -11,12 +11,17 @@ where eps_1 = +1.  A zero connector is deleted and the two adjacent
 block-boundary entries merge by addition; the constraint eps_{j+1} =
 eps_j for c_j = 0 keeps the merged entry nonzero and even.
 
-Detection is generate-and-match: enumerate the finitely many parameter
-tuples that could reach the big knot's crossing number, compose, and
-compare canonical forms.  The crossing number of a composition is at
-least (2r+1) times the target's plus twice the connector overshoot
-sum_{c_j != 0} (|c_j| - 1), which makes the search space finite and the
-enumeration exhaustive.
+Detection parses the big knot's word: for each target expansion a of
+length n, each r with (2r+1) crossing(a) <= crossing(big), and each
+orientation of the big word (w and its reverse-negation), ``_parse``
+reads the word left to right, block by block.  The length L fixes the
+number of zero connectors, z = ((2r+1) n + 2r - L) / 2, which must lie
+in [0, 2r], and each block boundary admits one reading only, so there
+is at most one parse, found in O(L) without backtracking.  A
+composition canonicalises to the big knot exactly when it is the big
+word in one of its orientations, so the parses are exactly the matching
+parameter tuples; each is still composed again and compared before it
+becomes a witness.
 
 Every returned witness carries an audit splitting the braid-index gap
 braid(big) - 3 braid(target) + 4 into four non-negative terms; the
@@ -28,7 +33,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator
 
 from .census import enumerate_words
@@ -37,7 +41,6 @@ from .knot import (
     KnotClass,
     braid_index,
     canonical_word,
-    crossing_number,
     display_name,
     knot_from_word,
 )
@@ -216,29 +219,6 @@ def audit_inequality(witness: EpiWitness) -> InequalityAudit:
 # ---------------------------------------------------------------------------
 
 
-def _connector_vectors(slots: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """All connector tuples whose nonzero entries overshoot by at most ``budget``."""
-    if slots == 0:
-        yield ()
-        return
-    for value in range(-(budget + 1), budget + 2):
-        cost = 0 if value == 0 else abs(value) - 1
-        if cost <= budget:
-            for rest in _connector_vectors(slots - 1, budget - cost):
-                yield (value,) + rest
-
-
-def _sign_assignments(cvec: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All sign vectors consistent with the zero-connector constraint."""
-    free = [j for j, cj in enumerate(cvec) if cj != 0]
-    for bits in product((1, -1), repeat=len(free)):
-        eps = [1]
-        chosen = iter(bits)
-        for j, cj in enumerate(cvec):
-            eps.append(eps[j] if cj == 0 else next(chosen))
-        yield tuple(eps)
-
-
 def _target_patterns(small: KnotClass) -> tuple[Word, ...]:
     # Both reduced even expansions of the target knot serve as the
     # repeating block; they are not interchangeable in the pattern.
@@ -248,15 +228,62 @@ def _target_patterns(small: KnotClass) -> tuple[Word, ...]:
 
 
 class _NodeCounter:
-    __slots__ = ("nodes", "limit")
+    """Search nodes spent: one per candidate target and one per parse state."""
 
-    def __init__(self, budget: SearchBudget | None):
+    __slots__ = ("nodes", "limit", "found")
+
+    def __init__(self, budget: SearchBudget | None, found: list[EpiWitness]):
         self.nodes = 0
         self.limit = budget.max_nodes if budget is not None else None
+        self.found = found
 
-    def tick(self) -> bool:
+    def charge(self, pattern: Word, r: int) -> None:
         self.nodes += 1
-        return self.limit is not None and self.nodes > self.limit
+        if self.limit is not None and self.nodes > self.limit:
+            raise BudgetExceeded(
+                f"search exceeded {self.limit} nodes at target {format_word(pattern)}, r={r}",
+                sorted(self.found, key=EpiWitness.sort_key),
+            )
+
+
+def _parse(
+    word: Word, pattern: Word, r: int, counter: _NodeCounter
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Signs and connectors of the interleaving of ``pattern`` that spells ``word``.
+
+    One state per block; None as soon as no (eps, cvec) can fit.  A
+    block's first entry is read before the block (the first block's is
+    pattern[0], since eps_1 = +1), and its last entry e = eps_j *
+    block_j[-1] decides the boundary: 2e is a zero connector whose merge
+    kept the sign, while e is followed by a connector 2c_j and then by
+    +-e, the next block's first entry, which gives its sign.
+    """
+    if word[0] != pattern[0]:
+        return None
+    # the last entry of each block equals the first entry of the next
+    shapes = (pattern, reverse(pattern))
+    last = len(word) - 1
+    eps, cvec = [1], []
+    start = 1
+    for j in range(2 * r + 1):
+        counter.charge(pattern, r)
+        sign, block = eps[j], shapes[j % 2]
+        stop = start + len(block) - 2
+        if stop > last or word[start:stop] != tuple(sign * e for e in block[1:-1]):
+            return None
+        edge = sign * block[-1]
+        if j == 2 * r:
+            return (tuple(eps), tuple(cvec)) if stop == last and word[stop] == edge else None
+        if word[stop] == 2 * edge:
+            eps.append(sign)
+            cvec.append(0)
+            start = stop + 1
+        elif word[stop] == edge and stop + 2 <= last and word[stop + 2] in (edge, -edge):
+            eps.append(sign if word[stop + 2] == edge else -sign)
+            cvec.append(word[stop + 1] // 2)
+            start = stop + 3
+        else:
+            return None
 
 
 def _search(
@@ -267,24 +294,29 @@ def _search(
     stop_at_first: bool = False,
 ) -> list[EpiWitness]:
     found: list[EpiWitness] = []
-    counter = _NodeCounter(budget)
+    counter = _NodeCounter(budget, found)
+    length = len(big.canon)
+    other = rev_neg(big.canon)
+    orientations = (big.canon,) if other == big.canon else (big.canon, other)
     for small, pattern in candidates:
         r = 1
+        counter.charge(pattern, r)
         while (2 * r + 1) * small.crossing <= big.crossing:
-            overshoot = (big.crossing - (2 * r + 1) * small.crossing) // 2
-            for cvec in _connector_vectors(2 * r, overshoot):
-                for eps in _sign_assignments(cvec):
-                    if counter.tick():
-                        raise BudgetExceeded(
-                            f"search exceeded {counter.limit} nodes",
-                            sorted(found, key=EpiWitness.sort_key),
-                        )
-                    params = OrsParams(pattern, r, eps, cvec)
+            # Each zero connector shortens the composition by two entries;
+            # both lengths are even, so the count is an integer.
+            zeros = ((2 * r + 1) * len(pattern) + 2 * r - length) // 2
+            if 0 <= zeros <= 2 * r:
+                for word in orientations:
+                    parsed = _parse(word, pattern, r, counter)
+                    if parsed is None:
+                        continue
+                    params = OrsParams(pattern, r, *parsed)
                     composed = ors_compose(params)
-                    if crossing_number(composed) != big.crossing:
-                        continue
                     if canonical_word(composed) != big.canon:
-                        continue
+                        raise AuditFailure(
+                            f"parsed parameters do not recompose to"
+                            f" {format_word(big.canon)}: {params}"
+                        )
                     witness = EpiWitness(
                         big=big,
                         small=small,

@@ -113,8 +113,8 @@ def is_torus_two_strand(knot: KnotClass) -> int | None:
     """
     if knot.braid != 2:
         return None
-    assert all(abs(e) == 2 for e in knot.canon)
-    assert knot.signchg == len(knot.canon) - 1
+    if any(abs(e) != 2 for e in knot.canon) or knot.signchg != len(knot.canon) - 1:
+        raise ValueError(f"braid index 2 but {knot.canon} is not a strictly alternating +-2 word")
     return len(knot.canon) + 1
 
 

@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: output, formats, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
+from bridgekit import epim
 from bridgekit.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -149,6 +151,32 @@ class TestEpi:
         code, _, err = run(capsys, "--budget", "3", "epi", "targets", word)
         assert code == EXIT_RESOURCE
         assert "budget" in err
+
+    def test_budget_bounds_target_enumeration(self, capsys):
+        # c = 61: targets up to c = 20 would take minutes to enumerate,
+        # so the budget must charge each target, not only each parse
+        word = ",".join(["2,-2"] * 30)
+        start = time.monotonic()
+        code, out, err = run(capsys, "--budget", "1000", "epi", "targets", word)
+        assert code == EXIT_RESOURCE and out == ""
+        assert time.monotonic() - start < 10
+        assert "exceeded 1000 nodes at target" in err and "r=" in err
+
+    def test_audit_failure_is_mismatch(self, capsys, monkeypatch):
+        # a parse that does not recompose to the big knot must not be reported
+        monkeypatch.setattr(epim, "canonical_word", lambda word: ())
+        code, out, err = run(capsys, "epi", "targets", ",".join(["2,-2"] * 4))
+        assert code == EXIT_MISMATCH and out == ""
+        assert err.startswith("verification failed:") and err.count("\n") == 1
+
+    def test_merge_cancellation_is_mismatch(self, capsys, monkeypatch):
+        def cancel(params):
+            raise epim.MergeCancellation("boundary entries cancelled")
+
+        monkeypatch.setattr(epim, "ors_compose", cancel)
+        code, _, err = run(capsys, "epi", "check", ",".join(["2,-2"] * 4), "2,-2")
+        assert code == EXIT_MISMATCH
+        assert err == "verification failed: boundary entries cancelled\n"
 
     def test_graph_dot_default(self, capsys):
         code, out, _ = run(capsys, "epi", "graph", "--max-c", "9")

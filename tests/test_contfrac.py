@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bridgekit import contfrac
 from bridgekit.contfrac import (
     NotAKnotFraction,
     WordParseError,
@@ -162,6 +163,12 @@ class TestToReducedEven:
             for word in enumerate_words(c):
                 value = eval_word(word)
                 assert eval_word(to_reduced_even(value)) == value
+
+    def test_bad_expansion_raises(self, monkeypatch):
+        # an explicit raise, not an assert, so python -O keeps the check
+        monkeypatch.setattr(contfrac, "eval_word", lambda word: Fraction(0))
+        with pytest.raises(ArithmeticError):
+            to_reduced_even(Fraction(2, 3))
 
 
 class TestTextFormats:

@@ -14,6 +14,7 @@ from bridgekit.knot import (
     crossing_number,
     display_name,
     genus,
+    KnotClass,
     is_torus_two_strand,
     knot_from_word,
     mirror_class,
@@ -73,6 +74,12 @@ class TestTorusDetection:
 
     def test_non_torus(self):
         assert is_torus_two_strand(knot_from_word((2, 2))) is None
+
+    def test_inconsistent_class_rejected(self):
+        # braid index 2 with a word that is not alternating +-2
+        bogus = KnotClass(canon=(2, -4), crossing=5, braid=2, genus=1, signchg=1)
+        with pytest.raises(ValueError):
+            is_torus_two_strand(bogus)
 
 
 class TestMirror:
