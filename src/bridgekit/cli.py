@@ -5,7 +5,7 @@ table1, identities.  Words are written as comma-separated signed
 integers (``2,-4,4,-2``); fractions print as ``p/q`` unless --decimal
 asks for a 12-digit rendering.
 
-Exit codes: 0 success, 2 verification mismatch, 3 parse error,
+Exit codes: 0 success, 2 verification mismatch, 3 parse or usage error,
 4 resource/budget bound.
 """
 
@@ -223,10 +223,10 @@ def cmd_epi(config: Config, args) -> int:
         return EXIT_OK
     if args.epi_command == "minimal":
         knot = knot_from_word(check_even_word(parse_word(args.word)))
-        if epim.is_minimal(knot, budget):
+        witnesses = epim.epi_targets(knot, budget)
+        if not witnesses:
             print(f"{format_word(knot.canon)}: minimal")
         else:
-            witnesses = epim.epi_targets(knot, budget)
             names = sorted({display_name(w.small) for w in witnesses})
             print(f"{format_word(knot.canon)}: not minimal (onto {' and '.join(names)})")
         return EXIT_OK
@@ -334,7 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's usage-error code 2 means a mismatch here
+        raise SystemExit(EXIT_PARSE if exc.code == 2 else exc.code) from None
     try:
         config = load_config(args.config)
         if args.format:
@@ -361,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     except epim.BudgetExceeded as exc:
         print(f"search budget exceeded: {exc} (partial results: {len(exc.partial)})", file=sys.stderr)
         return EXIT_RESOURCE
-    except (epim.AuditFailure, epim.MergeCancellation) as exc:
+    except (epim.AuditFailure, epim.MergeCancellation, census.NonIntegralFormula) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except ValueError as exc:

@@ -61,14 +61,6 @@ def check_even_word(entries: Iterable[int]) -> Word:
     return word
 
 
-def is_even_word(entries: Sequence[int]) -> bool:
-    try:
-        check_even_word(entries)
-    except (ValueError, TypeError):
-        return False
-    return True
-
-
 def eval_word(word: Sequence[int]) -> Fraction:
     """Exact value of the continued fraction carried by ``word``.
 

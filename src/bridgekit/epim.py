@@ -11,17 +11,23 @@ where eps_1 = +1.  A zero connector is deleted and the two adjacent
 block-boundary entries merge by addition; the constraint eps_{j+1} =
 eps_j for c_j = 0 keeps the merged entry nonzero and even.
 
-Detection parses the big knot's word: for each target expansion a of
-length n, each r with (2r+1) crossing(a) <= crossing(big), and each
-orientation of the big word (w and its reverse-negation), ``_parse``
-reads the word left to right, block by block.  The length L fixes the
-number of zero connectors, z = ((2r+1) n + 2r - L) / 2, which must lie
-in [0, 2r], and each block boundary admits one reading only, so there
-is at most one parse, found in O(L) without backtracking.  A
-composition canonicalises to the big knot exactly when it is the big
-word in one of its orientations, so the parses are exactly the matching
-parameter tuples; each is still composed again and compared before it
-becomes a witness.
+Detection reads the targets off the big word.  In each orientation w
+of the big word (w and its reverse-negation) the first block is the
+target itself (eps_1 = +1), so a target of length n is w[:n] or, when
+the first connector is zero and the block's last entry merged into
+twice itself, w[:n-1] followed by w[n-1]/2 (if even).  Each even n with
+3(n-1) < L thus gives at most two patterns a, kept if 3 crossing(a) <=
+crossing(big); no census of targets is enumerated.  For each pattern
+and each r with (2r+1) crossing(a) <= crossing(big) and (2r+1)(n-1) <
+L, ``_parse`` reads w left to right, block by block.  The length L
+fixes the number of zero connectors, z = ((2r+1) n + 2r - L) / 2, which
+must lie in [0, 2r], and each block boundary admits one reading only,
+so there is at most one parse, found in O(L) without backtracking.  A
+composition spells one word, so no witness is found twice, and it
+canonicalises to the big knot exactly when it is the big word in one
+of its orientations, so the parses are exactly the matching parameter
+tuples; each is still composed again and compared before it becomes a
+witness.
 
 Every returned witness carries an audit splitting the braid-index gap
 braid(big) - 3 braid(target) + 4 into four non-negative terms; the
@@ -33,7 +39,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from .census import enumerate_words
 from .contfrac import Word, check_even_word, format_word, rev_neg, reverse, sign_changes
@@ -41,6 +46,7 @@ from .knot import (
     KnotClass,
     braid_index,
     canonical_word,
+    crossing_number,
     display_name,
     knot_from_word,
 )
@@ -219,12 +225,12 @@ def audit_inequality(witness: EpiWitness) -> InequalityAudit:
 # ---------------------------------------------------------------------------
 
 
-def _target_patterns(small: KnotClass) -> tuple[Word, ...]:
-    # Both reduced even expansions of the target knot serve as the
-    # repeating block; they are not interchangeable in the pattern.
-    canon = small.canon
-    other = rev_neg(canon)
-    return (canon,) if canon == other else (canon, other)
+def _orientations(word: Word) -> tuple[Word, ...]:
+    # A knot's two reduced even words, w and its reverse-negation; as
+    # the big word they are parsed separately, and as targets they are
+    # not interchangeable in the pattern.
+    other = rev_neg(word)
+    return (word,) if word == other else (word, other)
 
 
 class _NodeCounter:
@@ -251,15 +257,14 @@ def _parse(
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Signs and connectors of the interleaving of ``pattern`` that spells ``word``.
 
-    One state per block; None as soon as no (eps, cvec) can fit.  A
-    block's first entry is read before the block (the first block's is
-    pattern[0], since eps_1 = +1), and its last entry e = eps_j *
-    block_j[-1] decides the boundary: 2e is a zero connector whose merge
-    kept the sign, while e is followed by a connector 2c_j and then by
-    +-e, the next block's first entry, which gives its sign.
+    One state per block; None as soon as no (eps, cvec) can fit.  The
+    pattern was read off the word, so the first block's first entry
+    matches (eps_1 = +1); every later block's first entry is read
+    before the block.  A block's last entry e = eps_j * block_j[-1]
+    decides the boundary: 2e is a zero connector whose merge kept the
+    sign, while e is followed by a connector 2c_j and then by +-e, the
+    next block's first entry, which gives its sign.
     """
-    if word[0] != pattern[0]:
-        return None
     # the last entry of each block equals the first entry of the next
     shapes = (pattern, reverse(pattern))
     last = len(word) - 1
@@ -288,56 +293,54 @@ def _parse(
 
 def _search(
     big: KnotClass,
-    candidates: Iterable[tuple[KnotClass, Word]],
     budget: SearchBudget | None,
+    small: KnotClass | None = None,
     *,
     stop_at_first: bool = False,
 ) -> list[EpiWitness]:
+    """Witnesses onto every proper target, or onto ``small`` only if given."""
     found: list[EpiWitness] = []
     counter = _NodeCounter(budget, found)
     length = len(big.canon)
-    other = rev_neg(big.canon)
-    orientations = (big.canon,) if other == big.canon else (big.canon, other)
-    for small, pattern in candidates:
-        r = 1
-        counter.charge(pattern, r)
-        while (2 * r + 1) * small.crossing <= big.crossing:
-            # Each zero connector shortens the composition by two entries;
-            # both lengths are even, so the count is an integer.
-            zeros = ((2 * r + 1) * len(pattern) + 2 * r - length) // 2
-            if 0 <= zeros <= 2 * r:
-                for word in orientations:
-                    parsed = _parse(word, pattern, r, counter)
-                    if parsed is None:
-                        continue
-                    params = OrsParams(pattern, r, *parsed)
-                    composed = ors_compose(params)
-                    if canonical_word(composed) != big.canon:
-                        raise AuditFailure(
-                            f"parsed parameters do not recompose to"
-                            f" {format_word(big.canon)}: {params}"
-                        )
-                    witness = EpiWitness(
-                        big=big,
-                        small=small,
-                        params=params,
-                        audit=audit_params(params, composed),
-                    )
-                    found.append(witness)
-                    if stop_at_first:
-                        return found
-            r += 1
+    wanted = None if small is None else _orientations(small.canon)
+    for word in _orientations(big.canon):
+        # 2r+1 blocks of length n take at least (2r+1)(n-1)+1 entries, r >= 1
+        for n in range(2, (length - 1) // 3 + 2, 2):
+            # The first block is the target (eps_1 = +1); a zero first
+            # connector merges the block's last entry into twice itself.
+            head, edge = word[: n - 1], word[n - 1]
+            patterns = [head + (edge,)]
+            if edge % 4 == 0:
+                patterns.append(head + (edge // 2,))
+            for pattern in patterns:
+                crossing = crossing_number(pattern)
+                # Proper targets only: an image has at most a third of
+                # the big knot's crossings, which also rules out itself.
+                if 3 * crossing > big.crossing or (wanted is not None and pattern not in wanted):
+                    continue
+                r = 1
+                counter.charge(pattern, r)
+                while (2 * r + 1) * crossing <= big.crossing and (2 * r + 1) * (n - 1) < length:
+                    # Each zero connector shortens the composition by two
+                    # entries; both lengths are even, so the count is an
+                    # integer, and the length test above is zeros <= 2r.
+                    zeros = ((2 * r + 1) * n + 2 * r - length) // 2
+                    parsed = _parse(word, pattern, r, counter) if zeros >= 0 else None
+                    if parsed is not None:
+                        params = OrsParams(pattern, r, *parsed)
+                        composed = ors_compose(params)
+                        if canonical_word(composed) != big.canon:
+                            raise AuditFailure(
+                                f"parsed parameters do not recompose to"
+                                f" {format_word(big.canon)}: {params}"
+                            )
+                        target = knot_from_word(pattern) if small is None else small
+                        audit = audit_params(params, composed)
+                        found.append(EpiWitness(big, target, params, audit))
+                        if stop_at_first:
+                            return found
+                    r += 1
     return sorted(found, key=EpiWitness.sort_key)
-
-
-def _target_candidates(big: KnotClass) -> Iterator[tuple[KnotClass, Word]]:
-    # Proper targets only: the crossing number of an image is at most a
-    # third of the big knot's, which also rules out self-targets.
-    for c_small in range(3, big.crossing // 3 + 1):
-        for word in enumerate_words(c_small):
-            small = knot_from_word(word)
-            for pattern in _target_patterns(small):
-                yield small, pattern
 
 
 def epi_targets(big: KnotClass, budget: SearchBudget | None = None) -> list[EpiWitness]:
@@ -347,7 +350,7 @@ def epi_targets(big: KnotClass, budget: SearchBudget | None = None) -> list[EpiW
     reproducible output.  Raises BudgetExceeded (with partial results)
     if the node budget runs out.
     """
-    return _search(big, _target_candidates(big), budget)
+    return _search(big, budget)
 
 
 def admits_epi(
@@ -357,16 +360,13 @@ def admits_epi(
 
     Proper targets only: returns None for small == big.
     """
-    if small.canon == big.canon or 3 * small.crossing > big.crossing:
-        return None
-    candidates = [(small, pattern) for pattern in _target_patterns(small)]
-    witnesses = _search(big, candidates, budget)
+    witnesses = _search(big, budget, small)
     return witnesses[0] if witnesses else None
 
 
 def is_minimal(big: KnotClass, budget: SearchBudget | None = None) -> bool:
     """True iff the knot's group surjects onto no smaller knot group."""
-    return not _search(big, _target_candidates(big), budget, stop_at_first=True)
+    return not _search(big, budget, stop_at_first=True)
 
 
 # ---------------------------------------------------------------------------

@@ -105,10 +105,25 @@ class TestCensus:
     def test_parallelism_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--parallelism", "2", "census", "5"])
-        assert excinfo.value.code == 2
+        assert excinfo.value.code == 3
         with pytest.raises(SystemExit):
             main(["census", "5", "--parallelism", "2"])
         assert "unrecognized arguments: --parallelism 2" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        # usage errors exit 3, but --help is not one
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == EXIT_OK
+        assert "usage: bridgekit" in capsys.readouterr().out
+
+    def test_non_integral_formula_is_mismatch(self, capsys, monkeypatch):
+        import bridgekit.census as census
+
+        monkeypatch.setattr(census, "closed_tk", lambda c: census.exact_div(7, 2))
+        code, out, err = run(capsys, "census", "5", "--formulas-only")
+        assert code == EXIT_MISMATCH and out == ""
+        assert err == "verification failed: 7 is not divisible by 2\n"
 
     def test_verify_mismatch_exits_2(self, capsys, monkeypatch):
         import bridgekit.census as census
@@ -153,14 +168,21 @@ class TestEpi:
         assert "budget" in err
 
     def test_budget_bounds_target_enumeration(self, capsys):
-        # c = 61: targets up to c = 20 would take minutes to enumerate,
-        # so the budget must charge each target, not only each parse
-        word = ",".join(["2,-2"] * 30)
+        # c = 2001: the search reads 333 targets off the word, so the
+        # budget must charge each target, not only each parse
+        word = ",".join(["2,-2"] * 1000)
         start = time.monotonic()
         code, out, err = run(capsys, "--budget", "1000", "epi", "targets", word)
         assert code == EXIT_RESOURCE and out == ""
         assert time.monotonic() - start < 10
         assert "exceeded 1000 nodes at target" in err and "r=" in err
+
+    def test_long_entry_bounds_the_search(self, capsys):
+        # c > 10**9 allows r up to 10**8 by crossings; the word's length allows r = 1
+        start = time.monotonic()
+        code, out, _ = run(capsys, "epi", "targets", "2,-2,2,-1000000000")
+        assert code == EXIT_OK and "none" in out
+        assert time.monotonic() - start < 1
 
     def test_audit_failure_is_mismatch(self, capsys, monkeypatch):
         # a parse that does not recompose to the big knot must not be reported

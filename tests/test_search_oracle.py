@@ -1,9 +1,11 @@
 """Differential test: the ORS parser against generate-and-match.
 
-The oracle is the search the parser replaced: for every target pattern
-and r it enumerates every connector vector within the crossing
-overshoot and every admissible sign vector, composes each tuple and
-keeps those whose canonical form is the big knot's.  It is exponential
+The oracle is the search the parser replaced: it enumerates every
+candidate target from the census, and for every target pattern and r
+it enumerates every connector vector within the crossing overshoot and
+every admissible sign vector, composes each tuple and keeps those whose
+canonical form is the big knot's.  It shares neither candidate
+generation nor matching with the search it checks.  It is exponential
 in the overshoot, so it is run only where it is cheap.
 """
 
@@ -13,10 +15,10 @@ from itertools import product
 import pytest
 
 from bridgekit.census import enumerate_words
+from bridgekit.contfrac import rev_neg
 from bridgekit.epim import (
     EpiWitness,
     OrsParams,
-    _target_candidates,
     admits_epi,
     audit_params,
     epi_targets,
@@ -24,6 +26,16 @@ from bridgekit.epim import (
     ors_compose,
 )
 from bridgekit.knot import canonical_word, crossing_number, knot_from_word
+
+
+def _target_candidates(big):
+    """Every target knot with 3 <= c <= c(big)/3, in both orientations."""
+    for c_small in range(3, big.crossing // 3 + 1):
+        for word in enumerate_words(c_small):
+            small = knot_from_word(word)
+            other = rev_neg(small.canon)
+            for pattern in (small.canon,) if other == small.canon else (small.canon, other):
+                yield small, pattern
 
 
 def _connector_vectors(slots, budget):
