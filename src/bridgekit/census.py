@@ -5,8 +5,15 @@ reached exactly once through the parameterization (m, ell, signs,
 magnitudes): half-length m, sign-change count ell (same parity as c),
 a sign vector with exactly ell changes, and a composition of
 (c + ell) / 2 into 2m positive halved magnitudes.  A word is emitted
-iff it is the canonical representative of its class, so no seen-set is
-needed and memory stays O(1) per word.
+iff it is the canonical representative of its class (at most its
+reverse-negation), so no seen-set is needed.  The compositions of an
+(m, ell) slice are listed once and shared by all its sign vectors.
+Which of them give canonical words depends on the sign vector only
+through a short prefix: when the first and last signs agree (every
+even ell) reverse-negation flips the lead sign, so a negative lead
+keeps every composition and a positive lead none, with no word built
+or compared; otherwise the first sign vector with a given prefix
+compares its words once and the rest of the slice reuses the result.
 
 Formula side: closed forms for the number of knots TK(c) (and TK*(c)
 up to mirror), the total sign change TS(c) / TS*(c), the per-class
@@ -23,12 +30,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
-from operator import mul
+from operator import mul, sub
 from typing import Iterator, Sequence
 
-from .contfrac import Word, format_fraction, negate, rev_neg, reverse
+from .contfrac import Word, format_fraction, rev_neg
 
 DEFAULT_ENUM_CEILING = 22
 
@@ -53,20 +60,15 @@ def exact_div(numerator: int, denominator: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     """Positive integer compositions of ``total`` into ``parts`` parts."""
     if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for cuts in combinations(range(1, total), parts - 1):
-        previous = 0
-        out = []
-        for cut in cuts:
-            out.append(cut - previous)
-            previous = cut
-        out.append(total - previous)
-        yield tuple(out)
+        return [()] if total == 0 else []
+    ends = (total,)
+    return [
+        tuple(map(sub, cuts + ends, (0,) + cuts))
+        for cuts in combinations(range(1, total), parts - 1)
+    ]
 
 
 def _sign_vectors(length: int, changes: int) -> Iterator[tuple[int, ...]]:
@@ -99,14 +101,41 @@ def _partitions(c: int, ell: int | None = None) -> Iterator[tuple[int, int]]:
                 yield m, ell_value
 
 
+def _slices(
+    c: int, ell: int | None
+) -> Iterator[tuple[list[tuple[int, ...]], Iterator[tuple[int, ...]]]]:
+    """Each (m, ell) slice as its compositions, built once, and its sign vectors."""
+    for m, ell_value in _partitions(c, ell):
+        yield _compositions((c + ell_value) // 2, 2 * m), _sign_vectors(2 * m, ell_value)
+
+
+def _words(signs: tuple[int, ...], parts: list[tuple[int, ...]]) -> Iterator[Word]:
+    """The words with these signs and halved magnitudes, in the order of ``parts``."""
+    return map(tuple, map(map, repeat(mul), repeat(tuple(2 * s for s in signs)), parts))
+
+
+def _decisive_prefix(signs: tuple[int, ...]) -> tuple[int, ...]:
+    """The signs that decide which of a slice's words are canonical.
+
+    rev_neg(w)[i] = 2 s_i p_{n-1-i} for as long as s_i = -s_{n-1-i}, so
+    up to the first i with s_i = s_{n-1-i} the comparison of w with
+    rev_neg(w) reads only s_i and the magnitudes; at that i the two
+    entries differ in sign and a negative s_i puts w first.  The prefix
+    through that i (all of ``signs`` if there is none) therefore fixes
+    the canonical compositions.
+    """
+    last = len(signs) - 1
+    for i in range(len(signs) // 2):
+        if signs[i] == signs[last - i]:
+            return signs[: i + 1]
+    return signs
+
+
 def _raw_words(c: int, *, ell: int | None = None) -> Iterator[Word]:
     """Every reduced even word with crossing number c, each exactly once."""
-    for m, ell_value in _partitions(c, ell):
-        total = (c + ell_value) // 2
-        for signs in _sign_vectors(2 * m, ell_value):
-            steps = tuple(2 * s for s in signs)
-            for parts in _compositions(total, 2 * m):
-                yield tuple(map(mul, steps, parts))
+    for parts, sign_vectors in _slices(c, ell):
+        for signs in sign_vectors:
+            yield from _words(signs, parts)
 
 
 def enumerate_words(c: int, *, ell: int | None = None) -> Iterator[Word]:
@@ -118,9 +147,20 @@ def enumerate_words(c: int, *, ell: int | None = None) -> Iterator[Word]:
     """
     if c < 3:
         raise ValueError(f"crossing number must be >= 3, got {c}")
-    for word in _raw_words(c, ell=ell):
-        if word <= rev_neg(word):
-            yield word
+    for parts, sign_vectors in _slices(c, ell):
+        canonical: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for signs in sign_vectors:
+            key = _decisive_prefix(signs)
+            kept = canonical.get(key)
+            if kept is None:
+                if len(key) == 1:
+                    # first and last signs agree (every even ell):
+                    # rev_neg flips the lead sign, so no word is compared
+                    kept = parts if key[0] < 0 else []
+                else:
+                    kept = [p for p, w in zip(parts, _words(signs, parts)) if w <= rev_neg(w)]
+                canonical[key] = kept
+            yield from _words(signs, kept)
 
 
 def is_mirror_representative(word: Word) -> bool:
@@ -128,9 +168,10 @@ def is_mirror_representative(word: Word) -> bool:
 
     The mirror knot's class is canonicalized by min(negate, reverse);
     keeping only words at most that quotients the census by mirror
-    image, with equality covering the amphichiral case.
+    image, with equality covering the amphichiral case.  A word is at
+    most its negation exactly when its lead entry is negative.
     """
-    return word <= min(negate(word), reverse(word))
+    return word[0] < 0 and word <= word[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import neg
 from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
@@ -91,12 +92,12 @@ def reverse(word: Sequence[int]) -> Word:
 
 
 def negate(word: Sequence[int]) -> Word:
-    return tuple(-e for e in word)
+    return tuple(map(neg, word))
 
 
 def rev_neg(word: Sequence[int]) -> Word:
     """Reverse and negate.  Words relate to the same knot iff equal up to this map."""
-    return tuple(-e for e in reversed(word))
+    return tuple(map(neg, reversed(word)))
 
 
 def _nearest_even(z: Fraction) -> int:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .census import enumerate_words
 from .contfrac import Word, check_even_word, format_word, rev_neg, reverse, sign_changes
@@ -46,7 +47,6 @@ from .knot import (
     KnotClass,
     braid_index,
     canonical_word,
-    crossing_number,
     display_name,
     knot_from_word,
 )
@@ -243,19 +243,25 @@ class _NodeCounter:
         self.limit = budget.max_nodes if budget is not None else None
         self.found = found
 
-    def charge(self, pattern: Word, r: int) -> None:
+    def charge(self, word: Word, n: int, last: int, r: int) -> None:
         self.nodes += 1
         if self.limit is not None and self.nodes > self.limit:
+            pattern = format_word(_pattern(word, n, last))
             raise BudgetExceeded(
-                f"search exceeded {self.limit} nodes at target {format_word(pattern)}, r={r}",
+                f"search exceeded {self.limit} nodes at target {pattern}, r={r}",
                 sorted(self.found, key=EpiWitness.sort_key),
             )
 
 
+def _pattern(word: Word, n: int, last: int) -> Word:
+    """The length-n target read off ``word``: its first n-1 entries, then ``last``."""
+    return word[: n - 1] + (last,)
+
+
 def _parse(
-    word: Word, pattern: Word, r: int, counter: _NodeCounter
+    word: Word, n: int, last: int, r: int, counter: _NodeCounter
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Signs and connectors of the interleaving of ``pattern`` that spells ``word``.
+    """Signs and connectors of an interleaving of ``_pattern(word, n, last)`` spelling ``word``.
 
     One state per block; None as soon as no (eps, cvec) can fit.  The
     pattern was read off the word, so the first block's first entry
@@ -266,24 +272,25 @@ def _parse(
     next block's first entry, which gives its sign.
     """
     # the last entry of each block equals the first entry of the next
+    pattern = _pattern(word, n, last)
     shapes = (pattern, reverse(pattern))
-    last = len(word) - 1
+    end = len(word) - 1
     eps, cvec = [1], []
     start = 1
     for j in range(2 * r + 1):
-        counter.charge(pattern, r)
+        counter.charge(word, n, last, r)
         sign, block = eps[j], shapes[j % 2]
-        stop = start + len(block) - 2
-        if stop > last or word[start:stop] != tuple(sign * e for e in block[1:-1]):
+        stop = start + n - 2
+        if stop > end or word[start:stop] != tuple(sign * e for e in block[1:-1]):
             return None
         edge = sign * block[-1]
         if j == 2 * r:
-            return (tuple(eps), tuple(cvec)) if stop == last and word[stop] == edge else None
+            return (tuple(eps), tuple(cvec)) if stop == end and word[stop] == edge else None
         if word[stop] == 2 * edge:
             eps.append(sign)
             cvec.append(0)
             start = stop + 1
-        elif word[stop] == edge and stop + 2 <= last and word[stop + 2] in (edge, -edge):
+        elif word[stop] == edge and stop + 2 <= end and word[stop + 2] in (edge, -edge):
             eps.append(sign if word[stop + 2] == edge else -sign)
             cvec.append(word[stop + 1] // 2)
             start = stop + 3
@@ -303,30 +310,40 @@ def _search(
     counter = _NodeCounter(budget, found)
     length = len(big.canon)
     wanted = None if small is None else _orientations(small.canon)
+    # 2r+1 blocks of length n take at least (2r+1)(n-1)+1 entries, r >= 1
+    top = (length - 1) // 3 + 1
     for word in _orientations(big.canon):
-        # 2r+1 blocks of length n take at least (2r+1)(n-1)+1 entries, r >= 1
-        for n in range(2, (length - 1) // 3 + 2, 2):
+        # crossing number of word[:k] for every k <= top, in one pass
+        prefix = list(
+            accumulate((abs(b) - (a * b < 0) for a, b in zip((0,) + word, word[:top])), initial=0)
+        )
+        for n in range(2, top + 1, 2):
             # The first block is the target (eps_1 = +1); a zero first
-            # connector merges the block's last entry into twice itself.
-            head, edge = word[: n - 1], word[n - 1]
-            patterns = [head + (edge,)]
+            # connector merges the block's last entry into twice itself,
+            # which keeps its sign and halves its crossings.  A target
+            # is spelled out only where it is parsed or compared.
+            edge = word[n - 1]
+            lasts = [(edge, prefix[n])]
             if edge % 4 == 0:
-                patterns.append(head + (edge // 2,))
-            for pattern in patterns:
-                crossing = crossing_number(pattern)
+                lasts.append((edge // 2, prefix[n] - abs(edge) // 2))
+            for last, crossing in lasts:
                 # Proper targets only: an image has at most a third of
                 # the big knot's crossings, which also rules out itself.
-                if 3 * crossing > big.crossing or (wanted is not None and pattern not in wanted):
+                if 3 * crossing > big.crossing or (
+                    wanted is not None
+                    and (n != len(small.canon) or _pattern(word, n, last) not in wanted)
+                ):
                     continue
                 r = 1
-                counter.charge(pattern, r)
+                counter.charge(word, n, last, r)
                 while (2 * r + 1) * crossing <= big.crossing and (2 * r + 1) * (n - 1) < length:
                     # Each zero connector shortens the composition by two
                     # entries; both lengths are even, so the count is an
                     # integer, and the length test above is zeros <= 2r.
                     zeros = ((2 * r + 1) * n + 2 * r - length) // 2
-                    parsed = _parse(word, pattern, r, counter) if zeros >= 0 else None
+                    parsed = _parse(word, n, last, r, counter) if zeros >= 0 else None
                     if parsed is not None:
+                        pattern = _pattern(word, n, last)
                         params = OrsParams(pattern, r, *parsed)
                         composed = ors_compose(params)
                         if canonical_word(composed) != big.canon:

@@ -1,0 +1,116 @@
+"""Differential oracle for the census enumerator.
+
+The census builds each slice's compositions once and lets the sign
+vector decide which words are canonical.  The generate-then-filter
+enumerator it replaced is kept below as it was, with its own copies of
+the symmetries: compositions rebuilt for every sign vector, every word
+compared with its reverse-negation, and the mirror test against
+min(negate, reverse).  The two must emit the same words in the same
+order and agree on every mirror verdict.
+"""
+
+from itertools import combinations
+from operator import mul
+
+import pytest
+
+from bridgekit import census
+
+
+def reverse(word):
+    return tuple(reversed(word))
+
+
+def negate(word):
+    return tuple(-e for e in word)
+
+
+def rev_neg(word):
+    return tuple(-e for e in reversed(word))
+
+
+def _compositions(total, parts):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for cuts in combinations(range(1, total), parts - 1):
+        previous = 0
+        out = []
+        for cut in cuts:
+            out.append(cut - previous)
+            previous = cut
+        out.append(total - previous)
+        yield tuple(out)
+
+
+def _sign_vectors(length, changes):
+    for lead in (1, -1):
+        for gaps in combinations(range(length - 1), changes):
+            gapset = frozenset(gaps)
+            out = [lead]
+            current = lead
+            for i in range(length - 1):
+                if i in gapset:
+                    current = -current
+                out.append(current)
+            yield tuple(out)
+
+
+def _ell_values(c, m):
+    low = 0 if c % 2 == 0 else 1
+    low = max(low, 4 * m - c)
+    if low % 2 != c % 2:
+        low += 1
+    return range(low, 2 * m, 2)
+
+
+def _partitions(c, ell=None):
+    for m in range(1, (c - 1) // 2 + 1):
+        for ell_value in _ell_values(c, m):
+            if ell is None or ell_value == ell:
+                yield m, ell_value
+
+
+def _raw_words(c, *, ell=None):
+    for m, ell_value in _partitions(c, ell):
+        total = (c + ell_value) // 2
+        for signs in _sign_vectors(2 * m, ell_value):
+            steps = tuple(2 * s for s in signs)
+            for parts in _compositions(total, 2 * m):
+                yield tuple(map(mul, steps, parts))
+
+
+def enumerate_words(c, *, ell=None):
+    if c < 3:
+        raise ValueError(f"crossing number must be >= 3, got {c}")
+    for word in _raw_words(c, ell=ell):
+        if word <= rev_neg(word):
+            yield word
+
+
+def is_mirror_representative(word):
+    return word <= min(negate(word), reverse(word))
+
+
+@pytest.mark.parametrize("c", range(3, 19))
+def test_same_words_in_same_order(c):
+    assert list(census.enumerate_words(c)) == list(enumerate_words(c))
+    assert list(census._raw_words(c)) == list(_raw_words(c))
+
+
+@pytest.mark.parametrize("c", [17, 18])
+def test_every_ell_slice_matches(c):
+    ells = sorted({ell for _, ell in _partitions(c)})
+    assert len(ells) > 4
+    for ell in ells:
+        assert list(census.enumerate_words(c, ell=ell)) == list(enumerate_words(c, ell=ell)), ell
+
+
+def test_mirror_representative_matches_on_every_word():
+    checked = 0
+    for c in range(3, 19):
+        for word in _raw_words(c):
+            checked += 1
+            assert census.is_mirror_representative(word) == is_mirror_representative(word), word
+    assert checked == 87380

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import time
 
@@ -60,6 +61,12 @@ class TestCensus:
 
     def test_verify_range(self, capsys):
         code, out, _ = run(capsys, "census", "3..9", "--verify")
+        assert code == EXIT_OK
+        assert "agree" in out
+
+    def test_verify_range_through_20(self, capsys):
+        # enumeration against the closed forms at every c <= 20
+        code, out, _ = run(capsys, "census", "3..20", "--verify")
         assert code == EXIT_OK
         assert "agree" in out
 
@@ -176,6 +183,19 @@ class TestEpi:
         assert code == EXIT_RESOURCE and out == ""
         assert time.monotonic() - start < 10
         assert "exceeded 1000 nodes at target" in err and "r=" in err
+
+    def test_long_torus_search_is_linear(self, capsys):
+        # every prefix of the word is a candidate target; recounting the
+        # crossings of each one made the search quadratic in the length
+        code, out, _ = run(capsys, "epi", "targets", ",".join(["2,-2"] * 10000))
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "eb34c4a09f6b76429101b0ffdb82dd43a3a33b8cca819e618e69b7ad6c5e1e70"
+        )
+        start = time.monotonic()
+        code, out, _ = run(capsys, "epi", "targets", ",".join(["2,-2"] * 30000))
+        assert code == EXIT_OK and "r=" in out  # 60001 = 29 * 2069
+        assert time.monotonic() - start < 2
 
     def test_long_entry_bounds_the_search(self, capsys):
         # c > 10**9 allows r up to 10**8 by crossings; the word's length allows r = 1

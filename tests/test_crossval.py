@@ -21,9 +21,9 @@ def determinant(knot):
     return eval_word(knot.canon).denominator
 
 
-def test_classifier_agrees_with_search_up_to_24_crossings():
+def test_classifier_agrees_with_search_up_to_30_crossings():
     disagreements, checked = [], 0
-    for c in range(3, 25):
+    for c in range(3, 31):
         for braid in (2, 3, 4):
             ell = c - 2 * (braid - 1)
             if ell < 0:
