@@ -24,7 +24,6 @@ from fractions import Fraction
 from . import census, classify, epim
 from .contfrac import (
     WordParseError,
-    check_even_word,
     eval_word,
     format_fraction,
     format_word,
@@ -128,7 +127,7 @@ def format_table(
 
 
 def cmd_invariants(config: Config, args) -> int:
-    word = check_even_word(parse_word(args.word))
+    word = parse_word(args.word)
     knot = knot_from_word(word)
     torus = is_torus_two_strand(knot)
     fmt = _fraction_formatter(config)
@@ -203,7 +202,7 @@ def _print_witnesses(witnesses, header: str) -> None:
 def cmd_epi(config: Config, args) -> int:
     budget = config.budget()
     if args.epi_command == "targets":
-        knot = knot_from_word(check_even_word(parse_word(args.word)))
+        knot = knot_from_word(parse_word(args.word))
         witnesses = epim.epi_targets(knot, budget)
         if config.output_format == "json":
             print(json.dumps([w.to_json() for w in witnesses], indent=2))
@@ -213,8 +212,8 @@ def cmd_epi(config: Config, args) -> int:
             _print_witnesses(witnesses, f"targets of {format_word(knot.canon)}: {summary}")
         return EXIT_OK
     if args.epi_command == "check":
-        big = knot_from_word(check_even_word(parse_word(args.big)))
-        small = knot_from_word(check_even_word(parse_word(args.small)))
+        big = knot_from_word(parse_word(args.big))
+        small = knot_from_word(parse_word(args.small))
         witness = epim.admits_epi(big, small, budget)
         if witness is None:
             print(f"no epimorphism {format_word(big.canon)} -> {format_word(small.canon)}")
@@ -222,7 +221,7 @@ def cmd_epi(config: Config, args) -> int:
             _print_witnesses([witness], "epimorphism exists:")
         return EXIT_OK
     if args.epi_command == "minimal":
-        knot = knot_from_word(check_even_word(parse_word(args.word)))
+        knot = knot_from_word(parse_word(args.word))
         witnesses = epim.epi_targets(knot, budget)
         if not witnesses:
             print(f"{format_word(knot.canon)}: minimal")
@@ -282,51 +281,61 @@ def cmd_identities(config: Config, args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _shared_flags(default) -> argparse.ArgumentParser:
+    """Flags accepted before and after the subcommand.  The copies after it
+    default to SUPPRESS, so that a flag given only before keeps its value."""
+    shared = argparse.ArgumentParser(add_help=False, argument_default=default)
+    shared.add_argument("--config", help="key=value config file")
+    shared.add_argument("--format", choices=FORMATS, help="output format")
+    shared.add_argument("--ceiling", type=int, help="enumeration ceiling override")
+    shared.add_argument("--budget", type=int, help="search node budget override")
+    shared.add_argument(
+        "--decimal", action="store_true", help="render fractions with 12 significant digits"
+    )
+    return shared
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bridgekit",
         description="Exact two-bridge knot combinatorics: invariants, census, epimorphisms.",
+        parents=[_shared_flags(None)],
     )
-    parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--format", choices=FORMATS, help="output format")
-    parser.add_argument("--ceiling", type=int, help="enumeration ceiling override")
-    parser.add_argument("--budget", type=int, help="search node budget override")
-    parser.add_argument(
-        "--decimal", action="store_true", help="render fractions with 12 significant digits"
-    )
+    after = [_shared_flags(argparse.SUPPRESS)]
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("invariants", help="invariants of one word")
+    p = sub.add_parser("invariants", help="invariants of one word", parents=after)
     p.add_argument("word")
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("census", help="census table for a crossing range")
+    p = sub.add_parser("census", help="census table for a crossing range", parents=after)
     p.add_argument("range", help="crossing number or range, e.g. 12 or 3..15")
     p.add_argument("--verify", action="store_true", help="check enumeration against formulas")
     p.add_argument("--formulas-only", action="store_true", help="skip enumeration")
     p.add_argument("--up-to-mirror", action="store_true", help="only the mirror-quotient columns")
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("epi", help="epimorphism queries")
+    p = sub.add_parser("epi", help="epimorphism queries", parents=after)
     epi_sub = p.add_subparsers(dest="epi_command", required=True)
-    q = epi_sub.add_parser("targets", help="all epimorphic images of a knot")
+    q = epi_sub.add_parser("targets", help="all epimorphic images of a knot", parents=after)
     q.add_argument("word")
-    q = epi_sub.add_parser("check", help="does the first knot map onto the second")
+    q = epi_sub.add_parser("check", help="does the first knot map onto the second", parents=after)
     q.add_argument("big")
     q.add_argument("small")
-    q = epi_sub.add_parser("minimal", help="decide minimality by search")
+    q = epi_sub.add_parser("minimal", help="decide minimality by search", parents=after)
     q.add_argument("word")
-    q = epi_sub.add_parser("graph", help="epimorphism digraph up to a crossing bound")
+    q = epi_sub.add_parser("graph", help="epimorphism digraph up to a crossing bound", parents=after)
     q.add_argument("--max-c", type=int, required=True)
     p.set_defaults(func=cmd_epi)
 
-    p = sub.add_parser("table1", help="non-minimal knots with braid index <= 4")
+    p = sub.add_parser("table1", help="non-minimal knots with braid index <= 4", parents=after)
     p.add_argument("--max-c", type=int, default=15)
     p.add_argument("--chiral", action="store_true", help="one row per chiral knot, no diff")
     p.set_defaults(func=cmd_table1)
 
-    p = sub.add_parser("identities", help="verify the binomial-sum identities")
-    p.add_argument("--n-max", type=int, default=200)
+    p = sub.add_parser("identities", help="verify the binomial-sum identities", parents=after)
+    bound = f"largest parameter checked, at most {census.IDENTITIES_N_MAX} (exit 4 above)"
+    p.add_argument("--n-max", type=int, default=200, help=bound)
     p.set_defaults(func=cmd_identities)
 
     return parser

@@ -6,12 +6,12 @@ continued fraction
 
     value([x1, x2, ..., xn]) = 1 / (x1 + 1 / (x2 + ... + 1 / xn))
 
-with the reciprocal outermost.  That convention is fixed here, once;
-every other module evaluates words through :func:`eval_word`.
+with the reciprocal outermost.  That convention is fixed here, once:
+every word is folded by :func:`_continuant`.
 
-Words are plain tuples of ints, immutable and freely shareable.  All
-arithmetic is exact (`fractions.Fraction`); no floating point appears
-anywhere in the package.
+Words are plain tuples of ints, immutable and freely shareable.  Words
+fold through integer continuants; `fractions.Fraction` is only the type
+of the values returned.  No floating point appears anywhere in the package.
 """
 
 from __future__ import annotations
@@ -62,24 +62,29 @@ def check_even_word(entries: Iterable[int]) -> Word:
     return word
 
 
-def eval_word(word: Sequence[int]) -> Fraction:
-    """Exact value of the continued fraction carried by ``word``.
+def _continuant(word: Sequence[int]) -> tuple[int, int]:
+    """Coprime (p, q) with value(word) = p/q for a validated word; q may be negative.
 
-    Folds from the innermost entry outward: value = 1/(x1 + tail).
-    Raises ZeroDivisionError when a tail evaluates to the negative of
-    the next entry, which marks the expansion as invalid.  Reduced even
-    words never trigger this (their tails stay strictly inside (-1, 1)).
+    Folds from the innermost entry outward: the tail p/q becomes
+    1/(e + p/q) = q/(e*q + p), a step of determinant -1, so no gcd is
+    needed.  Raises ZeroDivisionError when e*q + p is 0, which marks the
+    expansion as invalid; reduced even words never do (their tails stay
+    strictly inside (-1, 1)).
     """
-    word = check_word(word)
-    value = Fraction(0)
+    p, q = 0, 1
     for entry in reversed(word):
-        denom = entry + value
-        if denom == 0:
+        p, q = q, entry * q + p
+        if not q:
             raise ZeroDivisionError(
                 f"tail of {list(word)} evaluates to {-entry}, cannot take reciprocal"
             )
-        value = 1 / denom
-    return value
+    return p, q
+
+
+def eval_word(word: Sequence[int]) -> Fraction:
+    """Exact value of the continued fraction carried by ``word``, in lowest terms."""
+    p, q = _continuant(check_word(word))
+    return Fraction(p, q)
 
 
 def sign_changes(word: Sequence[int]) -> int:
@@ -100,12 +105,6 @@ def rev_neg(word: Sequence[int]) -> Word:
     return tuple(map(neg, reversed(word)))
 
 
-def _nearest_even(z: Fraction) -> int:
-    # z is never an integer for admissible inputs (odd/even in lowest
-    # terms), so the nearest even integer is unique and ties cannot arise.
-    return 2 * round(z / 2)
-
-
 def to_reduced_even(r: Fraction | int | str) -> Word:
     """Expand an admissible fraction into a reduced even word, exactly.
 
@@ -114,7 +113,10 @@ def to_reduced_even(r: Fraction | int | str) -> Word:
     Greedy nearest-even expansion: with z = 1/rest, take the even
     integer closest to z and recurse on the remainder z - 2a.  The
     remainder's denominator strictly decreases, so the loop terminates,
-    and it always stops after an even number of steps.
+    and it always stops after an even number of steps.  rest = n/d stays
+    in lowest terms, so z = d/n needs no gcd; z is never an integer (odd
+    over even), and floor division gives its nearest even integer
+    2*floor((z + 1)/2) for either sign of n.
     """
     r = Fraction(r)
     if not 0 < abs(r) < 1:
@@ -128,12 +130,11 @@ def to_reduced_even(r: Fraction | int | str) -> Word:
             f"{r} has odd numerator and odd denominator: no even-entry expansion exists"
         )
     entries: list[int] = []
-    rest = r
-    while rest:
-        z = 1 / rest
-        a = _nearest_even(z)
+    n, d = r.numerator, r.denominator
+    while n:
+        a = 2 * ((d + n) // (2 * n))
         entries.append(a)
-        rest = z - a
+        n, d = d - a * n, n
     word = tuple(entries)
     if len(word) % 2 or eval_word(word) != r:
         raise ArithmeticError(f"expansion {word} of {r} is not a reduced even word for it")

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 from .contfrac import (
     Word,
+    _continuant,
     check_even_word,
-    eval_word,
     format_word,
     negate,
     rev_neg,
@@ -88,15 +88,17 @@ class KnotClass:
 
 def knot_from_word(word: Word) -> KnotClass:
     word = check_even_word(word)
-    if eval_word(word).denominator % 2 == 0:
+    if _continuant(word)[1] % 2 == 0:
         raise NotAKnot(f"{word} evaluates to an even-denominator fraction")
-    canon = canonical_word(word)
+    canon = min(word, rev_neg(word))
+    total = sum(map(abs, canon))
+    signchg = sign_changes(canon)
     return KnotClass(
         canon=canon,
-        crossing=crossing_number(canon),
-        braid=braid_index(canon),
-        genus=genus(canon),
-        signchg=sign_changes(canon),
+        crossing=total - signchg,
+        braid=total // 2 - signchg + 1,
+        genus=len(canon) // 2,
+        signchg=signchg,
     )
 
 

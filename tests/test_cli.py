@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from bridgekit import epim
+from bridgekit import census, epim
 from bridgekit.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -258,6 +258,57 @@ class TestIdentities:
         code, out, _ = run(capsys, "identities", "--n-max", "25")
         assert code == EXIT_OK
         assert out.count("pass") == 7
+
+    def test_n_max_above_bound_is_resource_error(self, capsys):
+        start = time.perf_counter()
+        n_max = str(census.IDENTITIES_N_MAX + 1)
+        code, out, err = run(capsys, "identities", "--n-max", n_max)
+        assert code == EXIT_RESOURCE
+        assert out == "" and "resource bound" in err
+        assert time.perf_counter() - start < 1.0
+
+
+class TestFlagsAfterSubcommand:
+    """Every shared flag means the same before and after the subcommand."""
+
+    T15 = ",".join(["2,-2"] * 7)
+
+    @pytest.mark.parametrize(
+        "flags, command",
+        [
+            (["--format", "json"], ["epi", "graph", "--max-c", "5"]),
+            (["--format", "json"], ["invariants", "2,-2"]),
+            (["--format", "csv"], ["table1", "--max-c", "9"]),
+            (["--format", "json"], ["epi", "targets", T15]),
+            (["--decimal"], ["invariants", "2,-4,4,-2"]),
+            (["--decimal", "--format", "csv"], ["census", "3..7"]),
+            (["--ceiling", "6"], ["census", "7"]),
+            (["--budget", "3"], ["epi", "targets", T15]),
+            (["--format", "dot"], ["identities", "--n-max", "3"]),
+        ],
+    )
+    def test_same_output_and_exit_code(self, capsys, flags, command):
+        before = run(capsys, *flags, *command)
+        after = run(capsys, *command, *flags)
+        assert after == before
+
+    def test_between_epi_and_its_subcommand(self, capsys):
+        before = run(capsys, "--format", "json", "epi", "targets", self.T15)
+        between = run(capsys, "epi", "--format", "json", "targets", self.T15)
+        assert between == before and before[0] == EXIT_OK
+
+    def test_config_file(self, tmp_path, capsys):
+        config_file = tmp_path / "bridgekit.conf"
+        config_file.write_text("enumeration_ceiling = 8\noutput_format = csv\n")
+        for c in ("8", "9"):
+            before = run(capsys, "--config", str(config_file), "census", c)
+            after = run(capsys, "census", c, "--config", str(config_file))
+            assert after == before
+        assert before[0] == EXIT_RESOURCE
+
+    def test_flag_after_subcommand_overrides_flag_before(self, capsys):
+        overridden = run(capsys, "--format", "csv", "census", "5", "--format", "json")
+        assert overridden == run(capsys, "--format", "json", "census", "5")
 
 
 class TestConfig:
