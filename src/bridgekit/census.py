@@ -3,17 +3,21 @@
 Enumeration side: every reduced even word with crossing number c is
 reached exactly once through the parameterization (m, ell, signs,
 magnitudes): half-length m, sign-change count ell (same parity as c),
-a sign vector with exactly ell changes, and a composition of
-(c + ell) / 2 into 2m positive halved magnitudes.  A word is emitted
-iff it is the canonical representative of its class (at most its
-reverse-negation), so no seen-set is needed.  The compositions of an
-(m, ell) slice are listed once and shared by all its sign vectors.
-Which of them give canonical words depends on the sign vector only
-through a short prefix: when the first and last signs agree (every
-even ell) reverse-negation flips the lead sign, so a negative lead
-keeps every composition and a positive lead none, with no word built
-or compared; otherwise the first sign vector with a given prefix
-compares its words once and the rest of the slice reuses the result.
+a sign vector s with exactly ell changes, and a composition p of
+(c + ell) / 2 into n = 2m positive halved magnitudes; the word is
+w_i = 2 s_i p_i.  A word is emitted iff it is the canonical
+representative of its class (at most its reverse-negation), so no
+seen-set is needed.  The compositions of an (m, ell) slice are listed
+once, with each one's profile (f, lt): f is the first j < m with
+p_j != p_{n-1-j} (m for a palindrome) and lt says p_f < p_{n-1-f}.
+One rule on profiles decides canonicity: with k the first i < m where
+s_i = s_{n-1-i} (m if none), w <= rev_neg(w) iff f < k and
+(s_f > 0) == lt, or f >= k and (k = m or s_k < 0).  The mirror test
+w <= reverse(w) is the same rule with k the first i where
+s_i != s_{n-1-i}.  ``enumerate_words`` filters each slice's
+compositions with it; ``brute_counts`` walks the same slices and sign
+vectors but builds no word: it counts each sign vector's canonical
+words and mirror representatives from the slice's tally of profiles.
 
 Formula side: closed forms for the number of knots TK(c) (and TK*(c)
 up to mirror), the total sign change TS(c) / TS*(c), the per-class
@@ -28,23 +32,28 @@ test suite treats the enumeration as the oracle for the formulas.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import accumulate, combinations, repeat
 from math import comb
 from operator import mul, sub
 from typing import Iterator, Sequence
 
-from .contfrac import Word, format_fraction, rev_neg
+from .contfrac import Word, format_fraction
 
 DEFAULT_ENUM_CEILING = 22
 # verify_identities' cost grows about as n^4: 1.8 s at n_max = 200,
 # 7.8 s at 300 and 26 s at 400 on a 2-vCPU host.
 IDENTITIES_N_MAX = 300
+# closed_row's cost grows about as c^4: 11 ms at c = 400, 23 ms at 500 and
+# 0.3 s at 1000; the range 3..500 takes 3.3 s and 3..1000 83 s on a 2-vCPU host.
+FORMULAS_C_MAX = 500
 
 
 class ResourceBound(RuntimeError):
-    """A request above a size bound: the enumeration ceiling or IDENTITIES_N_MAX."""
+    """A request above a size bound: the enumeration ceiling, FORMULAS_C_MAX
+    or IDENTITIES_N_MAX."""
 
 
 class NonIntegralFormula(ArithmeticError):
@@ -106,10 +115,17 @@ def _partitions(c: int, ell: int | None = None) -> Iterator[tuple[int, int]]:
 
 def _slices(
     c: int, ell: int | None
-) -> Iterator[tuple[list[tuple[int, ...]], Iterator[tuple[int, ...]]]]:
-    """Each (m, ell) slice as its compositions, built once, and its sign vectors."""
+) -> Iterator[
+    tuple[int, int, list[tuple[int, ...]], list[tuple[int, bool]], Iterator[tuple[int, ...]]]
+]:
+    """Each (m, ell) slice as m, ell, its compositions, their profiles and its sign vectors.
+
+    The compositions and their profiles are built once per slice and
+    shared by all of its sign vectors.
+    """
     for m, ell_value in _partitions(c, ell):
-        yield _compositions((c + ell_value) // 2, 2 * m), _sign_vectors(2 * m, ell_value)
+        parts = _compositions((c + ell_value) // 2, 2 * m)
+        yield m, ell_value, parts, list(map(_profile, parts)), _sign_vectors(2 * m, ell_value)
 
 
 def _words(signs: tuple[int, ...], parts: list[tuple[int, ...]]) -> Iterator[Word]:
@@ -117,26 +133,45 @@ def _words(signs: tuple[int, ...], parts: list[tuple[int, ...]]) -> Iterator[Wor
     return map(tuple, map(map, repeat(mul), repeat(tuple(2 * s for s in signs)), parts))
 
 
-def _decisive_prefix(signs: tuple[int, ...]) -> tuple[int, ...]:
-    """The signs that decide which of a slice's words are canonical.
+def _profile(parts: tuple[int, ...]) -> tuple[int, bool]:
+    """(f, lt) of a composition p of length n = 2m: f is the first j < m
+    with p_j != p_{n-1-j} (m for a palindrome), lt whether p_f < p_{n-1-f}."""
+    last = len(parts) - 1
+    for j in range(len(parts) // 2):
+        if parts[j] != parts[last - j]:
+            return j, parts[j] < parts[last - j]
+    return len(parts) // 2, False
 
-    rev_neg(w)[i] = 2 s_i p_{n-1-i} for as long as s_i = -s_{n-1-i}, so
-    up to the first i with s_i = s_{n-1-i} the comparison of w with
-    rev_neg(w) reads only s_i and the magnitudes; at that i the two
-    entries differ in sign and a negative s_i puts w first.  The prefix
-    through that i (all of ``signs`` if there is none) therefore fixes
-    the canonical compositions.
+
+_Rule = tuple[tuple[int, ...], bool]
+
+
+def _rule(signs: tuple[int, ...], same: bool) -> _Rule:
+    """Which profiles (f, lt) put the word w of ``signs`` first, as (prefix, tail).
+
+    Let k be the first i < m with (s_i == s_{n-1-i}) == same, or m if
+    there is none; ``prefix`` is s_0..s_{k-1}.  A composition with f < k
+    qualifies iff lt == (s_f > 0), one with f >= k iff ``tail``, which
+    is k == m or s_k < 0.
+
+    With ``same`` true this decides w <= rev_neg(w).  While
+    s_i = -s_{n-1-i}, rev_neg(w)_i = 2 s_i p_{n-1-i} has the sign of
+    w_i, so if f < k the words first differ at f and w comes first iff
+    (s_f > 0) == lt.  At k the two entries differ in sign, and w comes
+    first iff s_k < 0; if k = f = m the words are equal.  With ``same``
+    false the same argument decides w <= reverse(w), whose i-th entry
+    2 s_{n-1-i} p_{n-1-i} has the sign of w_i while s_i = s_{n-1-i}.
     """
     last = len(signs) - 1
-    for i in range(len(signs) // 2):
-        if signs[i] == signs[last - i]:
-            return signs[: i + 1]
-    return signs
+    for k in range(len(signs) // 2):
+        if (signs[k] == signs[last - k]) == same:
+            return signs[:k], signs[k] < 0
+    return signs[: len(signs) // 2], True
 
 
 def _raw_words(c: int, *, ell: int | None = None) -> Iterator[Word]:
     """Every reduced even word with crossing number c, each exactly once."""
-    for parts, sign_vectors in _slices(c, ell):
+    for _, _, parts, _, sign_vectors in _slices(c, ell):
         for signs in sign_vectors:
             yield from _words(signs, parts)
 
@@ -150,20 +185,39 @@ def enumerate_words(c: int, *, ell: int | None = None) -> Iterator[Word]:
     """
     if c < 3:
         raise ValueError(f"crossing number must be >= 3, got {c}")
-    for parts, sign_vectors in _slices(c, ell):
-        canonical: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for _, _, parts, profiles, sign_vectors in _slices(c, ell):
+        canonical: dict[_Rule, list[tuple[int, ...]]] = {}
         for signs in sign_vectors:
-            key = _decisive_prefix(signs)
-            kept = canonical.get(key)
+            rule = _rule(signs, True)
+            kept = canonical.get(rule)
             if kept is None:
-                if len(key) == 1:
-                    # first and last signs agree (every even ell):
-                    # rev_neg flips the lead sign, so no word is compared
-                    kept = parts if key[0] < 0 else []
-                else:
-                    kept = [p for p, w in zip(parts, _words(signs, parts)) if w <= rev_neg(w)]
-                canonical[key] = kept
+                prefix, tail = rule
+                kept = canonical[rule] = [
+                    p
+                    for p, (f, lt) in zip(parts, profiles)
+                    if (lt == (prefix[f] > 0) if f < len(prefix) else tail)
+                ]
             yield from _words(signs, kept)
+
+
+class _Counts(dict):
+    """How many of a slice's compositions each rule keeps, computed once per rule
+    from the tally of their profiles and ``below[k]``, the number with f < k."""
+
+    def __init__(self, m: int, profiles: list[tuple[int, bool]]):
+        super().__init__()
+        self.tally = Counter(profiles)
+        self.below = list(
+            accumulate((self.tally[f, False] + self.tally[f, True] for f in range(m + 1)), initial=0)
+        )
+
+    def __missing__(self, rule: _Rule) -> int:
+        prefix, tail = rule
+        count = sum(self.tally[f, s > 0] for f, s in enumerate(prefix))
+        if tail:
+            count += self.below[-1] - self.below[len(prefix)]
+        self[rule] = count
+        return count
 
 
 def is_mirror_representative(word: Word) -> bool:
@@ -228,7 +282,12 @@ def _assemble_row(
 
 
 def brute_counts(c: int, *, ceiling: int = DEFAULT_ENUM_CEILING) -> CensusRow:
-    """All census aggregates for crossing number c by direct enumeration."""
+    """All census aggregates for crossing number c by direct enumeration.
+
+    Walks every sign vector of every slice, as ``enumerate_words`` does,
+    and counts its canonical words and mirror representatives from the
+    slice's tally of composition profiles instead of building them.
+    """
     if c < 3:
         raise ValueError(f"crossing number must be >= 3, got {c}")
     if c > ceiling:
@@ -236,15 +295,20 @@ def brute_counts(c: int, *, ceiling: int = DEFAULT_ENUM_CEILING) -> CensusRow:
     by_ell: dict[int, int] = {}
     by_ell_star: dict[int, int] = {}
     genus_total = 0
-    for ell in sorted({ell for _, ell in _partitions(c)}):
+    for m, ell, _, profiles, sign_vectors in _slices(c, None):
+        counts = _Counts(m, profiles)
         count = star = 0
-        for word in enumerate_words(c, ell=ell):
-            count += 1
-            genus_total += len(word) // 2
-            if is_mirror_representative(word):
-                star += 1
-        by_ell[ell] = count
-        by_ell_star[ell] = star
+        for signs in sign_vectors:
+            kept = counts[_rule(signs, True)]
+            count += kept
+            if signs[0] < 0:
+                # A mirror representative leads negative.  For odd ell its
+                # reverse then leads positive, so every canonical word
+                # qualifies; for even ell every composition is canonical.
+                star += kept if ell % 2 else counts[_rule(signs, False)]
+        by_ell[ell] = by_ell.get(ell, 0) + count
+        by_ell_star[ell] = by_ell_star.get(ell, 0) + star
+        genus_total += m * count
     return _assemble_row(c, by_ell, by_ell_star, genus_total)
 
 

@@ -37,6 +37,12 @@ EXIT_PARSE = 3
 EXIT_RESOURCE = 4
 
 FORMATS = ("json", "csv", "md", "dot")
+# Commands that render only some formats; the others are refused (exit 3).
+RENDERS = {
+    "invariants": ("json", "md"),
+    "census": ("json", "csv", "md"),
+    "table1": ("json", "csv", "md"),
+}
 
 
 @dataclass
@@ -158,6 +164,10 @@ def cmd_census(config: Config, args) -> int:
             "and --formulas-only skips the enumeration"
         )
     if args.formulas_only:
+        if crossings[-1] > census.FORMULAS_C_MAX:
+            raise census.ResourceBound(
+                f"c={crossings[-1]} exceeds the closed-form bound {census.FORMULAS_C_MAX}"
+            )
         rows = [census.closed_row(c) for c in crossings]
     else:
         rows = [census.brute_counts(c, ceiling=config.enumeration_ceiling) for c in crossings]
@@ -311,7 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="census table for a crossing range", parents=after)
     p.add_argument("range", help="crossing number or range, e.g. 12 or 3..15")
     p.add_argument("--verify", action="store_true", help="check enumeration against formulas")
-    p.add_argument("--formulas-only", action="store_true", help="skip enumeration")
+    p.add_argument(
+        "--formulas-only",
+        action="store_true",
+        help=f"skip enumeration; c at most {census.FORMULAS_C_MAX} (exit 4 above)",
+    )
     p.add_argument("--up-to-mirror", action="store_true", help="only the mirror-quotient columns")
     p.set_defaults(func=cmd_census)
 
@@ -359,6 +373,12 @@ def main(argv: list[str] | None = None) -> int:
             config.search_budget = args.budget
         config.decimal = args.decimal
         config.validate()
+        renders = RENDERS.get(args.command, FORMATS)
+        if config.output_format not in renders:
+            raise ValueError(
+                f"{args.command} cannot render {config.output_format} "
+                f"(it renders {', '.join(renders)})"
+            )
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -7,6 +7,11 @@ the symmetries: compositions rebuilt for every sign vector, every word
 compared with its reverse-negation, and the mirror test against
 min(negate, reverse).  The two must emit the same words in the same
 order and agree on every mirror verdict.
+
+``brute_counts`` counts canonical words from per-slice tallies of
+composition profiles without building them.  The word-by-word tally it
+replaced is kept below as it was, run over the oracle enumerator, and
+must give equal rows, per-ell counts included.
 """
 
 from itertools import combinations
@@ -15,6 +20,7 @@ from operator import mul
 import pytest
 
 from bridgekit import census
+from bridgekit.census import DEFAULT_ENUM_CEILING, ResourceBound, _assemble_row
 
 
 def reverse(word):
@@ -114,3 +120,28 @@ def test_mirror_representative_matches_on_every_word():
             checked += 1
             assert census.is_mirror_representative(word) == is_mirror_representative(word), word
     assert checked == 87380
+
+
+def brute_counts(c, *, ceiling=DEFAULT_ENUM_CEILING):
+    if c < 3:
+        raise ValueError(f"crossing number must be >= 3, got {c}")
+    if c > ceiling:
+        raise ResourceBound(f"c={c} exceeds the enumeration ceiling {ceiling}")
+    by_ell = {}
+    by_ell_star = {}
+    genus_total = 0
+    for ell in sorted({ell for _, ell in _partitions(c)}):
+        count = star = 0
+        for word in enumerate_words(c, ell=ell):
+            count += 1
+            genus_total += len(word) // 2
+            if is_mirror_representative(word):
+                star += 1
+        by_ell[ell] = count
+        by_ell_star[ell] = star
+    return _assemble_row(c, by_ell, by_ell_star, genus_total)
+
+
+@pytest.mark.parametrize("c", range(3, 21))
+def test_counts_match_word_by_word_tally(c):
+    assert census.brute_counts(c) == brute_counts(c)

@@ -70,6 +70,19 @@ class TestCensus:
         assert code == EXIT_OK
         assert "agree" in out
 
+    def test_verify_range_21_22(self, capsys):
+        # enumeration against the closed forms up to the default ceiling
+        code, out, _ = run(capsys, "census", "21..22", "--verify")
+        assert code == EXIT_OK
+        assert "agree" in out
+
+    def test_formulas_only_above_bound_is_resource_error(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "census", "100000", "--formulas-only")
+        assert code == EXIT_RESOURCE
+        assert out == "" and err.count("\n") == 1 and "resource bound" in err
+        assert time.perf_counter() - start < 1.0
+
     def test_formulas_only_skips_ceiling(self, capsys):
         code, out, _ = run(capsys, "census", "100", "--formulas-only")
         assert code == EXIT_OK
@@ -251,6 +264,27 @@ class TestTable1:
         _, out, _ = run(capsys, "--format", "json", "table1", "--max-c", "9")
         payload = json.loads(out)
         assert [row["type"] for row in payload] == ["2", "3A2", "4B3"]
+
+class TestFormats:
+    @pytest.mark.parametrize(
+        "fmt, command",
+        [
+            ("dot", ["census", "5"]),
+            ("dot", ["table1", "--max-c", "5"]),
+            ("csv", ["invariants", "2,-2"]),
+            ("dot", ["invariants", "2,-2"]),
+        ],
+    )
+    def test_unrenderable_format_refused(self, capsys, fmt, command):
+        code, out, err = run(capsys, "--format", fmt, *command)
+        assert code == EXIT_PARSE
+        assert out == "" and err.count("\n") == 1 and f"cannot render {fmt}" in err
+
+    @pytest.mark.parametrize(
+        "command", [["census", "5"], ["table1", "--max-c", "5"], ["invariants", "2,-2"]]
+    )
+    def test_md_accepted(self, capsys, command):
+        assert run(capsys, "--format", "md", *command) == run(capsys, *command)
 
 
 class TestIdentities:
