@@ -14,10 +14,11 @@ One rule on profiles decides canonicity: with k the first i < m where
 s_i = s_{n-1-i} (m if none), w <= rev_neg(w) iff f < k and
 (s_f > 0) == lt, or f >= k and (k = m or s_k < 0).  The mirror test
 w <= reverse(w) is the same rule with k the first i where
-s_i != s_{n-1-i}.  ``enumerate_words`` filters each slice's
-compositions with it; ``brute_counts`` walks the same slices and sign
-vectors but builds no word: it counts each sign vector's canonical
-words and mirror representatives from the slice's tally of profiles.
+s_i != s_{n-1-i}.  ``enumerate_words`` walks each slice's sign vectors
+and filters its compositions with the rule.  ``brute_counts`` builds no
+word and walks no sign vector: it enumerates each slice's compositions
+and tallies them by f, and it counts the sign vectors by k, the length
+of their rule's prefix, with binomials (``_rule_weights``).
 
 Formula side: closed forms for the number of knots TK(c) (and TK*(c)
 up to mirror), the total sign change TS(c) / TS*(c), the per-class
@@ -200,24 +201,31 @@ def enumerate_words(c: int, *, ell: int | None = None) -> Iterator[Word]:
             yield from _words(signs, kept)
 
 
-class _Counts(dict):
-    """How many of a slice's compositions each rule keeps, computed once per rule
-    from the tally of their profiles and ``below[k]``, the number with f < k."""
+def _rule_weights(
+    m: int, ell: int, same: bool, negative_lead: bool = False
+) -> list[tuple[int, int]]:
+    """(N_k, T_k) for k = 0..m: how many sign vectors of length n = 2m with ell
+    changes (leading -1 only, if ``negative_lead``) have a ``_rule(signs, same)``
+    prefix of length k, and how many of those have a true tail.
 
-    def __init__(self, m: int, profiles: list[tuple[int, bool]]):
-        super().__init__()
-        self.tally = Counter(profiles)
-        self.below = list(
-            accumulate((self.tally[f, False] + self.tally[f, True] for f in range(m + 1)), initial=0)
+    s_i s_{n-1-i} = -1 iff gaps i..n-2-i hold an odd number of changes, so
+    k = 0 for every vector when (ell even) == same.  Otherwise gaps i and
+    n-2-i change together or not at all for i < k-1 (j pairs change), one
+    of gaps k-1 and n-1-k changes (which one sets s_k, so half the tails
+    are true) and gaps k..n-2-k hold the other ell-1-2j; at k = m the tail
+    is true.
+    """
+    n, leads = 2 * m, 1 if negative_lead else 2
+    if (ell % 2 == 0) == same:
+        return [(leads * comb(n - 1, ell), comb(n - 1, ell))] + [(0, 0)] * m
+    weights = [(0, 0)]
+    for k in range(1, m):
+        pairs = sum(
+            comb(k - 1, j) * comb(n - 2 * k - 1, ell - 1 - 2 * j) for j in range((ell + 1) // 2)
         )
-
-    def __missing__(self, rule: _Rule) -> int:
-        prefix, tail = rule
-        count = sum(self.tally[f, s > 0] for f, s in enumerate(prefix))
-        if tail:
-            count += self.below[-1] - self.below[len(prefix)]
-        self[rule] = count
-        return count
+        weights.append((2 * leads * pairs, leads * pairs))
+    last = leads * comb(m - 1, ell // 2)
+    return weights + [(last, last)]
 
 
 def is_mirror_representative(word: Word) -> bool:
@@ -282,11 +290,12 @@ def _assemble_row(
 
 
 def brute_counts(c: int, *, ceiling: int = DEFAULT_ENUM_CEILING) -> CensusRow:
-    """All census aggregates for crossing number c by direct enumeration.
+    """All census aggregates for crossing number c, counted slice by slice.
 
-    Walks every sign vector of every slice, as ``enumerate_words`` does,
-    and counts its canonical words and mirror representatives from the
-    slice's tally of composition profiles instead of building them.
+    Compositions are enumerated and tallied by f; sign vectors are counted
+    by their rule's prefix length k (``_rule_weights``).  Reversal swaps lt
+    among the compositions with a given f < m, so a rule of prefix length
+    k keeps half of the below[k] with f < k, and the rest iff its tail is.
     """
     if c < 3:
         raise ValueError(f"crossing number must be >= 3, got {c}")
@@ -295,17 +304,21 @@ def brute_counts(c: int, *, ceiling: int = DEFAULT_ENUM_CEILING) -> CensusRow:
     by_ell: dict[int, int] = {}
     by_ell_star: dict[int, int] = {}
     genus_total = 0
-    for m, ell, _, profiles, sign_vectors in _slices(c, None):
-        counts = _Counts(m, profiles)
-        count = star = 0
-        for signs in sign_vectors:
-            kept = counts[_rule(signs, True)]
-            count += kept
-            if signs[0] < 0:
-                # A mirror representative leads negative.  For odd ell its
-                # reverse then leads positive, so every canonical word
-                # qualifies; for even ell every composition is canonical.
-                star += kept if ell % 2 else counts[_rule(signs, False)]
+    for m, ell, _, profiles, _ in _slices(c, None):
+        tally = Counter(f for f, lt in profiles)
+        below = list(accumulate((tally[f] for f in range(m + 1)), initial=0))
+
+        def kept(same: bool, negative_lead: bool = False) -> int:
+            return sum(
+                rules * exact_div(below[k], 2) + tails * (below[-1] - below[k])
+                for k, (rules, tails) in enumerate(_rule_weights(m, ell, same, negative_lead))
+            )
+
+        count = kept(True)
+        # A mirror representative leads negative.  For odd ell its reverse
+        # then leads positive, so the canonical words that lead negative,
+        # half of them, qualify; for even ell the mirror test decides.
+        star = exact_div(count, 2) if ell % 2 else kept(False, negative_lead=True)
         by_ell[ell] = by_ell.get(ell, 0) + count
         by_ell_star[ell] = by_ell_star.get(ell, 0) + star
         genus_total += m * count

@@ -37,11 +37,16 @@ EXIT_PARSE = 3
 EXIT_RESOURCE = 4
 
 FORMATS = ("json", "csv", "md", "dot")
-# Commands that render only some formats; the others are refused (exit 3).
+# The formats each command renders; the others are refused (exit 3).
 RENDERS = {
     "invariants": ("json", "md"),
     "census": ("json", "csv", "md"),
+    "epi targets": ("json", "md"),
+    "epi check": ("md",),
+    "epi minimal": ("md",),
+    "epi graph": ("json", "dot"),
     "table1": ("json", "csv", "md"),
+    "identities": ("md",),
 }
 
 
@@ -209,10 +214,18 @@ def _print_witnesses(witnesses, header: str) -> None:
         )
 
 
+def _epi_knot(text: str):
+    """The knot of an epi word argument, refused above epim.WORD_MAX entries."""
+    word = parse_word(text)
+    if len(word) > epim.WORD_MAX:
+        raise census.ResourceBound(f"epi word length {len(word)} exceeds {epim.WORD_MAX}")
+    return knot_from_word(word)
+
+
 def cmd_epi(config: Config, args) -> int:
     budget = config.budget()
     if args.epi_command == "targets":
-        knot = knot_from_word(parse_word(args.word))
+        knot = _epi_knot(args.word)
         witnesses = epim.epi_targets(knot, budget)
         if config.output_format == "json":
             print(json.dumps([w.to_json() for w in witnesses], indent=2))
@@ -222,8 +235,8 @@ def cmd_epi(config: Config, args) -> int:
             _print_witnesses(witnesses, f"targets of {format_word(knot.canon)}: {summary}")
         return EXIT_OK
     if args.epi_command == "check":
-        big = knot_from_word(parse_word(args.big))
-        small = knot_from_word(parse_word(args.small))
+        big = _epi_knot(args.big)
+        small = _epi_knot(args.small)
         witness = epim.admits_epi(big, small, budget)
         if witness is None:
             print(f"no epimorphism {format_word(big.canon)} -> {format_word(small.canon)}")
@@ -231,7 +244,7 @@ def cmd_epi(config: Config, args) -> int:
             _print_witnesses([witness], "epimorphism exists:")
         return EXIT_OK
     if args.epi_command == "minimal":
-        knot = knot_from_word(parse_word(args.word))
+        knot = _epi_knot(args.word)
         witnesses = epim.epi_targets(knot, budget)
         if not witnesses:
             print(f"{format_word(knot.canon)}: minimal")
@@ -329,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--up-to-mirror", action="store_true", help="only the mirror-quotient columns")
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("epi", help="epimorphism queries", parents=after)
+    bound = f"Words have at most {epim.WORD_MAX} entries (exit 4 above)."
+    p = sub.add_parser("epi", help="epimorphism queries", description=bound, parents=after)
     epi_sub = p.add_subparsers(dest="epi_command", required=True)
     q = epi_sub.add_parser("targets", help="all epimorphic images of a knot", parents=after)
     q.add_argument("word")
@@ -361,11 +375,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse's usage-error code 2 means a mismatch here
         raise SystemExit(EXIT_PARSE if exc.code == 2 else exc.code) from None
+    command = f"epi {args.epi_command}" if args.command == "epi" else args.command
     try:
         config = load_config(args.config)
         if args.format:
             config.output_format = args.format
-        elif args.command == "epi" and getattr(args, "epi_command", None) == "graph":
+        elif command == "epi graph":
             config.output_format = "dot"
         if args.ceiling is not None:
             config.enumeration_ceiling = args.ceiling
@@ -373,10 +388,10 @@ def main(argv: list[str] | None = None) -> int:
             config.search_budget = args.budget
         config.decimal = args.decimal
         config.validate()
-        renders = RENDERS.get(args.command, FORMATS)
+        renders = RENDERS[command]
         if config.output_format not in renders:
             raise ValueError(
-                f"{args.command} cannot render {config.output_format} "
+                f"{command} cannot render {config.output_format} "
                 f"(it renders {', '.join(renders)})"
             )
     except (ValueError, OSError) as exc:

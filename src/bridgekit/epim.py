@@ -52,6 +52,10 @@ from .knot import (
 )
 
 DEFAULT_SEARCH_BUDGET = 5_000_000
+# Longest word the CLI searches: at 100,000 entries knot_from_word (about
+# length^2) takes up to 1 s and epi targets on T(100001,2) 0.4 s on a 2-vCPU
+# host.  The node budget bounds the search itself.
+WORD_MAX = 100_000
 
 
 class MergeCancellation(ArithmeticError):

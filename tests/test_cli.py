@@ -243,6 +243,30 @@ class TestEpi:
         payload = json.loads(out)
         assert payload["max_crossing"] == 9
 
+    def test_graph_dot_is_default(self, capsys):
+        assert run(capsys, "--format", "dot", "epi", "graph", "--max-c", "6") == run(
+            capsys, "epi", "graph", "--max-c", "6"
+        )
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["targets", "{long}"],
+            ["minimal", "{long}"],
+            ["check", "{long}", "2,-2"],
+            ["check", "2,-2", "{long}"],
+        ],
+    )
+    def test_word_length_bound(self, capsys, command):
+        # one pair more than the bound allows; refused before the knot is built
+        long = ",".join(["2,4"] * (epim.WORD_MAX // 2 + 1))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "epi", *(arg.format(long=long) for arg in command))
+        assert code == EXIT_RESOURCE and out == ""
+        bound = f"epi word length {epim.WORD_MAX + 2} exceeds {epim.WORD_MAX}"
+        assert err == f"resource bound: {bound}\n"
+        assert time.perf_counter() - start < 1.0
+
     def test_graph_respects_ceiling(self, capsys):
         code, _, err = run(capsys, "epi", "graph", "--max-c", "30")
         assert code == EXIT_RESOURCE
@@ -273,15 +297,38 @@ class TestFormats:
             ("dot", ["table1", "--max-c", "5"]),
             ("csv", ["invariants", "2,-2"]),
             ("dot", ["invariants", "2,-2"]),
+            ("csv", ["epi", "targets", "2,-2"]),
+            ("dot", ["epi", "targets", "2,-2"]),
+            ("json", ["epi", "check", "2,-2", "2,-2"]),
+            ("csv", ["epi", "check", "2,-2", "2,-2"]),
+            ("dot", ["epi", "check", "2,-2", "2,-2"]),
+            ("json", ["epi", "minimal", "2,-2"]),
+            ("csv", ["epi", "minimal", "2,-2"]),
+            ("dot", ["epi", "minimal", "2,-2"]),
+            ("csv", ["epi", "graph", "--max-c", "4"]),
+            ("md", ["epi", "graph", "--max-c", "4"]),
+            ("json", ["identities", "--n-max", "3"]),
+            ("csv", ["identities", "--n-max", "3"]),
+            ("dot", ["identities", "--n-max", "3"]),
         ],
     )
     def test_unrenderable_format_refused(self, capsys, fmt, command):
         code, out, err = run(capsys, "--format", fmt, *command)
         assert code == EXIT_PARSE
         assert out == "" and err.count("\n") == 1 and f"cannot render {fmt}" in err
+        assert err.startswith("configuration error: ")
 
     @pytest.mark.parametrize(
-        "command", [["census", "5"], ["table1", "--max-c", "5"], ["invariants", "2,-2"]]
+        "command",
+        [
+            ["census", "5"],
+            ["table1", "--max-c", "5"],
+            ["invariants", "2,-2"],
+            ["epi", "targets", "2,-2,2,-2,2,-2"],
+            ["epi", "check", "2,-2,2,-2,2,-2", "2,-2"],
+            ["epi", "minimal", "2,-2"],
+            ["identities", "--n-max", "3"],
+        ],
     )
     def test_md_accepted(self, capsys, command):
         assert run(capsys, "--format", "md", *command) == run(capsys, *command)
