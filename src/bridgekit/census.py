@@ -15,10 +15,10 @@ s_i = s_{n-1-i} (m if none), w <= rev_neg(w) iff f < k and
 (s_f > 0) == lt, or f >= k and (k = m or s_k < 0).  The mirror test
 w <= reverse(w) is the same rule with k the first i where
 s_i != s_{n-1-i}.  ``enumerate_words`` walks each slice's sign vectors
-and filters its compositions with the rule.  ``brute_counts`` builds no
-word and walks no sign vector: it enumerates each slice's compositions
-and tallies them by f, and it counts the sign vectors by k, the length
-of their rule's prefix, with binomials (``_rule_weights``).
+and filters its compositions with the rule.  ``brute_counts`` enumerates
+nothing: it counts each slice's compositions by f (``_below``) and its
+sign vectors by k, the length of their rule's prefix (``_rule_weights``),
+with binomials, so its cost is polynomial in c.
 
 Formula side: closed forms for the number of knots TK(c) (and TK*(c)
 up to mirror), the total sign change TS(c) / TS*(c), the per-class
@@ -33,10 +33,9 @@ test suite treats the enumeration as the oracle for the formulas.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, repeat
+from itertools import combinations, repeat
 from math import comb
 from operator import mul, sub
 from typing import Iterator, Sequence
@@ -53,8 +52,8 @@ FORMULAS_C_MAX = 500
 
 
 class ResourceBound(RuntimeError):
-    """A request above a size bound: the enumeration ceiling, FORMULAS_C_MAX
-    or IDENTITIES_N_MAX."""
+    """A request above a size bound: the enumeration ceiling, FORMULAS_C_MAX,
+    IDENTITIES_N_MAX, epim.WORD_MAX or classify.TABLE1_C_MAX."""
 
 
 class NonIntegralFormula(ArithmeticError):
@@ -228,6 +227,29 @@ def _rule_weights(
     return weights + [(last, last)]
 
 
+def _below(m: int, total: int) -> list[int]:
+    """below[k] for k = 0..m+1: how many compositions of ``total`` into
+    n = 2m parts have f < k.
+
+    below[k] = S_0 - S_k for k <= m and below[m+1] = S_0, where S_k counts
+    the compositions with p_j = p_{n-1-j} for every j < k.  For 0 < k < m
+    the first k parts sum to some s (C(s-1, k-1) ways), the last k mirror
+    them and the middle n-2k parts sum to total-2s; S_m counts the
+    palindromes, whose first m parts sum to total/2.
+    """
+    n = 2 * m
+    mirrored = [comb(total - 1, n - 1)]
+    for k in range(1, m):
+        mirrored.append(
+            sum(
+                comb(s - 1, k - 1) * comb(total - 2 * s - 1, n - 2 * k - 1)
+                for s in range(k, (total - n) // 2 + k + 1)
+            )
+        )
+    mirrored.append(0 if total % 2 else comb(total // 2 - 1, m - 1))
+    return [mirrored[0] - mirror for mirror in mirrored] + [mirrored[0]]
+
+
 def is_mirror_representative(word: Word) -> bool:
     """True iff this class-canonical word also represents its mirror pair.
 
@@ -292,8 +314,8 @@ def _assemble_row(
 def brute_counts(c: int, *, ceiling: int = DEFAULT_ENUM_CEILING) -> CensusRow:
     """All census aggregates for crossing number c, counted slice by slice.
 
-    Compositions are enumerated and tallied by f; sign vectors are counted
-    by their rule's prefix length k (``_rule_weights``).  Reversal swaps lt
+    Compositions are counted by f (``_below``) and sign vectors by their
+    rule's prefix length k (``_rule_weights``).  Reversal swaps lt
     among the compositions with a given f < m, so a rule of prefix length
     k keeps half of the below[k] with f < k, and the rest iff its tail is.
     """
@@ -304,9 +326,8 @@ def brute_counts(c: int, *, ceiling: int = DEFAULT_ENUM_CEILING) -> CensusRow:
     by_ell: dict[int, int] = {}
     by_ell_star: dict[int, int] = {}
     genus_total = 0
-    for m, ell, _, profiles, _ in _slices(c, None):
-        tally = Counter(f for f, lt in profiles)
-        below = list(accumulate((tally[f] for f in range(m + 1)), initial=0))
+    for m, ell in _partitions(c):
+        below = _below(m, (c + ell) // 2)
 
         def kept(same: bool, negative_lead: bool = False) -> int:
             return sum(

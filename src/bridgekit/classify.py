@@ -32,6 +32,10 @@ from .contfrac import Word, check_even_word, format_word
 from .epim import OrsParams, SearchBudget, epi_targets
 from .knot import braid_index, display_name, knot_from_word, mirror_orbit
 
+# table1's cost grows about as c^4.5: 0.5 s at c_max = 34, 1.4 s at 45 and
+# 4.4 s at 60 on a 2-vCPU host, and about twice that with up_to_mirror=False.
+TABLE1_C_MAX = 45
+
 KIND_ORDER = ("TORUS", "3A1", "3A2", "3B", "4A", "4B1", "4B2", "4B3", "4C1", "4C2", "4D")
 
 

@@ -267,6 +267,10 @@ def cmd_epi(config: Config, args) -> int:
 
 
 def cmd_table1(config: Config, args) -> int:
+    if args.max_c > classify.TABLE1_C_MAX:
+        raise census.ResourceBound(
+            f"--max-c {args.max_c} exceeds the table1 bound {classify.TABLE1_C_MAX}"
+        )
     rows = classify.table1(
         args.max_c, up_to_mirror=not args.chiral, budget=config.budget()
     )
@@ -333,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="census table for a crossing range", parents=after)
     p.add_argument("range", help="crossing number or range, e.g. 12 or 3..15")
-    p.add_argument("--verify", action="store_true", help="check enumeration against formulas")
+    p.add_argument(
+        "--verify", action="store_true", help="check the counts against the closed forms"
+    )
     p.add_argument(
         "--formulas-only",
         action="store_true",
@@ -357,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_epi)
 
     p = sub.add_parser("table1", help="non-minimal knots with braid index <= 4", parents=after)
-    p.add_argument("--max-c", type=int, default=15)
+    bound = f"largest crossing number, at most {classify.TABLE1_C_MAX} (exit 4 above)"
+    p.add_argument("--max-c", type=int, default=15, help=bound)
     p.add_argument("--chiral", action="store_true", help="one row per chiral knot, no diff")
     p.set_defaults(func=cmd_table1)
 

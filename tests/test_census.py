@@ -126,6 +126,11 @@ class TestBruteCounts:
         for c in range(23, 27):
             assert verify_row(c, brute_counts(c, ceiling=26)) == []
 
+    def test_counts_meet_the_closed_forms_through_60(self):
+        # no composition is listed either, so the cost is polynomial in c
+        for c in range(3, 61):
+            assert verify_row(c, brute_counts(c, ceiling=60)) == [], c
+
 
 class TestClosedForms:
     def test_tk_examples(self):

@@ -1,0 +1,27 @@
+"""Byte-level guard for the census counts: ``census 3..22`` prints, in
+every format, exactly the stdout (by sha256) recorded while ``brute_counts``
+still listed each slice's compositions instead of counting them."""
+
+import hashlib
+
+import pytest
+
+from bridgekit.cli import EXIT_OK, main
+
+CENSUS_3_22 = {
+    "census 3..22": "9700b2be19c8285751b494373140cc6d1abfdfbfdcfd989b8eab7ca8359438f4",
+    "--format csv census 3..22": "5bf467254de0b89cbb2718fa27872371278a6c00be27acd61ad071b4bbb8e16a",
+    "--format json census 3..22": "4298b0d6aa4471fe90bc709ab2c668faf16f8eae442bd6357cd795cf7ffaf59d",
+    "census 3..22 --up-to-mirror": "169d373a61837d3f4a77f1e4d19cf042fa3c44522620942bda866e35a892b9ca",
+    "--format json census 3..22 --up-to-mirror": (
+        "3ca3a06d2fca5f37c6bcff5cbc3d468e007690241ed03737514282881bf77e5b"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(CENSUS_3_22))
+def test_census_stdout_matches_recorded_digest(command, capsys):
+    code = main(command.split(" "))
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_3_22[command]

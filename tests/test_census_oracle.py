@@ -12,9 +12,15 @@ order and agree on every mirror verdict.
 composition profiles without building them.  The word-by-word tally it
 replaced is kept below as it was, run over the oracle enumerator, and
 must give equal rows, per-ell counts included.
+
+``brute_counts`` counts each slice's compositions by f with binomials.
+The tally it replaced, f counted over the listed compositions and then
+accumulated, is kept below as it was and must give the same ``below``
+list for every slice.
 """
 
-from itertools import combinations
+from collections import Counter
+from itertools import accumulate, combinations
 from operator import mul
 
 import pytest
@@ -145,3 +151,16 @@ def brute_counts(c, *, ceiling=DEFAULT_ENUM_CEILING):
 @pytest.mark.parametrize("c", range(3, 21))
 def test_counts_match_word_by_word_tally(c):
     assert census.brute_counts(c) == brute_counts(c)
+
+
+def composition_tally(m, total):
+    profiles = list(map(census._profile, census._compositions(total, 2 * m)))
+    tally = Counter(f for f, lt in profiles)
+    return list(accumulate((tally[f] for f in range(m + 1)), initial=0))
+
+
+@pytest.mark.parametrize("c", range(3, 27))
+def test_binomial_below_matches_composition_tally(c):
+    for m, ell in _partitions(c):
+        total = (c + ell) // 2
+        assert census._below(m, total) == composition_tally(m, total), (m, ell)

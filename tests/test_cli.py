@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from bridgekit import census, epim
+from bridgekit import census, classify, epim
 from bridgekit.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -288,6 +288,14 @@ class TestTable1:
         _, out, _ = run(capsys, "--format", "json", "table1", "--max-c", "9")
         payload = json.loads(out)
         assert [row["type"] for row in payload] == ["2", "3A2", "4B3"]
+
+    def test_max_c_above_bound_is_resource_error(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "table1", "--max-c", str(classify.TABLE1_C_MAX + 1))
+        assert code == EXIT_RESOURCE
+        assert out == "" and err.count("\n") == 1 and "resource bound" in err
+        assert time.perf_counter() - start < 1.0
+
 
 class TestFormats:
     @pytest.mark.parametrize(
