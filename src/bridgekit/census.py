@@ -15,10 +15,16 @@ s_i = s_{n-1-i} (m if none), w <= rev_neg(w) iff f < k and
 (s_f > 0) == lt, or f >= k and (k = m or s_k < 0).  The mirror test
 w <= reverse(w) is the same rule with k the first i where
 s_i != s_{n-1-i}.  ``enumerate_words`` walks each slice's sign vectors
-and filters its compositions with the rule.  ``brute_counts`` enumerates
-nothing: it counts each slice's compositions by f (``_below``) and its
-sign vectors by k, the length of their rule's prefix (``_rule_weights``),
-with binomials, so its cost is polynomial in c.
+and filters its compositions with the rule.
+
+Counting side: ``brute_counts`` enumerates nothing and does not use the
+rule.  A slice holds 2 C(n-1, ell) C(total-1, n-1) words (sign vectors
+times compositions, total = (c + ell) / 2) and is closed under reverse,
+negate and rev_neg, so Burnside's lemma counts its knots, the orbits of
+{id, rev_neg}, and its mirror classes, the orbits of all four, from the
+words each symmetry fixes (Ernst and Sumners, 1987).  Its cost is
+polynomial in c, and the word-by-word tally of ``enumerate_words`` in the
+test suite checks the rule against it.
 
 Formula side: closed forms for the number of knots TK(c) (and TK*(c)
 up to mirror), the total sign change TS(c) / TS*(c), the per-class
@@ -26,8 +32,9 @@ counts N(c, ell), and the average braid index and genus.  Every
 division is checked for zero remainder; a nonzero remainder means a
 transcription bug, never a rounding choice.
 
-The two sides are developed independently and must agree exactly; the
-test suite treats the enumeration as the oracle for the formulas.
+The counting and formula sides are developed independently and must
+agree exactly; the test suite treats the counts as the oracle for the
+formulas.
 """
 
 from __future__ import annotations
@@ -42,12 +49,15 @@ from typing import Iterator, Sequence
 
 from .contfrac import Word, format_fraction
 
+# The largest --max-c of epi graph, whose cost grows exponentially in c.
 DEFAULT_ENUM_CEILING = 22
 # verify_identities' cost grows about as n^4: 1.8 s at n_max = 200,
 # 7.8 s at 300 and 26 s at 400 on a 2-vCPU host.
 IDENTITIES_N_MAX = 300
-# closed_row's cost grows about as c^4: 11 ms at c = 400, 23 ms at 500 and
-# 0.3 s at 1000; the range 3..500 takes 3.3 s and 3..1000 83 s on a 2-vCPU host.
+# The largest c of either census path.  closed_row's cost grows about as c^4:
+# 11 ms at c = 400, 23 ms at 500 and 0.3 s at 1000; the range 3..500 takes
+# 3.3 s and 3..1000 83 s.  brute_counts takes 0.07 s at c = 400 and 0.15 s at
+# 500, and 17 s over 3..500 (2-vCPU host).
 FORMULAS_C_MAX = 500
 
 
@@ -200,56 +210,6 @@ def enumerate_words(c: int, *, ell: int | None = None) -> Iterator[Word]:
             yield from _words(signs, kept)
 
 
-def _rule_weights(
-    m: int, ell: int, same: bool, negative_lead: bool = False
-) -> list[tuple[int, int]]:
-    """(N_k, T_k) for k = 0..m: how many sign vectors of length n = 2m with ell
-    changes (leading -1 only, if ``negative_lead``) have a ``_rule(signs, same)``
-    prefix of length k, and how many of those have a true tail.
-
-    s_i s_{n-1-i} = -1 iff gaps i..n-2-i hold an odd number of changes, so
-    k = 0 for every vector when (ell even) == same.  Otherwise gaps i and
-    n-2-i change together or not at all for i < k-1 (j pairs change), one
-    of gaps k-1 and n-1-k changes (which one sets s_k, so half the tails
-    are true) and gaps k..n-2-k hold the other ell-1-2j; at k = m the tail
-    is true.
-    """
-    n, leads = 2 * m, 1 if negative_lead else 2
-    if (ell % 2 == 0) == same:
-        return [(leads * comb(n - 1, ell), comb(n - 1, ell))] + [(0, 0)] * m
-    weights = [(0, 0)]
-    for k in range(1, m):
-        pairs = sum(
-            comb(k - 1, j) * comb(n - 2 * k - 1, ell - 1 - 2 * j) for j in range((ell + 1) // 2)
-        )
-        weights.append((2 * leads * pairs, leads * pairs))
-    last = leads * comb(m - 1, ell // 2)
-    return weights + [(last, last)]
-
-
-def _below(m: int, total: int) -> list[int]:
-    """below[k] for k = 0..m+1: how many compositions of ``total`` into
-    n = 2m parts have f < k.
-
-    below[k] = S_0 - S_k for k <= m and below[m+1] = S_0, where S_k counts
-    the compositions with p_j = p_{n-1-j} for every j < k.  For 0 < k < m
-    the first k parts sum to some s (C(s-1, k-1) ways), the last k mirror
-    them and the middle n-2k parts sum to total-2s; S_m counts the
-    palindromes, whose first m parts sum to total/2.
-    """
-    n = 2 * m
-    mirrored = [comb(total - 1, n - 1)]
-    for k in range(1, m):
-        mirrored.append(
-            sum(
-                comb(s - 1, k - 1) * comb(total - 2 * s - 1, n - 2 * k - 1)
-                for s in range(k, (total - n) // 2 + k + 1)
-            )
-        )
-    mirrored.append(0 if total % 2 else comb(total // 2 - 1, m - 1))
-    return [mirrored[0] - mirror for mirror in mirrored] + [mirrored[0]]
-
-
 def is_mirror_representative(word: Word) -> bool:
     """True iff this class-canonical word also represents its mirror pair.
 
@@ -311,37 +271,33 @@ def _assemble_row(
     )
 
 
-def brute_counts(c: int, *, ceiling: int = DEFAULT_ENUM_CEILING) -> CensusRow:
+def brute_counts(c: int) -> CensusRow:
     """All census aggregates for crossing number c, counted slice by slice.
 
-    Compositions are counted by f (``_below``) and sign vectors by their
-    rule's prefix length k (``_rule_weights``).  Reversal swaps lt
-    among the compositions with a given f < m, so a rule of prefix length
-    k keeps half of the below[k] with f < k, and the rest iff its tail is.
+    Knots are the orbits of {id, rev_neg} on reduced even words, mirror
+    classes those of {id, rev_neg, negate, reverse}, and both groups keep
+    each (m, ell) slice.  Burnside's lemma counts a slice's orbits from W,
+    its word count, and F, its words fixed by rev_neg (odd ell) or by
+    reverse (even ell): (W + F [ell odd]) / 2 knots and (W + F) / 4 mirror
+    classes, since negate fixes no word.
     """
     if c < 3:
         raise ValueError(f"crossing number must be >= 3, got {c}")
-    if c > ceiling:
-        raise ResourceBound(f"c={c} exceeds the enumeration ceiling {ceiling}")
+    if c > FORMULAS_C_MAX:
+        raise ResourceBound(f"c={c} exceeds the census bound {FORMULAS_C_MAX}")
     by_ell: dict[int, int] = {}
     by_ell_star: dict[int, int] = {}
     genus_total = 0
     for m, ell in _partitions(c):
-        below = _below(m, (c + ell) // 2)
-
-        def kept(same: bool, negative_lead: bool = False) -> int:
-            return sum(
-                rules * exact_div(below[k], 2) + tails * (below[-1] - below[k])
-                for k, (rules, tails) in enumerate(_rule_weights(m, ell, same, negative_lead))
-            )
-
-        count = kept(True)
-        # A mirror representative leads negative.  For odd ell its reverse
-        # then leads positive, so the canonical words that lead negative,
-        # half of them, qualify; for even ell the mirror test decides.
-        star = exact_div(count, 2) if ell % 2 else kept(False, negative_lead=True)
+        total = (c + ell) // 2
+        words = 2 * comb(2 * m - 1, ell) * comb(total - 1, 2 * m - 1)
+        # A fixed word has palindromic magnitudes, whose first m parts sum to
+        # total / 2, and sign changes in mirrored pairs of gaps, plus the
+        # middle gap m-1 iff ell is odd.
+        fixed = 0 if total % 2 else 2 * comb(m - 1, ell // 2) * comb(total // 2 - 1, m - 1)
+        count = exact_div(words + fixed * (ell % 2), 2)
         by_ell[ell] = by_ell.get(ell, 0) + count
-        by_ell_star[ell] = by_ell_star.get(ell, 0) + star
+        by_ell_star[ell] = by_ell_star.get(ell, 0) + exact_div(words + fixed, 4)
         genus_total += m * count
     return _assemble_row(c, by_ell, by_ell_star, genus_total)
 

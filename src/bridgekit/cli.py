@@ -165,17 +165,15 @@ def cmd_census(config: Config, args) -> int:
     crossings = _parse_range(args.range)
     if args.formulas_only and args.verify:
         raise ValueError(
-            "--verify compares enumeration with the closed forms, "
-            "and --formulas-only skips the enumeration"
+            "--verify compares the counts with the closed forms, "
+            "and --formulas-only skips the counts"
         )
-    if args.formulas_only:
-        if crossings[-1] > census.FORMULAS_C_MAX:
-            raise census.ResourceBound(
-                f"c={crossings[-1]} exceeds the closed-form bound {census.FORMULAS_C_MAX}"
-            )
-        rows = [census.closed_row(c) for c in crossings]
-    else:
-        rows = [census.brute_counts(c, ceiling=config.enumeration_ceiling) for c in crossings]
+    if crossings[-1] > census.FORMULAS_C_MAX:
+        raise census.ResourceBound(
+            f"c={crossings[-1]} exceeds the census bound {census.FORMULAS_C_MAX}"
+        )
+    count = census.closed_row if args.formulas_only else census.brute_counts
+    rows = [count(c) for c in crossings]
     mirror = args.up_to_mirror
     if config.output_format == "json":
         print(census.rows_to_json(rows, up_to_mirror=mirror))
@@ -314,7 +312,8 @@ def _shared_flags(default) -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False, argument_default=default)
     shared.add_argument("--config", help="key=value config file")
     shared.add_argument("--format", choices=FORMATS, help="output format")
-    shared.add_argument("--ceiling", type=int, help="enumeration ceiling override")
+    ceiling = f"largest epi graph --max-c (default {census.DEFAULT_ENUM_CEILING}, exit 4 above)"
+    shared.add_argument("--ceiling", type=int, help=ceiling)
     shared.add_argument("--budget", type=int, help="search node budget override")
     shared.add_argument(
         "--decimal", action="store_true", help="render fractions with 12 significant digits"
@@ -336,14 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("census", help="census table for a crossing range", parents=after)
-    p.add_argument("range", help="crossing number or range, e.g. 12 or 3..15")
+    bound = f"c at most {census.FORMULAS_C_MAX} (exit 4 above)"
+    p.add_argument("range", help=f"crossing number or range, e.g. 12 or 3..15; {bound}")
     p.add_argument(
         "--verify", action="store_true", help="check the counts against the closed forms"
     )
     p.add_argument(
         "--formulas-only",
         action="store_true",
-        help=f"skip enumeration; c at most {census.FORMULAS_C_MAX} (exit 4 above)",
+        help="closed forms only, no counting",
     )
     p.add_argument("--up-to-mirror", action="store_true", help="only the mirror-quotient columns")
     p.set_defaults(func=cmd_census)

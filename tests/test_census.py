@@ -27,9 +27,6 @@ from bridgekit.census import (
     verify_identities,
     verify_row,
     _raw_words,
-    _rule,
-    _rule_weights,
-    _sign_vectors,
 )
 from bridgekit.cli import format_table
 from bridgekit.knot import canonical_word, crossing_number, genus
@@ -99,8 +96,8 @@ class TestBruteCounts:
 
     def test_ceiling(self):
         with pytest.raises(ResourceBound):
-            brute_counts(23)
-        brute_counts(8, ceiling=8)  # at the ceiling is fine
+            brute_counts(501)
+        brute_counts(23)  # the epi graph ceiling does not bound the census
 
     def test_avg_genus(self):
         # five 6-crossing knots: two of genus 1, three of genus 2
@@ -108,28 +105,10 @@ class TestBruteCounts:
         knots = list(enumerate_words(6))
         assert row.avg_genus == Fraction(sum(genus(w) for w in knots), len(knots)) == Fraction(8, 5)
 
-    @pytest.mark.parametrize("negative_lead", [False, True])
-    @pytest.mark.parametrize("same", [True, False])
-    @pytest.mark.parametrize("m", range(1, 9))
-    def test_rule_weights_match_sign_vector_walk(self, m, same, negative_lead):
-        for ell in range(2 * m):
-            walked = [[0, 0] for _ in range(m + 1)]
-            for signs in _sign_vectors(2 * m, ell):
-                if signs[0] < 0 or not negative_lead:
-                    prefix, tail = _rule(signs, same)
-                    walked[len(prefix)][0] += 1
-                    walked[len(prefix)][1] += tail
-            assert _rule_weights(m, ell, same, negative_lead) == list(map(tuple, walked)), ell
-
-    def test_counts_past_the_default_ceiling(self):
-        # no word is built, so enumeration meets the closed forms well past 22
-        for c in range(23, 27):
-            assert verify_row(c, brute_counts(c, ceiling=26)) == []
-
     def test_counts_meet_the_closed_forms_through_60(self):
-        # no composition is listed either, so the cost is polynomial in c
-        for c in range(3, 61):
-            assert verify_row(c, brute_counts(c, ceiling=60)) == [], c
+        # no word is built, so the check runs on past 60, through c = 200
+        for c in range(3, 201):
+            assert verify_row(c, brute_counts(c)) == [], c
 
 
 class TestClosedForms:

@@ -1,6 +1,9 @@
 """Byte-level guard for the census counts: ``census 3..22`` prints, in
 every format, exactly the stdout (by sha256) recorded while ``brute_counts``
-still listed each slice's compositions instead of counting them."""
+still listed each slice's compositions instead of counting them, and
+``census 3..60`` prints, in md and json, the stdout recorded while it still
+counted canonical words by their canonicity rule instead of as Burnside
+orbits."""
 
 import hashlib
 
@@ -18,6 +21,13 @@ CENSUS_3_22 = {
     ),
 }
 
+CENSUS_3_60 = {
+    "census 3..60": "7b22c7cc689c99ad7d1b3d2c837c412d59e34632b9422a6af0b971ee864d59ee",
+    "--format json census 3..60": (
+        "58942011297ceb7f0b5c47e0f83a7b254790d7deed31b1779955e9b10b3b40e9"
+    ),
+}
+
 
 @pytest.mark.parametrize("command", list(CENSUS_3_22))
 def test_census_stdout_matches_recorded_digest(command, capsys):
@@ -25,3 +35,11 @@ def test_census_stdout_matches_recorded_digest(command, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_3_22[command]
+
+
+@pytest.mark.parametrize("command", list(CENSUS_3_60))
+def test_wide_census_stdout_matches_recorded_digest(command, capsys):
+    code = main(command.split(" "))
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_3_60[command]

@@ -8,19 +8,16 @@ compared with its reverse-negation, and the mirror test against
 min(negate, reverse).  The two must emit the same words in the same
 order and agree on every mirror verdict.
 
-``brute_counts`` counts canonical words from per-slice tallies of
-composition profiles without building them.  The word-by-word tally it
-replaced is kept below as it was, run over the oracle enumerator, and
-must give equal rows, per-ell counts included.
-
-``brute_counts`` counts each slice's compositions by f with binomials.
-The tally it replaced, f counted over the listed compositions and then
-accumulated, is kept below as it was and must give the same ``below``
-list for every slice.
+``brute_counts`` counts each slice's knots and mirror classes as
+Burnside orbits of the symmetry group, without the canonicity rule.  The
+word-by-word tally it replaced is kept below as it was, run over the
+oracle enumerator, and must give equal rows, per-ell counts, mirror
+counts and genus total included; ``census.enumerate_words`` emits the
+same words, so this also checks the rule against a count that does not
+use it.
 """
 
-from collections import Counter
-from itertools import accumulate, combinations
+from itertools import combinations
 from operator import mul
 
 import pytest
@@ -151,16 +148,3 @@ def brute_counts(c, *, ceiling=DEFAULT_ENUM_CEILING):
 @pytest.mark.parametrize("c", range(3, 21))
 def test_counts_match_word_by_word_tally(c):
     assert census.brute_counts(c) == brute_counts(c)
-
-
-def composition_tally(m, total):
-    profiles = list(map(census._profile, census._compositions(total, 2 * m)))
-    tally = Counter(f for f, lt in profiles)
-    return list(accumulate((tally[f] for f in range(m + 1)), initial=0))
-
-
-@pytest.mark.parametrize("c", range(3, 27))
-def test_binomial_below_matches_composition_tally(c):
-    for m, ell in _partitions(c):
-        total = (c + ell) // 2
-        assert census._below(m, total) == composition_tally(m, total), (m, ell)

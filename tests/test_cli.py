@@ -71,7 +71,7 @@ class TestCensus:
         assert "agree" in out
 
     def test_verify_range_21_22(self, capsys):
-        # enumeration against the closed forms up to the default ceiling
+        # the counts against the closed forms up to the epi graph ceiling
         code, out, _ = run(capsys, "census", "21..22", "--verify")
         assert code == EXIT_OK
         assert "agree" in out
@@ -89,14 +89,26 @@ class TestCensus:
         assert "105637550019019116791391933781" in out
 
     def test_ceiling_enforced(self, capsys):
-        code, _, err = run(capsys, "census", "30")
+        code, _, err = run(capsys, "epi", "graph", "--max-c", "30")
         assert code == EXIT_RESOURCE
-        assert "resource bound" in err
+        assert err == "resource bound: --max-c 30 exceeds ceiling 22\n"
 
     def test_ceiling_override_env(self, capsys, monkeypatch):
         monkeypatch.setenv("BRIDGEKIT_CEILING", "8")
-        code, _, err = run(capsys, "census", "9")
+        code, _, err = run(capsys, "epi", "graph", "--max-c", "9")
         assert code == EXIT_RESOURCE
+
+    def test_ceiling_does_not_bound_census(self, capsys):
+        code, out, _ = run(capsys, "census", "23..24")
+        assert code == EXIT_OK
+        assert "\n| 23 | " in out and "\n| 24 | " in out
+
+    def test_above_census_bound_is_resource_error(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "census", "501")
+        assert code == EXIT_RESOURCE
+        assert out == "" and err == "resource bound: c=501 exceeds the census bound 500\n"
+        assert time.perf_counter() - start < 1.0
 
     def test_csv_format(self, capsys):
         _, out, _ = run(capsys, "--format", "csv", "census", "5")
@@ -371,7 +383,7 @@ class TestFlagsAfterSubcommand:
             (["--format", "json"], ["epi", "targets", T15]),
             (["--decimal"], ["invariants", "2,-4,4,-2"]),
             (["--decimal", "--format", "csv"], ["census", "3..7"]),
-            (["--ceiling", "6"], ["census", "7"]),
+            (["--ceiling", "6"], ["epi", "graph", "--max-c", "7"]),
             (["--budget", "3"], ["epi", "targets", T15]),
             (["--format", "dot"], ["identities", "--n-max", "3"]),
         ],
@@ -388,10 +400,10 @@ class TestFlagsAfterSubcommand:
 
     def test_config_file(self, tmp_path, capsys):
         config_file = tmp_path / "bridgekit.conf"
-        config_file.write_text("enumeration_ceiling = 8\noutput_format = csv\n")
+        config_file.write_text("enumeration_ceiling = 8\noutput_format = json\n")
         for c in ("8", "9"):
-            before = run(capsys, "--config", str(config_file), "census", c)
-            after = run(capsys, "census", c, "--config", str(config_file))
+            before = run(capsys, "--config", str(config_file), "epi", "graph", "--max-c", c)
+            after = run(capsys, "epi", "graph", "--max-c", c, "--config", str(config_file))
             assert after == before
         assert before[0] == EXIT_RESOURCE
 
@@ -403,11 +415,11 @@ class TestFlagsAfterSubcommand:
 class TestConfig:
     def test_config_file(self, tmp_path, capsys):
         config_file = tmp_path / "bridgekit.conf"
-        config_file.write_text("# settings\nenumeration_ceiling = 8\noutput_format = csv\n")
+        config_file.write_text("# settings\nenumeration_ceiling = 8\noutput_format = json\n")
         config = load_config(str(config_file))
         assert config.enumeration_ceiling == 8
-        assert config.output_format == "csv"
-        code, _, err = run(capsys, "--config", str(config_file), "census", "9")
+        assert config.output_format == "json"
+        code, _, err = run(capsys, "--config", str(config_file), "epi", "graph", "--max-c", "9")
         assert code == EXIT_RESOURCE
 
     def test_bad_config_key(self, tmp_path):
