@@ -271,6 +271,12 @@ def _assemble_row(
     )
 
 
+def _composition_counts(m: int, total: int) -> tuple[int, int]:
+    """How many compositions of ``total`` into n = 2m parts there are, and
+    how many are palindromes: those whose first m parts sum to total / 2."""
+    return comb(total - 1, 2 * m - 1), 0 if total % 2 else comb(total // 2 - 1, m - 1)
+
+
 def brute_counts(c: int) -> CensusRow:
     """All census aggregates for crossing number c, counted slice by slice.
 
@@ -289,12 +295,11 @@ def brute_counts(c: int) -> CensusRow:
     by_ell_star: dict[int, int] = {}
     genus_total = 0
     for m, ell in _partitions(c):
-        total = (c + ell) // 2
-        words = 2 * comb(2 * m - 1, ell) * comb(total - 1, 2 * m - 1)
-        # A fixed word has palindromic magnitudes, whose first m parts sum to
-        # total / 2, and sign changes in mirrored pairs of gaps, plus the
-        # middle gap m-1 iff ell is odd.
-        fixed = 0 if total % 2 else 2 * comb(m - 1, ell // 2) * comb(total // 2 - 1, m - 1)
+        parts, palindromes = _composition_counts(m, (c + ell) // 2)
+        words = 2 * comb(2 * m - 1, ell) * parts
+        # A fixed word has palindromic magnitudes and sign changes in
+        # mirrored pairs of gaps, plus the middle gap m-1 iff ell is odd.
+        fixed = 2 * comb(m - 1, ell // 2) * palindromes
         count = exact_div(words + fixed * (ell % 2), 2)
         by_ell[ell] = by_ell.get(ell, 0) + count
         by_ell_star[ell] = by_ell_star.get(ell, 0) + exact_div(words + fixed, 4)

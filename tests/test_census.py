@@ -105,6 +105,11 @@ class TestBruteCounts:
         knots = list(enumerate_words(6))
         assert row.avg_genus == Fraction(sum(genus(w) for w in knots), len(knots)) == Fraction(8, 5)
 
+    def test_counts_past_the_default_ceiling(self):
+        # the epi graph ceiling does not bound the census
+        for c in range(23, 27):
+            assert verify_row(c, brute_counts(c)) == []
+
     def test_counts_meet_the_closed_forms_through_60(self):
         # no word is built, so the check runs on past 60, through c = 200
         for c in range(3, 201):

@@ -15,6 +15,10 @@ oracle enumerator, and must give equal rows, per-ell counts, mirror
 counts and genus total included; ``census.enumerate_words`` emits the
 same words, so this also checks the rule against a count that does not
 use it.
+
+The slice's compositions and their palindromes are counted with
+binomials; a tally over the listed compositions, f = m marking a
+palindrome, must give the same two numbers for every slice.
 """
 
 from itertools import combinations
@@ -148,3 +152,15 @@ def brute_counts(c, *, ceiling=DEFAULT_ENUM_CEILING):
 @pytest.mark.parametrize("c", range(3, 21))
 def test_counts_match_word_by_word_tally(c):
     assert census.brute_counts(c) == brute_counts(c)
+
+
+def composition_tally(m, total):
+    profiles = list(map(census._profile, census._compositions(total, 2 * m)))
+    return len(profiles), sum(f == m for f, lt in profiles)
+
+
+@pytest.mark.parametrize("c", range(3, 27))
+def test_binomial_below_matches_composition_tally(c):
+    for m, ell in _partitions(c):
+        total = (c + ell) // 2
+        assert census._composition_counts(m, total) == composition_tally(m, total), (m, ell)
