@@ -12,10 +12,9 @@ once, with each one's profile (f, lt): f is the first j < m with
 p_j != p_{n-1-j} (m for a palindrome) and lt says p_f < p_{n-1-f}.
 One rule on profiles decides canonicity: with k the first i < m where
 s_i = s_{n-1-i} (m if none), w <= rev_neg(w) iff f < k and
-(s_f > 0) == lt, or f >= k and (k = m or s_k < 0).  The mirror test
-w <= reverse(w) is the same rule with k the first i where
-s_i != s_{n-1-i}.  ``enumerate_words`` walks each slice's sign vectors
-and filters its compositions with the rule.
+(s_f > 0) == lt, or f >= k and (k = m or s_k < 0).
+``enumerate_words`` walks each slice's sign vectors and filters its
+compositions with the rule.
 
 Counting side: ``brute_counts`` enumerates nothing and does not use the
 rule.  A slice holds 2 C(n-1, ell) C(total-1, n-1) words (sign vectors
@@ -156,25 +155,23 @@ def _profile(parts: tuple[int, ...]) -> tuple[int, bool]:
 _Rule = tuple[tuple[int, ...], bool]
 
 
-def _rule(signs: tuple[int, ...], same: bool) -> _Rule:
+def _rule(signs: tuple[int, ...]) -> _Rule:
     """Which profiles (f, lt) put the word w of ``signs`` first, as (prefix, tail).
 
-    Let k be the first i < m with (s_i == s_{n-1-i}) == same, or m if
-    there is none; ``prefix`` is s_0..s_{k-1}.  A composition with f < k
+    Let k be the first i < m with s_i == s_{n-1-i}, or m if there is
+    none; ``prefix`` is s_0..s_{k-1}.  A composition with f < k
     qualifies iff lt == (s_f > 0), one with f >= k iff ``tail``, which
     is k == m or s_k < 0.
 
-    With ``same`` true this decides w <= rev_neg(w).  While
-    s_i = -s_{n-1-i}, rev_neg(w)_i = 2 s_i p_{n-1-i} has the sign of
-    w_i, so if f < k the words first differ at f and w comes first iff
-    (s_f > 0) == lt.  At k the two entries differ in sign, and w comes
-    first iff s_k < 0; if k = f = m the words are equal.  With ``same``
-    false the same argument decides w <= reverse(w), whose i-th entry
-    2 s_{n-1-i} p_{n-1-i} has the sign of w_i while s_i = s_{n-1-i}.
+    This decides w <= rev_neg(w).  While s_i = -s_{n-1-i},
+    rev_neg(w)_i = 2 s_i p_{n-1-i} has the sign of w_i, so if f < k the
+    words first differ at f and w comes first iff (s_f > 0) == lt.  At
+    k the two entries differ in sign, and w comes first iff s_k < 0; if
+    k = f = m the words are equal.
     """
     last = len(signs) - 1
     for k in range(len(signs) // 2):
-        if (signs[k] == signs[last - k]) == same:
+        if signs[k] == signs[last - k]:
             return signs[:k], signs[k] < 0
     return signs[: len(signs) // 2], True
 
@@ -198,7 +195,7 @@ def enumerate_words(c: int, *, ell: int | None = None) -> Iterator[Word]:
     for _, _, parts, profiles, sign_vectors in _slices(c, ell):
         canonical: dict[_Rule, list[tuple[int, ...]]] = {}
         for signs in sign_vectors:
-            rule = _rule(signs, True)
+            rule = _rule(signs)
             kept = canonical.get(rule)
             if kept is None:
                 prefix, tail = rule
@@ -479,7 +476,7 @@ TABLE2_REFERENCE: dict[int, tuple[int, int, Fraction, int, int, Fraction]] = {
 
 
 def verify_row(c: int, row: CensusRow | None = None) -> list[str]:
-    """Mismatch descriptions between enumeration, formulas, and reference.
+    """Mismatches between the counted row, the closed forms and TABLE2_REFERENCE.
 
     Empty list = everything agrees exactly.
     """
@@ -489,7 +486,7 @@ def verify_row(c: int, row: CensusRow | None = None) -> list[str]:
 
     def expect(label: str, got, want) -> None:
         if got != want:
-            problems.append(f"c={c} {label}: enumerated {got} != expected {want}")
+            problems.append(f"c={c} {label}: counted {got} != expected {want}")
 
     expect("TK", row.tk, closed_tk(c))
     expect("TS", row.ts, closed_ts(c))

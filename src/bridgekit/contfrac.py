@@ -163,13 +163,6 @@ def format_word(word: Sequence[int]) -> str:
     return ",".join(str(e) for e in word)
 
 
-def parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise WordParseError("not a fraction", text, 1) from exc
-
-
 def format_fraction(value: Fraction) -> str:
     """Render in lowest terms as ``p/q``, or plain ``p`` for integers."""
     value = Fraction(value)

@@ -15,19 +15,22 @@ Detection reads the targets off the big word.  In each orientation w
 of the big word (w and its reverse-negation) the first block is the
 target itself (eps_1 = +1), so a target of length n is w[:n] or, when
 the first connector is zero and the block's last entry merged into
-twice itself, w[:n-1] followed by w[n-1]/2 (if even).  Each even n with
-3(n-1) < L thus gives at most two patterns a, kept if 3 crossing(a) <=
-crossing(big); no census of targets is enumerated.  For each pattern
-and each r with (2r+1) crossing(a) <= crossing(big) and (2r+1)(n-1) <
-L, ``_parse`` reads w left to right, block by block.  The length L
-fixes the number of zero connectors, z = ((2r+1) n + 2r - L) / 2, which
-must lie in [0, 2r], and each block boundary admits one reading only,
-so there is at most one parse, found in O(L) without backtracking.  A
-composition spells one word, so no witness is found twice, and it
-canonicalises to the big knot exactly when it is the big word in one
-of its orientations, so the parses are exactly the matching parameter
-tuples; each is still composed again and compared before it becomes a
-witness.
+twice itself, w[:n-1] followed by w[n-1]/2 (if even).  Each even n
+with 3(n-1) < L thus gives at most two patterns a, kept if 3
+crossing(a) <= crossing(big); no census of targets is enumerated.  For
+each pattern, ``_parse`` reads w once, left to right, block by block.
+Each block boundary admits one reading only, and how block j is read
+does not depend on r, which says only where the parse ends: block 2r
+ends at the word's last entry.  So one read without backtracking finds
+the only parse, whatever r it has, in O(L).  It stops at the largest r
+with (2r+1) crossing(a) <= crossing(big) and (2r+1)(n-1) < L, and the
+pattern is not read at all when even that r spells fewer than L
+entries: 2r+1 blocks with z of the 2r connectors zero spell (2r+1) n +
+2r - 2z.  A composition spells one word, so no witness is found twice,
+and it canonicalises to the big knot exactly when it is the big word
+in one of its orientations, so the parses are exactly the matching
+parameter tuples; each is still composed again and compared before it
+becomes a witness.
 
 Every returned witness carries an audit splitting the braid-index gap
 braid(big) - 3 braid(target) + 4 into four non-negative terms; the
@@ -53,8 +56,8 @@ from .knot import (
 
 DEFAULT_SEARCH_BUDGET = 5_000_000
 # Longest word the CLI searches: at 100,000 entries knot_from_word (about
-# length^2) takes up to 1 s and epi targets on T(100001,2) 0.4 s on a 2-vCPU
-# host.  The node budget bounds the search itself.
+# length^2) takes up to 1 s, and all of epi targets 0.25 s on T(100001,2)
+# and 3.4 s on 2,4 repeated, on a 2-vCPU host.  The budget bounds the search.
 WORD_MAX = 100_000
 
 
@@ -263,33 +266,39 @@ def _pattern(word: Word, n: int, last: int) -> Word:
 
 
 def _parse(
-    word: Word, n: int, last: int, r: int, counter: _NodeCounter
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Signs and connectors of an interleaving of ``_pattern(word, n, last)`` spelling ``word``.
+    word: Word, n: int, last: int, r_max: int, counter: _NodeCounter
+) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
+    """``(r, eps, cvec)`` of an interleaving of ``_pattern(word, n, last)`` spelling ``word``.
 
-    One state per block; None as soon as no (eps, cvec) can fit.  The
-    pattern was read off the word, so the first block's first entry
-    matches (eps_1 = +1); every later block's first entry is read
-    before the block.  A block's last entry e = eps_j * block_j[-1]
-    decides the boundary: 2e is a zero connector whose merge kept the
-    sign, while e is followed by a connector 2c_j and then by +-e, the
-    next block's first entry, which gives its sign.
+    One state per block, for at most 2 r_max + 1 blocks; None as soon
+    as no (eps, cvec) can fit.  The pattern was read off the word, so
+    the first block's first entry matches (eps_1 = +1); every later
+    block's first entry is read before the block.  A block's last entry
+    e = eps_j * block_j[-1] decides the boundary: 2e is a zero connector
+    whose merge kept the sign, while e is followed by a connector 2c_j
+    and then by +-e, the next block's first entry, which gives its sign.
+    Block 2r may end the word instead, with e.
     """
     # the last entry of each block equals the first entry of the next
     pattern = _pattern(word, n, last)
     shapes = (pattern, reverse(pattern))
+    middles: dict[tuple[int, int], Word] = {}
     end = len(word) - 1
     eps, cvec = [1], []
     start = 1
-    for j in range(2 * r + 1):
-        counter.charge(word, n, last, r)
+    for j in range(2 * r_max + 1):
+        counter.charge(word, n, last, max(1, (j + 1) // 2))
         sign, block = eps[j], shapes[j % 2]
+        middle = middles.get((j % 2, sign))
+        if middle is None:
+            middle = middles[j % 2, sign] = tuple(sign * e for e in block[1:-1])
         stop = start + n - 2
-        if stop > end or word[start:stop] != tuple(sign * e for e in block[1:-1]):
+        if stop > end or word[start:stop] != middle:
             return None
         edge = sign * block[-1]
-        if j == 2 * r:
-            return (tuple(eps), tuple(cvec)) if stop == end and word[stop] == edge else None
+        if stop == end and word[stop] == edge:
+            # j = 2r > 0: knot words have even length, longer than 3(n-1)
+            return j // 2, tuple(eps), tuple(cvec)
         if word[stop] == 2 * edge:
             eps.append(sign)
             cvec.append(0)
@@ -300,6 +309,7 @@ def _parse(
             start = stop + 3
         else:
             return None
+    return None
 
 
 def _search(
@@ -338,29 +348,28 @@ def _search(
                     and (n != len(small.canon) or _pattern(word, n, last) not in wanted)
                 ):
                     continue
-                r = 1
-                counter.charge(word, n, last, r)
-                while (2 * r + 1) * crossing <= big.crossing and (2 * r + 1) * (n - 1) < length:
-                    # Each zero connector shortens the composition by two
-                    # entries; both lengths are even, so the count is an
-                    # integer, and the length test above is zeros <= 2r.
-                    zeros = ((2 * r + 1) * n + 2 * r - length) // 2
-                    parsed = _parse(word, n, last, r, counter) if zeros >= 0 else None
-                    if parsed is not None:
-                        pattern = _pattern(word, n, last)
-                        params = OrsParams(pattern, r, *parsed)
-                        composed = ors_compose(params)
-                        if canonical_word(composed) != big.canon:
-                            raise AuditFailure(
-                                f"parsed parameters do not recompose to"
-                                f" {format_word(big.canon)}: {params}"
-                            )
-                        target = knot_from_word(pattern) if small is None else small
-                        audit = audit_params(params, composed)
-                        found.append(EpiWitness(big, target, params, audit))
-                        if stop_at_first:
-                            return found
-                    r += 1
+                counter.charge(word, n, last, 1)
+                # Largest r the crossings and the length allow; no r fits if
+                # even that r spells fewer than L entries, at most (2r+1)(n+1) - 1.
+                r_max = (min(big.crossing // crossing, (length - 1) // (n - 1)) - 1) // 2
+                if (2 * r_max + 1) * (n + 1) <= length:
+                    continue
+                parsed = _parse(word, n, last, r_max, counter)
+                if parsed is None:
+                    continue
+                pattern = _pattern(word, n, last)
+                params = OrsParams(pattern, *parsed)
+                composed = ors_compose(params)
+                if canonical_word(composed) != big.canon:
+                    raise AuditFailure(
+                        f"parsed parameters do not recompose to"
+                        f" {format_word(big.canon)}: {params}"
+                    )
+                target = knot_from_word(pattern) if small is None else small
+                audit = audit_params(params, composed)
+                found.append(EpiWitness(big, target, params, audit))
+                if stop_at_first:
+                    return found
     return sorted(found, key=EpiWitness.sort_key)
 
 

@@ -222,6 +222,14 @@ class TestEpi:
         assert code == EXIT_OK and "r=" in out  # 60001 = 29 * 2069
         assert time.monotonic() - start < 2
 
+    def test_periodic_word_search_is_linear(self, capsys):
+        # every small pattern of a word of one sign reads far into it;
+        # rereading the word for each r ran out of nodes at 6,000 entries
+        start = time.monotonic()
+        code, out, _ = run(capsys, "epi", "targets", ",".join(["2,4"] * 3000))
+        assert code == EXIT_OK and "r=" in out
+        assert time.monotonic() - start < 2
+
     def test_long_entry_bounds_the_search(self, capsys):
         # c > 10**9 allows r up to 10**8 by crossings; the word's length allows r = 1
         start = time.monotonic()

@@ -16,7 +16,6 @@ from bridgekit.contfrac import (
     format_fraction,
     format_word,
     negate,
-    parse_fraction,
     parse_word,
     rev_neg,
     reverse,
@@ -191,6 +190,3 @@ class TestTextFormats:
     def test_fractions(self):
         assert format_fraction(Fraction(26, 45)) == "26/45"
         assert format_fraction(Fraction(3)) == "3"
-        assert parse_fraction("26/45") == Fraction(26, 45)
-        with pytest.raises(WordParseError):
-            parse_fraction("26/45/2")

@@ -196,6 +196,15 @@ class TestSearch:
             epi_targets(TORUS15, SearchBudget(max_nodes=3))
         assert isinstance(info.value.partial, list)
 
+    def test_periodic_word_within_default_budget(self):
+        # every small pattern of a word of one sign reads far into it;
+        # rereading the word for each r ran out of nodes at 6,000 entries
+        big = knot_from_word((2, 4) * 3000)
+        witnesses = epi_targets(big, SearchBudget())
+        assert witnesses
+        for witness in witnesses:
+            assert canonical_word(ors_compose(witness.params)) == big.canon
+
     def test_deterministic_order(self):
         big = knot_from_word((2, -2, 2, -2, 2, -4, 2, -2))
         assert epi_targets(big) == epi_targets(big)
