@@ -1,11 +1,12 @@
-"""Closed-form minimality classification for braid index 2, 3, 4.
+"""Closed-form minimality classification for braid index 2, 3, 4, and Table 1.
 
-Any epimorphic image of a knot with braid index at most 4 is forced to
-have braid index 2, i.e. to be a 2-strand torus knot.  That pins down
-the shape a non-minimal word can take: an interleaving of strictly
-alternating blocks leaves at most two marked spots, either an enlarged
-magnitude (a connector entry of 4 or 6, or a merged pair) or a repeated
-sign (a flipped block), at arithmetically constrained positions.
+An epimorphism G(K) -> G(K') forces braid(K) >= 3 braid(K') - 4, so
+any epimorphic image of a knot with braid index at most 4 has braid
+index 2, i.e. is a 2-strand torus knot.  That pins down the shape a
+non-minimal word can take: an interleaving of strictly alternating
+blocks leaves at most two marked spots, either an enlarged magnitude (a
+connector entry of 4 or 6, or a merged pair) or a repeated sign (a
+flipped block), at arithmetically constrained positions.
 
 Words with braid index 3 or 4 therefore fall into a handful of shapes
 (one 4; one sign repeat; one 6; two 4s; a 4 plus a sign repeat; two
@@ -19,21 +20,37 @@ implementations cross-validate each other.
 Patterns are stated for a positive leading entry and up to mirror
 image, so words are first normalized within their four-word mirror
 orbit.  All positions are 1-based.
+
+Table 1 lists the non-minimal knots with braid index <= 4.  By the same
+inequality they are exactly the knots spelled by ORS words onto the
+torus knots T(2m+1, 2), whose words are (2, -2, ..., 2, -2) and its
+negation, the mirror image.  So `table1` generates those words, pruned
+by crossing number and braid index, rather than classifying every knot
+of braid index <= 4: the work follows the rows, not the census.  Each
+row is still tagged by the clauses and named by the search, and a
+generated word that either decision calls minimal is an AuditFailure.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .census import enumerate_words, is_mirror_representative
 from .contfrac import Word, check_even_word, format_word
-from .epim import OrsParams, SearchBudget, epi_targets
-from .knot import braid_index, display_name, knot_from_word, mirror_orbit
+from .epim import AuditFailure, OrsParams, SearchBudget, epi_targets
+from .knot import (
+    braid_index,
+    canonical_word,
+    display_name,
+    knot_from_word,
+    mirror_canonical_word,
+    mirror_orbit,
+)
 
-# table1's cost grows about as c^4.5: 0.5 s at c_max = 34, 1.4 s at 45 and
-# 4.4 s at 60 on a 2-vCPU host, and about twice that with up_to_mirror=False.
+# table1's rows grow about as c^3 (577 at c_max = 30, 1,902 at 45), and each
+# row's search grows with c: 0.2 s at 30 and 0.7 s at 45 on a 2-vCPU host,
+# and 1.2-1.5 s at 45 with up_to_mirror=False.
 TABLE1_C_MAX = 45
 
 KIND_ORDER = ("TORUS", "3A1", "3A2", "3B", "4A", "4B1", "4B2", "4B3", "4C1", "4C2", "4D")
@@ -343,36 +360,99 @@ def _display_word(word: Word) -> Word:
     return min(_positive_candidates(word))
 
 
+def _ors_words(c_max: int) -> Iterator[tuple[OrsParams, Word]]:
+    """Every ORS word onto a 2-strand torus knot with crossing <= c_max and braid <= 4.
+
+    The target T(2m+1, 2) is the word (2, -2, ..., 2, -2) of length 2m;
+    its 2r+1 >= 3 blocks cost at least 3(2m+1) crossings.
+    """
+    for m in range(1, (c_max // 3 - 1) // 2 + 1):
+        yield from _ors_words_onto(m, c_max)
+
+
+def _ors_words_onto(m: int, c_max: int) -> Iterator[tuple[OrsParams, Word]]:
+    """The ORS words onto (2, -2) * m within the bounds, depth first.
+
+    The walk appends one connector and block at a time and carries the
+    prefix's sum of magnitudes and sign changes, hence its crossing
+    number and braid index.  Neither ever decreases: an appended entry
+    adds |e| >= 2 and at most one sign change, and a zero connector
+    doubles the boundary entry, which keeps its sign.  So a prefix past
+    either bound is pruned with all its extensions, and so is every
+    larger |c_j| with the same signs, which is what ends the connector loop.
+    """
+    target = (2, -2) * m
+    # block j+1 follows connector j: the reversal for odd j (1-based)
+    bodies = {
+        (parity, sign): tuple(sign * e for e in block)
+        for parity, block in enumerate(((-2, 2) * m, target))
+        for sign in (1, -1)
+    }
+
+    def within(total: int, changes: int) -> bool:
+        return total - changes <= c_max and total // 2 - changes + 1 <= 4
+
+    def walk(word, eps, cvec, total, changes):
+        if cvec and len(cvec) % 2 == 0:
+            yield OrsParams(target, len(cvec) // 2, eps, cvec), word
+        edge = word[-1]
+        for sign in (1, -1):
+            body = bodies[len(cvec) % 2, sign]
+            # a block adds 4m to the magnitudes and 2m - 1 sign changes
+            grown, inner = total + 4 * m, changes + 2 * m - 1
+            if sign == eps[-1] and within(grown, inner):
+                merged = word[:-1] + (2 * edge,) + body[1:]
+                yield from walk(merged, eps + (sign,), cvec + (0,), grown, inner)
+            for direction in (1, -1):
+                x = 2 * direction
+                flips = inner + (edge * x < 0) + (x * body[0] < 0)
+                while within(grown + abs(x), flips):
+                    yield from walk(
+                        word + (x,) + body, eps + (sign,), cvec + (x // 2,),
+                        grown + abs(x), flips,
+                    )
+                    x += 2 * direction
+
+    yield from walk(target, (1,), (), 4 * m, 2 * m - 1)
+
+
 def table1(
     c_max: int, *, up_to_mirror: bool = True, budget: SearchBudget | None = None
 ) -> list[Table1Row]:
     """All non-minimal knots with braid index <= 4 and crossing <= c_max.
 
-    Type tags come from the closed-form clauses, image names from the
-    epimorphism search; the two must tell the same minimality story, and
-    any divergence shows up as a diff against the bundled reference.
+    An epimorphism onto K' forces braid(K) >= 3 braid(K') - 4, so every
+    image of a knot with braid index <= 4 has braid index 2: it is a
+    torus knot T(2m+1, 2).  The rows are therefore the classes of the
+    ORS words onto those targets, one per mirror class (or per knot with
+    ``up_to_mirror=False``), the negated target being the mirror image.
+    Type tags still come from the closed-form clauses and image names
+    from the epimorphism search; a generated word that either decision
+    calls minimal raises AuditFailure.
     """
-    if c_max < 3:
-        return []
     rows = []
-    for c in range(3, c_max + 1):
-        for braid in (2, 3, 4):
-            ell = c - 2 * (braid - 1)
-            if ell < 0:
+    seen: set[Word] = set()
+    for _, word in _ors_words(c_max):
+        if up_to_mirror:
+            reps = {mirror_canonical_word(word)}
+        else:
+            reps = {canonical_word(w) for w in mirror_orbit(word)}
+        for rep in reps:
+            if rep in seen:
                 continue
-            for word in enumerate_words(c, ell=ell):
-                if up_to_mirror and not is_mirror_representative(word):
-                    continue
-                matches = nonminimal_matches(word)
-                if not matches:
-                    continue
-                knot = knot_from_word(word)
-                witnesses = epi_targets(knot, budget)
-                images = tuple(sorted({display_name(w.small) for w in witnesses}))
-                display = _display_word(word) if up_to_mirror else word
-                rows.append(
-                    Table1Row(braid, matches[0].label, c, display, images, matches)
-                )
+            seen.add(rep)
+            matches = nonminimal_matches(rep)
+            if not matches:
+                raise AuditFailure(f"ORS word {format_word(rep)} matches no clause")
+            knot = knot_from_word(rep)
+            witnesses = epi_targets(knot, budget)
+            if not witnesses:
+                raise AuditFailure(f"the search finds no image of ORS word {format_word(rep)}")
+            images = tuple(sorted({display_name(w.small) for w in witnesses}))
+            display = _display_word(rep) if up_to_mirror else rep
+            rows.append(
+                Table1Row(knot.braid, matches[0].label, knot.crossing, display, images, matches)
+            )
     rows.sort(key=lambda row: (row.braid, row.kind, row.crossing, row.images, row.word))
     return rows
 

@@ -102,11 +102,6 @@ def knot_from_word(word: Word) -> KnotClass:
     )
 
 
-def mirror_class(knot: KnotClass) -> KnotClass:
-    """The knot's class up to mirror image, as the class of its mirror-canonical word."""
-    return knot_from_word(mirror_canonical_word(knot.canon))
-
-
 def is_torus_two_strand(knot: KnotClass) -> int | None:
     """Odd parameter p of the 2-strand torus knot T(p, 2), or None.
 

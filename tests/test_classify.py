@@ -1,11 +1,16 @@
 """Shape detection, closed-form minimality clauses, and the reference table."""
 
+import hashlib
+
 import pytest
 
-from bridgekit.census import enumerate_words
+from bridgekit import classify
+from bridgekit.census import enumerate_words, is_mirror_representative
 from bridgekit.classify import (
     COLUMNS,
+    TABLE1_C_MAX,
     TABLE1_REFERENCE,
+    Table1Row,
     nonminimal_matches,
     nonminimal_type,
     reconstruct_params,
@@ -15,9 +20,26 @@ from bridgekit.classify import (
     table1,
     table1_diff,
 )
-from bridgekit.cli import format_table
-from bridgekit.epim import is_minimal, ors_compose
-from bridgekit.knot import canonical_word, knot_from_word
+from bridgekit.cli import EXIT_MISMATCH, EXIT_OK, format_table, main
+from bridgekit.epim import AuditFailure, epi_targets, is_minimal, ors_compose
+from bridgekit.knot import (
+    braid_index,
+    canonical_word,
+    crossing_number,
+    display_name,
+    knot_from_word,
+    mirror_orbit,
+)
+
+# stdout past the golden horizon (table1 --max-c 13), recorded while
+# table1 still classified every braid <= 4 knot
+TABLE1_BEYOND_GOLDEN = {
+    "table1 --max-c 30": "a13fddaa44d6018f72a4229c5d36e5945b6b78b75eae48cb09bc366c24e14e33",
+    "--format json table1 --max-c 20 --chiral": (
+        "809ac8e28572ff8264390c84e4a0ddc8bfa786359fbc36c865524bd2834bbe85"
+    ),
+}
+ORACLE_C_MAX = 24
 
 
 def braid_slice(c, braid):
@@ -150,6 +172,81 @@ class TestTable:
         rows = table1(16)
         assert any(row.crossing == 16 for row in rows)
         assert table1_diff(rows, c_max=16) == []
+
+
+def enumerated_table1(c_max, *, up_to_mirror=True):
+    """The table as built before its rows came from ORS words.
+
+    Runs the clause classifier on every braid <= 4 knot with crossing
+    <= c_max and keeps the non-minimal ones.
+    """
+    rows = []
+    for c in range(3, c_max + 1):
+        for braid in (2, 3, 4):
+            for word in braid_slice(c, braid):
+                if up_to_mirror and not is_mirror_representative(word):
+                    continue
+                matches = nonminimal_matches(word)
+                if not matches:
+                    continue
+                witnesses = epi_targets(knot_from_word(word))
+                images = tuple(sorted({display_name(w.small) for w in witnesses}))
+                display = (
+                    min(w for w in mirror_orbit(word) if w[0] > 0) if up_to_mirror else word
+                )
+                rows.append(Table1Row(braid, matches[0].label, c, display, images, matches))
+    rows.sort(key=lambda row: (row.braid, row.kind, row.crossing, row.images, row.word))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def enumerated_rows():
+    return {mode: enumerated_table1(ORACLE_C_MAX, up_to_mirror=mode) for mode in (True, False)}
+
+
+class TestGeneratedTable:
+    @pytest.mark.parametrize("up_to_mirror", [True, False])
+    @pytest.mark.parametrize("c_max", range(3, ORACLE_C_MAX + 1))
+    def test_rows_match_enumerate_and_classify(self, enumerated_rows, c_max, up_to_mirror):
+        # the oracle loops over c and sorts, so its rows for c_max are
+        # those of ORACLE_C_MAX with crossing <= c_max
+        expected = [
+            (row, row.matches)
+            for row in enumerated_rows[up_to_mirror]
+            if row.crossing <= c_max
+        ]
+        got = table1(c_max, up_to_mirror=up_to_mirror)
+        assert [(row, row.matches) for row in got] == expected
+
+    @pytest.mark.parametrize("c_max", [13, 30, TABLE1_C_MAX])
+    def test_generated_words_within_bounds(self, c_max):
+        generated = list(classify._ors_words(c_max))
+        assert generated
+        for params, word in generated:
+            assert crossing_number(word) <= c_max
+            assert braid_index(word) <= 4
+            assert ors_compose(params) == word
+
+    def test_clause_miss_is_an_audit_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(classify, "nonminimal_matches", lambda word: ())
+        with pytest.raises(AuditFailure):
+            table1(9)
+        assert main(["table1", "--max-c", "9"]) == EXIT_MISMATCH
+        assert "matches no clause" in capsys.readouterr().err
+
+    def test_search_miss_is_an_audit_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(classify, "epi_targets", lambda knot, budget=None: [])
+        with pytest.raises(AuditFailure):
+            table1(9)
+        assert main(["table1", "--max-c", "9"]) == EXIT_MISMATCH
+        assert "finds no image" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(TABLE1_BEYOND_GOLDEN))
+    def test_stdout_matches_recorded_digest(self, command, capsys):
+        code = main(command.split(" "))
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == TABLE1_BEYOND_GOLDEN[command]
 
 
 class TestEmission:

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,19 @@ def run(capsys, *argv):
 
 
 class TestInvariants:
+    def test_runs_as_a_module_from_the_source_tree(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bridgekit", "invariants", "2,-4,4,-2"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_OK
+        assert "crossing: 9" in proc.stdout
+
     def test_reference_word(self, capsys):
         code, out, _ = run(capsys, "invariants", "2,-4,4,-2")
         assert code == EXIT_OK

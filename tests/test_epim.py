@@ -196,6 +196,14 @@ class TestSearch:
             epi_targets(TORUS15, SearchBudget(max_nodes=3))
         assert isinstance(info.value.partial, list)
 
+    def test_crossing_cap_skips_unreadable_patterns(self):
+        # T(13,2) onto the trefoil: the crossings allow r <= 1, whose three
+        # blocks spell at most 8 of the 12 entries, so the pattern costs its
+        # one candidate node and is never read; bounded by length alone,
+        # r would reach 5 and the read would run past the budget
+        big = knot_from_word((2, -2) * 6)
+        assert epi_targets(big, SearchBudget(max_nodes=1)) == []
+
     def test_periodic_word_within_default_budget(self):
         # every small pattern of a word of one sign reads far into it;
         # rereading the word for each r ran out of nodes at 6,000 entries

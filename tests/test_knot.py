@@ -17,7 +17,7 @@ from bridgekit.knot import (
     KnotClass,
     is_torus_two_strand,
     knot_from_word,
-    mirror_class,
+    mirror_canonical_word,
     mirror_orbit,
 )
 
@@ -25,6 +25,11 @@ halves = st.integers(min_value=-5, max_value=5).filter(lambda v: v != 0)
 even_words = st.lists(halves, min_size=2, max_size=12).map(
     lambda hs: tuple(2 * h for h in hs[: len(hs) // 2 * 2])
 )
+
+
+def mirror_class(knot):
+    """The knot's class up to mirror image, as the class of its mirror-canonical word."""
+    return knot_from_word(mirror_canonical_word(knot.canon))
 
 
 class TestInvariants:
