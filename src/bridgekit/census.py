@@ -176,13 +176,6 @@ def _rule(signs: tuple[int, ...]) -> _Rule:
     return signs[: len(signs) // 2], True
 
 
-def _raw_words(c: int, *, ell: int | None = None) -> Iterator[Word]:
-    """Every reduced even word with crossing number c, each exactly once."""
-    for _, _, parts, _, sign_vectors in _slices(c, ell):
-        for signs in sign_vectors:
-            yield from _words(signs, parts)
-
-
 def enumerate_words(c: int, *, ell: int | None = None) -> Iterator[Word]:
     """Canonical class representatives with crossing number c, one per knot.
 
@@ -205,17 +198,6 @@ def enumerate_words(c: int, *, ell: int | None = None) -> Iterator[Word]:
                     if (lt == (prefix[f] > 0) if f < len(prefix) else tail)
                 ]
             yield from _words(signs, kept)
-
-
-def is_mirror_representative(word: Word) -> bool:
-    """True iff this class-canonical word also represents its mirror pair.
-
-    The mirror knot's class is canonicalized by min(negate, reverse);
-    keeping only words at most that quotients the census by mirror
-    image, with equality covering the amphichiral case.  A word is at
-    most its negation exactly when its lead entry is negative.
-    """
-    return word[0] < 0 and word <= word[::-1]
 
 
 # ---------------------------------------------------------------------------

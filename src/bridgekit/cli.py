@@ -7,6 +7,9 @@ asks for a 12-digit rendering.
 
 Exit codes: 0 success, 2 verification mismatch, 3 parse or usage error,
 4 resource/budget bound.
+
+``main`` can be called repeatedly in one process; its parser is built
+once, on first use, and every call reads its config afresh.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import decimal
+import functools
 import io
 import json
 import os
@@ -321,7 +325,13 @@ def _shared_flags(default) -> argparse.ArgumentParser:
     return shared
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it.
+
+    Parsing neither changes it nor reads any config; bounds reach it only
+    through help strings.
+    """
     parser = argparse.ArgumentParser(
         prog="bridgekit",
         description="Exact two-bridge knot combinatorics: invariants, census, epimorphisms.",

@@ -55,9 +55,10 @@ from .knot import (
 )
 
 DEFAULT_SEARCH_BUDGET = 5_000_000
-# Longest word the CLI searches: at 100,000 entries knot_from_word (about
-# length^2) takes up to 1 s, and all of epi targets 0.25 s on T(100001,2)
-# and 3.4 s on 2,4 repeated, on a 2-vCPU host.  The budget bounds the search.
+# Longest word the CLI searches: at 100,000 entries epi targets, knot build
+# included, takes about 0.18 s on T(100001,2) and 3.2 s on 2,4 repeated, of
+# which knot_from_word (about length^2 there) is 0.9-1.2 s, on a 2-vCPU host.
+# The budget bounds the search.
 WORD_MAX = 100_000
 
 

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from bridgekit import classify
-from bridgekit.census import enumerate_words, is_mirror_representative
+from bridgekit.census import enumerate_words
 from bridgekit.classify import (
     COLUMNS,
     TABLE1_C_MAX,
@@ -30,6 +30,8 @@ from bridgekit.knot import (
     knot_from_word,
     mirror_orbit,
 )
+
+from _oracles import is_mirror_representative
 
 # stdout past the golden horizon (table1 --max-c 13), recorded while
 # table1 still classified every braid <= 4 knot

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output, formats, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -16,6 +17,7 @@ from bridgekit.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_RESOURCE,
+    build_parser,
     load_config,
     main,
 )
@@ -27,19 +29,35 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fresh_process(argv):
+    """(exit code, stdout, stderr) of the CLI run in a new interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bridgekit", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def in_process(capsys, *argv):
+    """Like run, but --help and usage errors give their exit code too."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestInvariants:
     def test_runs_as_a_module_from_the_source_tree(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "bridgekit", "invariants", "2,-4,4,-2"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=60,
-        )
-        assert proc.returncode == EXIT_OK
-        assert "crossing: 9" in proc.stdout
+        code, out, _ = fresh_process(["invariants", "2,-4,4,-2"])
+        assert code == EXIT_OK
+        assert "crossing: 9" in out
 
     def test_reference_word(self, capsys):
         code, out, _ = run(capsys, "invariants", "2,-4,4,-2")
@@ -457,3 +475,81 @@ class TestConfig:
         code, _, err = run(capsys, "--ceiling", "2", "census", "3")
         assert code == EXIT_PARSE
         assert "configuration error" in err
+
+
+class TestRepeatedCalls:
+    """main builds its parser once per process; no call leaves state behind."""
+
+    T15 = ",".join(["2,-2"] * 7)
+    # its keys are the commands of the cli-tables benchmark basket
+    BASKET = Path(__file__).resolve().parent.parent / "bench" / "golden.json"
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        # help and usage text wrap at the terminal width; pin it for both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("BRIDGEKIT_CEILING", raising=False)
+
+    def test_no_parser_built_after_the_first_call(self, capsys, monkeypatch):
+        assert main(["invariants", "2,-2"]) == EXIT_OK
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        commands = json.loads(self.BASKET.read_text())
+        assert len(commands) == 15
+        for command in commands:
+            assert main(command.split(" ")) == EXIT_OK, command
+        assert built == []
+        # the counter does see a rebuild
+        build_parser.cache_clear()
+        assert main(["invariants", "2,-2"]) == EXIT_OK
+        assert len(built) > 10
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "first, second, codes, second_starts",
+        [
+            (
+                ["--format", "json", "invariants", "2,-2"],
+                ["invariants", "2,-2"],
+                (EXIT_OK, EXIT_OK),
+                "word: 2,-2\n",
+            ),
+            (
+                ["--budget", "1", "epi", "targets", T15],
+                ["epi", "targets", T15],
+                (EXIT_RESOURCE, EXIT_OK),
+                "targets of",
+            ),
+            (["census", "5", "--format", "csv"], ["census", "5"], (EXIT_OK, EXIT_OK), "| c |"),
+            (
+                ["census", "--no-such-flag", "5"],
+                ["invariants", "2,-4,4,-2"],
+                (EXIT_PARSE, EXIT_OK),
+                "word: 2,-4,4,-2\n",
+            ),
+            (["--help"], ["--help"], (EXIT_OK, EXIT_OK), "usage: bridgekit"),
+            (["epi", "--help"], ["epi", "--help"], (EXIT_OK, EXIT_OK), "usage: bridgekit epi"),
+        ],
+        ids=["format", "budget", "flag-after", "usage-error", "help", "epi-help"],
+    )
+    def test_second_call_matches_a_fresh_process(
+        self, capsys, first, second, codes, second_starts
+    ):
+        calls = [in_process(capsys, *first), in_process(capsys, *second)]
+        assert calls == [fresh_process(first), fresh_process(second)]
+        assert tuple(code for code, _, _ in calls) == codes
+        assert calls[1][1].startswith(second_starts)
+
+    def test_environment_is_read_on_every_call(self, capsys, monkeypatch):
+        argv = ["epi", "graph", "--max-c", "9"]
+        first = in_process(capsys, *argv)
+        assert first == fresh_process(argv) and first[0] == EXIT_OK
+        monkeypatch.setenv("BRIDGEKIT_CEILING", "8")
+        second = in_process(capsys, *argv)
+        assert second == fresh_process(argv) and second[0] == EXIT_RESOURCE
