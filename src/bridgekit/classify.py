@@ -27,8 +27,10 @@ torus knots T(2m+1, 2), whose words are (2, -2, ..., 2, -2) and its
 negation, the mirror image.  So `table1` generates those words, pruned
 by crossing number and braid index, rather than classifying every knot
 of braid index <= 4: the work follows the rows, not the census.  Each
-row is still tagged by the clauses and named by the search, and a
-generated word that either decision calls minimal is an AuditFailure.
+row is tagged by the clauses, and its images are the targets of the
+words that spell it, each word's parameters audited against the
+inequality; no search runs.  A generated word that the clauses call
+minimal, or whose audit fails, is an AuditFailure.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .contfrac import Word, check_even_word, format_word
-from .epim import AuditFailure, OrsParams, SearchBudget, epi_targets
+from .contfrac import Word, check_even_word, format_word, negate
+from .epim import AuditFailure, OrsParams, audit_params
 from .knot import (
     braid_index,
     canonical_word,
@@ -48,9 +50,9 @@ from .knot import (
     mirror_orbit,
 )
 
-# table1's rows grow about as c^3 (577 at c_max = 30, 1,902 at 45), and each
-# row's search grows with c: 0.2 s at 30 and 0.7 s at 45 on a 2-vCPU host,
-# and 1.2-1.5 s at 45 with up_to_mirror=False.
+# table1's rows grow about as c^3 (577 at c_max = 30, 1,902 at 45), and so
+# does its cost: 0.15 s at 30 and 0.4-0.6 s at 45 on a 2-vCPU host, and
+# 0.7-1.2 s at 45 with up_to_mirror=False.
 TABLE1_C_MAX = 45
 
 KIND_ORDER = ("TORUS", "3A1", "3A2", "3B", "4A", "4B1", "4B2", "4B3", "4C1", "4C2", "4D")
@@ -416,43 +418,36 @@ def _ors_words_onto(m: int, c_max: int) -> Iterator[tuple[OrsParams, Word]]:
     yield from walk(target, (1,), (), 4 * m, 2 * m - 1)
 
 
-def table1(
-    c_max: int, *, up_to_mirror: bool = True, budget: SearchBudget | None = None
-) -> list[Table1Row]:
+def table1(c_max: int, *, up_to_mirror: bool = True) -> list[Table1Row]:
     """All non-minimal knots with braid index <= 4 and crossing <= c_max.
 
     An epimorphism onto K' forces braid(K) >= 3 braid(K') - 4, so every
     image of a knot with braid index <= 4 has braid index 2: it is a
     torus knot T(2m+1, 2).  The rows are therefore the classes of the
     ORS words onto those targets, one per mirror class (or per knot with
-    ``up_to_mirror=False``), the negated target being the mirror image.
-    Type tags still come from the closed-form clauses and image names
-    from the epimorphism search; a generated word that either decision
-    calls minimal raises AuditFailure.
+    ``up_to_mirror=False``), and a row's images are the targets of the
+    words that spell it, negated where the row is the word's mirror
+    image.  Every generated parameter tuple is audited against the
+    inequality, type tags come from the closed-form clauses, and a row
+    the clauses call minimal raises AuditFailure.
     """
+    targets: dict[Word, set[Word]] = {}
+    for params, word in _ors_words(c_max):
+        audit_params(params, word)
+        lead = mirror_canonical_word(word)
+        for image, spelled in ((params.target, word), (negate(params.target), negate(word))):
+            rep = canonical_word(spelled)
+            if rep == lead or not up_to_mirror:
+                targets.setdefault(rep, set()).add(image)
     rows = []
-    seen: set[Word] = set()
-    for _, word in _ors_words(c_max):
-        if up_to_mirror:
-            reps = {mirror_canonical_word(word)}
-        else:
-            reps = {canonical_word(w) for w in mirror_orbit(word)}
-        for rep in reps:
-            if rep in seen:
-                continue
-            seen.add(rep)
-            matches = nonminimal_matches(rep)
-            if not matches:
-                raise AuditFailure(f"ORS word {format_word(rep)} matches no clause")
-            knot = knot_from_word(rep)
-            witnesses = epi_targets(knot, budget)
-            if not witnesses:
-                raise AuditFailure(f"the search finds no image of ORS word {format_word(rep)}")
-            images = tuple(sorted({display_name(w.small) for w in witnesses}))
-            display = _display_word(rep) if up_to_mirror else rep
-            rows.append(
-                Table1Row(knot.braid, matches[0].label, knot.crossing, display, images, matches)
-            )
+    for rep, images in targets.items():
+        matches = nonminimal_matches(rep)
+        if not matches:
+            raise AuditFailure(f"ORS word {format_word(rep)} matches no clause")
+        knot = knot_from_word(rep)
+        names = tuple(sorted({display_name(knot_from_word(image)) for image in images}))
+        display = _display_word(rep) if up_to_mirror else rep
+        rows.append(Table1Row(knot.braid, matches[0].label, knot.crossing, display, names, matches))
     rows.sort(key=lambda row: (row.braid, row.kind, row.crossing, row.images, row.word))
     return rows
 

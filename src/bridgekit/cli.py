@@ -118,6 +118,12 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def _check_max_c(max_c: int) -> None:
+    """Refuse a --max-c below 3, the smallest crossing number of a knot."""
+    if max_c < 3:
+        raise ValueError(f"--max-c {max_c} is below 3, the smallest crossing number")
+
+
 def format_table(
     columns: tuple[str, ...], rows: list[tuple[str, ...]], output_format: str
 ) -> str:
@@ -255,6 +261,7 @@ def cmd_epi(config: Config, args) -> int:
             print(f"{format_word(knot.canon)}: not minimal (onto {' and '.join(names)})")
         return EXIT_OK
     if args.epi_command == "graph":
+        _check_max_c(args.max_c)
         if args.max_c > config.enumeration_ceiling:
             raise census.ResourceBound(
                 f"--max-c {args.max_c} exceeds ceiling {config.enumeration_ceiling}"
@@ -269,13 +276,12 @@ def cmd_epi(config: Config, args) -> int:
 
 
 def cmd_table1(config: Config, args) -> int:
+    _check_max_c(args.max_c)
     if args.max_c > classify.TABLE1_C_MAX:
         raise census.ResourceBound(
             f"--max-c {args.max_c} exceeds the table1 bound {classify.TABLE1_C_MAX}"
         )
-    rows = classify.table1(
-        args.max_c, up_to_mirror=not args.chiral, budget=config.budget()
-    )
+    rows = classify.table1(args.max_c, up_to_mirror=not args.chiral)
     if config.output_format == "json":
         print(classify.rows_to_json(rows))
     else:
@@ -373,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_epi)
 
     p = sub.add_parser("table1", help="non-minimal knots with braid index <= 4", parents=after)
-    bound = f"largest crossing number, at most {classify.TABLE1_C_MAX} (exit 4 above)"
+    bound = f"largest crossing number, 3 to {classify.TABLE1_C_MAX} (exit 3 below, 4 above)"
     p.add_argument("--max-c", type=int, default=15, help=bound)
     p.add_argument("--chiral", action="store_true", help="one row per chiral knot, no diff")
     p.set_defaults(func=cmd_table1)

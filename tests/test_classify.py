@@ -236,12 +236,23 @@ class TestGeneratedTable:
         assert main(["table1", "--max-c", "9"]) == EXIT_MISMATCH
         assert "matches no clause" in capsys.readouterr().err
 
-    def test_search_miss_is_an_audit_failure(self, monkeypatch, capsys):
-        monkeypatch.setattr(classify, "epi_targets", lambda knot, budget=None: [])
+    def test_audit_miss_is_an_audit_failure(self, monkeypatch, capsys):
+        def fail(params, composed=None):
+            raise AuditFailure(f"audit rejected {params}")
+
+        monkeypatch.setattr(classify, "audit_params", fail)
         with pytest.raises(AuditFailure):
             table1(9)
         assert main(["table1", "--max-c", "9"]) == EXIT_MISMATCH
-        assert "finds no image" in capsys.readouterr().err
+        assert "verification failed" in capsys.readouterr().err
+
+    def test_images_match_the_search_through_30(self):
+        # the images come from the generating words; the search finds them anew
+        rows = table1(30, up_to_mirror=False)
+        assert len(rows) == 1154
+        for row in rows:
+            witnesses = epi_targets(knot_from_word(row.word))
+            assert row.images == tuple(sorted({display_name(w.small) for w in witnesses}))
 
     @pytest.mark.parametrize("command", list(TABLE1_BEYOND_GOLDEN))
     def test_stdout_matches_recorded_digest(self, command, capsys):

@@ -327,6 +327,12 @@ class TestEpi:
         assert code == EXIT_RESOURCE
         assert "resource bound" in err
 
+    @pytest.mark.parametrize("max_c", ["2", "0", "-4"])
+    def test_graph_max_c_below_3_is_refused(self, capsys, max_c):
+        code, out, err = run(capsys, "epi", "graph", "--max-c", max_c)
+        assert code == EXIT_PARSE and out == ""
+        assert err == f"invalid input: --max-c {max_c} is below 3, the smallest crossing number\n"
+
 
 class TestTable1:
     def test_small_horizon(self, capsys):
@@ -343,6 +349,12 @@ class TestTable1:
         _, out, _ = run(capsys, "--format", "json", "table1", "--max-c", "9")
         payload = json.loads(out)
         assert [row["type"] for row in payload] == ["2", "3A2", "4B3"]
+
+    @pytest.mark.parametrize("max_c", ["2", "-4"])
+    def test_max_c_below_3_is_refused(self, capsys, max_c):
+        code, out, err = run(capsys, "table1", "--max-c", max_c)
+        assert code == EXIT_PARSE and out == ""
+        assert err == f"invalid input: --max-c {max_c} is below 3, the smallest crossing number\n"
 
     def test_max_c_above_bound_is_resource_error(self, capsys):
         start = time.perf_counter()

@@ -2,15 +2,21 @@
 
 Each test pairs the search with a method that shares none of its code:
 the clause classifier (braid index <= 4), primality (2-strand torus
-knots), and the Alexander polynomial, whose divisibility along an
-epimorphism shows in the determinant.
+knots), and the Alexander polynomial.  An epimorphism G(K) -> G(K')
+forces the Alexander polynomial of K' to divide that of K, so along
+every edge the determinant divides and, sharper, so does the Conway
+polynomial, computed here from the word by its own recurrence.  The
+Conway check also covers Table 1's images column, which comes from the
+generating words rather than from the search.
 """
 
+from itertools import zip_longest
+
 from bridgekit.census import enumerate_words
-from bridgekit.classify import nonminimal_matches
-from bridgekit.contfrac import eval_word
+from bridgekit.classify import nonminimal_matches, table1
+from bridgekit.contfrac import eval_word, parse_word
 from bridgekit.epim import epi_graph, is_minimal
-from bridgekit.knot import knot_from_word
+from bridgekit.knot import KNOT_NAMES, knot_from_word
 
 
 def is_prime(n):
@@ -19,6 +25,49 @@ def is_prime(n):
 
 def determinant(knot):
     return eval_word(knot.canon).denominator
+
+
+def conway(word):
+    """Conway polynomial of the word (2a_1, ..., 2a_n) as coefficients in w = z^2.
+
+    It is the continuant of (a_1 z, -a_2 z, a_3 z, ...).  A continuant of
+    k entries has the parity of k in z, so the even ones are kept as
+    polynomials in w and the odd ones divided by z.
+    """
+    even, odd = [1], []  # continuants of the first k and k - 1 entries, k even
+    for k, entry in enumerate(word, start=1):
+        x = (-1) ** (k + 1) * entry // 2
+        if k % 2:
+            odd = add([x * c for c in even], odd)
+        else:
+            even = add([0] + [x * c for c in odd], even)
+    while even[-1] == 0:
+        even.pop()
+    return even
+
+
+def add(p, q):
+    return [a + b for a, b in zip_longest(p, q, fillvalue=0)]
+
+
+def divides(small, big):
+    """Whether ``small`` divides ``big`` in Z[w], by exact long division."""
+    rest = list(big)
+    for shift in range(len(big) - len(small), -1, -1):
+        quotient, remainder = divmod(rest[shift + len(small) - 1], small[-1])
+        if remainder:
+            return False
+        for i, c in enumerate(small):
+            rest[shift + i] -= quotient * c
+    return not any(rest)
+
+
+NAMED_WORDS = {label: word for word, label in KNOT_NAMES.items()}
+
+
+def torus_conway(name):
+    """Conway polynomial of a 2-strand torus knot given by its display name."""
+    return conway(NAMED_WORDS[name] if name in NAMED_WORDS else parse_word(name))
 
 
 def test_classifier_agrees_with_search_up_to_30_crossings():
@@ -46,3 +95,30 @@ def test_image_determinant_divides_source_determinant():
     assert len(graph.edges) > 100
     for big, small, _ in graph.edges:
         assert determinant(big) % determinant(small) == 0, (big.canon, small.canon)
+
+
+def test_conway_polynomial_sanity_up_to_14_crossings():
+    checked = 0
+    for c in range(3, 15):
+        for word in enumerate_words(c):
+            knot = knot_from_word(word)
+            poly = conway(word)
+            checked += 1
+            assert poly[0] == 1, word
+            assert abs(sum(a * (-4) ** k for k, a in enumerate(poly))) == determinant(knot), word
+            assert len(poly) - 1 == knot.genus, word
+    assert checked == 2772
+
+
+def test_image_conway_divides_source_conway():
+    graph = epi_graph(18)
+    assert len(graph.edges) == 1634
+    for big, small, _ in graph.edges:
+        assert divides(conway(small.canon), conway(big.canon)), (big.canon, small.canon)
+
+
+def test_table1_image_conway_divides_row_conway():
+    pairs = [(row.word, name) for row in table1(45, up_to_mirror=False) for name in row.images]
+    assert len(pairs) == 4080
+    for word, name in pairs:
+        assert divides(torus_conway(name), conway(word)), (word, name)
