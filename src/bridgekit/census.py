@@ -48,8 +48,6 @@ from typing import Iterator, Sequence
 
 from .contfrac import Word, format_fraction
 
-# The largest --max-c of epi graph, whose cost grows exponentially in c.
-DEFAULT_ENUM_CEILING = 22
 # verify_identities' cost grows about as n^4: 1.8 s at n_max = 200,
 # 7.8 s at 300 and 26 s at 400 on a 2-vCPU host.
 IDENTITIES_N_MAX = 300
@@ -61,8 +59,9 @@ FORMULAS_C_MAX = 500
 
 
 class ResourceBound(RuntimeError):
-    """A request above a size bound: the enumeration ceiling, FORMULAS_C_MAX,
-    IDENTITIES_N_MAX, epim.WORD_MAX or classify.TABLE1_C_MAX."""
+    """A request above a size bound: the epi graph ceiling (--ceiling, default
+    epim.DEFAULT_ENUM_CEILING), FORMULAS_C_MAX, IDENTITIES_N_MAX, epim.WORD_MAX
+    or classify.TABLE1_C_MAX."""
 
 
 class NonIntegralFormula(ArithmeticError):
@@ -124,17 +123,15 @@ def _partitions(c: int, ell: int | None = None) -> Iterator[tuple[int, int]]:
 
 def _slices(
     c: int, ell: int | None
-) -> Iterator[
-    tuple[int, int, list[tuple[int, ...]], list[tuple[int, bool]], Iterator[tuple[int, ...]]]
-]:
-    """Each (m, ell) slice as m, ell, its compositions, their profiles and its sign vectors.
+) -> Iterator[tuple[list[tuple[int, ...]], list[tuple[int, bool]], Iterator[tuple[int, ...]]]]:
+    """Each (m, ell) slice as its compositions, their profiles and its sign vectors.
 
     The compositions and their profiles are built once per slice and
     shared by all of its sign vectors.
     """
     for m, ell_value in _partitions(c, ell):
         parts = _compositions((c + ell_value) // 2, 2 * m)
-        yield m, ell_value, parts, list(map(_profile, parts)), _sign_vectors(2 * m, ell_value)
+        yield parts, list(map(_profile, parts)), _sign_vectors(2 * m, ell_value)
 
 
 def _words(signs: tuple[int, ...], parts: list[tuple[int, ...]]) -> Iterator[Word]:
@@ -185,7 +182,7 @@ def enumerate_words(c: int, *, ell: int | None = None) -> Iterator[Word]:
     """
     if c < 3:
         raise ValueError(f"crossing number must be >= 3, got {c}")
-    for _, _, parts, profiles, sign_vectors in _slices(c, ell):
+    for parts, profiles, sign_vectors in _slices(c, ell):
         canonical: dict[_Rule, list[tuple[int, ...]]] = {}
         for signs in sign_vectors:
             rule = _rule(signs)
@@ -653,7 +650,9 @@ def row_cells(
     return cells[:1] + cells[4:] if up_to_mirror else cells
 
 
-def rows_to_json(rows: Sequence[CensusRow], *, up_to_mirror: bool = False) -> str:
+def rows_to_json(
+    rows: Sequence[CensusRow], fmt=format_fraction, *, up_to_mirror: bool = False
+) -> str:
     payload = [
         {
             "c": row.c,
@@ -661,9 +660,9 @@ def rows_to_json(rows: Sequence[CensusRow], *, up_to_mirror: bool = False) -> st
             "ts": row.ts,
             "tk_star": row.tk_star,
             "ts_star": row.ts_star,
-            "avg_braid": format_fraction(row.avg_braid),
-            "avg_braid_star": format_fraction(row.avg_braid_star),
-            "avg_genus": format_fraction(row.avg_genus),
+            "avg_braid": fmt(row.avg_braid),
+            "avg_braid_star": fmt(row.avg_braid_star),
+            "avg_genus": fmt(row.avg_genus),
             "by_ell": {str(entry.ell): entry.count for entry in row.by_ell},
         }
         for row in rows

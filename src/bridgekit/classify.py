@@ -95,9 +95,6 @@ class NonminimalType:
     def label(self) -> str:
         return "2" if self.kind == "TORUS" else self.kind
 
-    def params_tuple(self) -> tuple:
-        return (self.r, self.m, self.i0, self.i1, self.j0, self.j1)
-
     def sort_key(self):
         return (
             KIND_ORDER.index(self.kind),

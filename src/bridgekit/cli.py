@@ -8,8 +8,9 @@ asks for a 12-digit rendering.
 Exit codes: 0 success, 2 verification mismatch, 3 parse or usage error,
 4 resource/budget bound.
 
-``main`` can be called repeatedly in one process; its parser is built
-once, on first use, and every call reads its config afresh.
+Each setting comes only from its flag, given before or after the
+subcommand.  ``main`` can be called repeatedly in one process; its
+parser is built once, on first use, and no call leaves state behind.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ import decimal
 import functools
 import io
 import json
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import census, classify, epim
@@ -54,49 +53,8 @@ RENDERS = {
 }
 
 
-@dataclass
-class Config:
-    enumeration_ceiling: int = census.DEFAULT_ENUM_CEILING
-    search_budget: int = epim.DEFAULT_SEARCH_BUDGET
-    output_format: str = "md"
-    decimal: bool = False
-
-    def validate(self) -> None:
-        if self.enumeration_ceiling < 3:
-            raise ValueError("enumeration_ceiling must be >= 3")
-        if self.search_budget < 1:
-            raise ValueError("search_budget must be positive")
-        if self.output_format not in FORMATS:
-            raise ValueError(f"output_format must be one of {FORMATS}")
-
-    def budget(self) -> epim.SearchBudget:
-        return epim.SearchBudget(max_nodes=self.search_budget)
-
-
-def load_config(path: str | None, env=os.environ) -> Config:
-    config = Config()
-    if path:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = (part.strip() for part in line.partition("="))
-                if key in ("enumeration_ceiling", "search_budget"):
-                    setattr(config, key, int(value))
-                elif key == "output_format":
-                    config.output_format = value
-                else:
-                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-    if "BRIDGEKIT_CEILING" in env:
-        config.enumeration_ceiling = int(env["BRIDGEKIT_CEILING"])
-    return config
-
-
-def _fraction_formatter(config: Config):
-    if not config.decimal:
+def _fraction_formatter(digits: bool):
+    if not digits:
         return format_fraction
 
     def fmt(value: Fraction) -> str:
@@ -147,11 +105,11 @@ def format_table(
 # ---------------------------------------------------------------------------
 
 
-def cmd_invariants(config: Config, args) -> int:
+def cmd_invariants(args) -> int:
     word = parse_word(args.word)
     knot = knot_from_word(word)
     torus = is_torus_two_strand(knot)
-    fmt = _fraction_formatter(config)
+    fmt = _fraction_formatter(args.decimal)
     fields = [
         ("word", format_word(word)),
         ("canonical", format_word(knot.canon)),
@@ -163,7 +121,7 @@ def cmd_invariants(config: Config, args) -> int:
         ("sign changes", knot.signchg),
         ("torus", f"T({torus},2)" if torus else "-"),
     ]
-    if config.output_format == "json":
+    if args.format == "json":
         print(json.dumps(dict(fields), indent=2))
     else:
         for key, value in fields:
@@ -171,7 +129,7 @@ def cmd_invariants(config: Config, args) -> int:
     return EXIT_OK
 
 
-def cmd_census(config: Config, args) -> int:
+def cmd_census(args) -> int:
     crossings = _parse_range(args.range)
     if args.formulas_only and args.verify:
         raise ValueError(
@@ -185,15 +143,15 @@ def cmd_census(config: Config, args) -> int:
     count = census.closed_row if args.formulas_only else census.brute_counts
     rows = [count(c) for c in crossings]
     mirror = args.up_to_mirror
-    if config.output_format == "json":
-        print(census.rows_to_json(rows, up_to_mirror=mirror))
+    fmt = _fraction_formatter(args.decimal)
+    if args.format == "json":
+        print(census.rows_to_json(rows, fmt, up_to_mirror=mirror))
     else:
-        fmt = _fraction_formatter(config)
         print(
             format_table(
                 census.MIRROR_COLUMNS if mirror else census.COLUMNS,
                 [census.row_cells(row, fmt, up_to_mirror=mirror) for row in rows],
-                config.output_format,
+                args.format,
             )
         )
     if args.verify:
@@ -230,12 +188,11 @@ def _epi_knot(text: str):
     return knot_from_word(word)
 
 
-def cmd_epi(config: Config, args) -> int:
-    budget = config.budget()
+def cmd_epi(args) -> int:
     if args.epi_command == "targets":
         knot = _epi_knot(args.word)
-        witnesses = epim.epi_targets(knot, budget)
-        if config.output_format == "json":
+        witnesses = epim.epi_targets(knot, args.budget)
+        if args.format == "json":
             print(json.dumps([w.to_json() for w in witnesses], indent=2))
         else:
             names = sorted({display_name(w.small) for w in witnesses})
@@ -245,7 +202,7 @@ def cmd_epi(config: Config, args) -> int:
     if args.epi_command == "check":
         big = _epi_knot(args.big)
         small = _epi_knot(args.small)
-        witness = epim.admits_epi(big, small, budget)
+        witness = epim.admits_epi(big, small, args.budget)
         if witness is None:
             print(f"no epimorphism {format_word(big.canon)} -> {format_word(small.canon)}")
         else:
@@ -253,7 +210,7 @@ def cmd_epi(config: Config, args) -> int:
         return EXIT_OK
     if args.epi_command == "minimal":
         knot = _epi_knot(args.word)
-        witnesses = epim.epi_targets(knot, budget)
+        witnesses = epim.epi_targets(knot, args.budget)
         if not witnesses:
             print(f"{format_word(knot.canon)}: minimal")
         else:
@@ -262,12 +219,10 @@ def cmd_epi(config: Config, args) -> int:
         return EXIT_OK
     if args.epi_command == "graph":
         _check_max_c(args.max_c)
-        if args.max_c > config.enumeration_ceiling:
-            raise census.ResourceBound(
-                f"--max-c {args.max_c} exceeds ceiling {config.enumeration_ceiling}"
-            )
-        graph = epim.epi_graph(args.max_c, budget)
-        if config.output_format == "json":
+        if args.max_c > args.ceiling:
+            raise census.ResourceBound(f"--max-c {args.max_c} exceeds ceiling {args.ceiling}")
+        graph = epim.epi_graph(args.max_c, args.budget)
+        if args.format == "json":
             print(epim.graph_to_json(graph))
         else:
             print(epim.graph_to_dot(graph))
@@ -275,18 +230,18 @@ def cmd_epi(config: Config, args) -> int:
     raise AssertionError(f"unhandled epi subcommand {args.epi_command}")
 
 
-def cmd_table1(config: Config, args) -> int:
+def cmd_table1(args) -> int:
     _check_max_c(args.max_c)
     if args.max_c > classify.TABLE1_C_MAX:
         raise census.ResourceBound(
             f"--max-c {args.max_c} exceeds the table1 bound {classify.TABLE1_C_MAX}"
         )
     rows = classify.table1(args.max_c, up_to_mirror=not args.chiral)
-    if config.output_format == "json":
+    if args.format == "json":
         print(classify.rows_to_json(rows))
     else:
         cells = [classify.row_cells(row) for row in rows]
-        print(format_table(classify.COLUMNS, cells, config.output_format))
+        print(format_table(classify.COLUMNS, cells, args.format))
     if args.chiral:
         return EXIT_OK
     diff = classify.table1_diff(rows, c_max=args.max_c)
@@ -295,12 +250,12 @@ def cmd_table1(config: Config, args) -> int:
             print(f"table1 diff: {line}", file=sys.stderr)
         return EXIT_MISMATCH
     # keep stdout machine-clean for structured formats
-    stream = sys.stdout if config.output_format == "md" else sys.stderr
+    stream = sys.stdout if args.format == "md" else sys.stderr
     print(f"diff vs reference (c <= {min(args.max_c, 15)}): empty", file=stream)
     return EXIT_OK
 
 
-def cmd_identities(config: Config, args) -> int:
+def cmd_identities(args) -> int:
     checks = census.verify_identities(args.n_max)
     failed = False
     for check in checks:
@@ -320,11 +275,11 @@ def _shared_flags(default) -> argparse.ArgumentParser:
     """Flags accepted before and after the subcommand.  The copies after it
     default to SUPPRESS, so that a flag given only before keeps its value."""
     shared = argparse.ArgumentParser(add_help=False, argument_default=default)
-    shared.add_argument("--config", help="key=value config file")
     shared.add_argument("--format", choices=FORMATS, help="output format")
-    ceiling = f"largest epi graph --max-c (default {census.DEFAULT_ENUM_CEILING}, exit 4 above)"
+    ceiling = f"largest epi graph --max-c (default {epim.DEFAULT_ENUM_CEILING}, exit 4 above)"
     shared.add_argument("--ceiling", type=int, help=ceiling)
-    shared.add_argument("--budget", type=int, help="search node budget override")
+    budget = f"epi search node budget (default {epim.DEFAULT_SEARCH_BUDGET}, exit 4 when spent)"
+    shared.add_argument("--budget", type=int, help=budget)
     shared.add_argument(
         "--decimal", action="store_true", help="render fractions with 12 significant digits"
     )
@@ -335,8 +290,7 @@ def _shared_flags(default) -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared after it.
 
-    Parsing neither changes it nor reads any config; bounds reach it only
-    through help strings.
+    Parsing does not change it; bounds reach it only through help strings.
     """
     parser = argparse.ArgumentParser(
         prog="bridgekit",
@@ -399,29 +353,26 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse's usage-error code 2 means a mismatch here
         raise SystemExit(EXIT_PARSE if exc.code == 2 else exc.code) from None
     command = f"epi {args.epi_command}" if args.command == "epi" else args.command
-    try:
-        config = load_config(args.config)
-        if args.format:
-            config.output_format = args.format
-        elif command == "epi graph":
-            config.output_format = "dot"
-        if args.ceiling is not None:
-            config.enumeration_ceiling = args.ceiling
-        if args.budget is not None:
-            config.search_budget = args.budget
-        config.decimal = args.decimal
-        config.validate()
-        renders = RENDERS[command]
-        if config.output_format not in renders:
-            raise ValueError(
-                f"{command} cannot render {config.output_format} "
-                f"(it renders {', '.join(renders)})"
-            )
-    except (ValueError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    if args.format is None:
+        args.format = "dot" if command == "epi graph" else "md"
+    if args.ceiling is None:
+        args.ceiling = epim.DEFAULT_ENUM_CEILING
+    if args.budget is None:
+        args.budget = epim.DEFAULT_SEARCH_BUDGET
+    renders = RENDERS[command]
+    if args.ceiling < 3:
+        problem = f"--ceiling {args.ceiling} is below 3"
+    elif args.budget < 1:
+        problem = f"--budget {args.budget} is not positive"
+    elif args.format not in renders:
+        problem = f"{command} cannot render {args.format} (it renders {', '.join(renders)})"
+    else:
+        problem = None
+    if problem:
+        print(f"configuration error: {problem}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        return args.func(config, args)
+        return args.func(args)
     except WordParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

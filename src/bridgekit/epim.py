@@ -54,6 +54,8 @@ from .knot import (
     knot_from_word,
 )
 
+# The largest --max-c of epi graph, whose cost grows exponentially in c.
+DEFAULT_ENUM_CEILING = 22
 DEFAULT_SEARCH_BUDGET = 5_000_000
 # Longest word the CLI searches: at 100,000 entries epi targets, knot build
 # included, takes about 0.18 s on T(100001,2) and 3.2 s on 2,4 repeated, of
@@ -79,11 +81,6 @@ class BudgetExceeded(RuntimeError):
     def __init__(self, message: str, partial: list["EpiWitness"]):
         super().__init__(message)
         self.partial = partial
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    max_nodes: int = DEFAULT_SEARCH_BUDGET
 
 
 @dataclass(frozen=True)
@@ -220,12 +217,17 @@ def audit_params(params: OrsParams, composed: Word | None = None) -> InequalityA
     return audit
 
 
+def _recompose_and_audit(params: OrsParams, big: KnotClass) -> InequalityAudit:
+    """Audit ``params`` once they recompose to ``big``; AuditFailure if not."""
+    composed = ors_compose(params)
+    if canonical_word(composed) != big.canon:
+        raise AuditFailure(f"parameters do not recompose to {format_word(big.canon)}: {params}")
+    return audit_params(params, composed)
+
+
 def audit_inequality(witness: EpiWitness) -> InequalityAudit:
     """Re-derive the audit of a witness from scratch and verify it."""
-    composed = ors_compose(witness.params)
-    if canonical_word(composed) != witness.big.canon:
-        raise AuditFailure(f"witness does not recompose to its big knot: {witness}")
-    return audit_params(witness.params, composed)
+    return _recompose_and_audit(witness.params, witness.big)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +248,9 @@ class _NodeCounter:
 
     __slots__ = ("nodes", "limit", "found")
 
-    def __init__(self, budget: SearchBudget | None, found: list[EpiWitness]):
+    def __init__(self, max_nodes: int | None, found: list[EpiWitness]):
         self.nodes = 0
-        self.limit = budget.max_nodes if budget is not None else None
+        self.limit = max_nodes
         self.found = found
 
     def charge(self, word: Word, n: int, last: int, r: int) -> None:
@@ -315,14 +317,14 @@ def _parse(
 
 def _search(
     big: KnotClass,
-    budget: SearchBudget | None,
+    max_nodes: int | None,
     small: KnotClass | None = None,
     *,
     stop_at_first: bool = False,
 ) -> list[EpiWitness]:
     """Witnesses onto every proper target, or onto ``small`` only if given."""
     found: list[EpiWitness] = []
-    counter = _NodeCounter(budget, found)
+    counter = _NodeCounter(max_nodes, found)
     length = len(big.canon)
     wanted = None if small is None else _orientations(small.canon)
     # 2r+1 blocks of length n take at least (2r+1)(n-1)+1 entries, r >= 1
@@ -360,44 +362,38 @@ def _search(
                     continue
                 pattern = _pattern(word, n, last)
                 params = OrsParams(pattern, *parsed)
-                composed = ors_compose(params)
-                if canonical_word(composed) != big.canon:
-                    raise AuditFailure(
-                        f"parsed parameters do not recompose to"
-                        f" {format_word(big.canon)}: {params}"
-                    )
+                audit = _recompose_and_audit(params, big)
                 target = knot_from_word(pattern) if small is None else small
-                audit = audit_params(params, composed)
                 found.append(EpiWitness(big, target, params, audit))
                 if stop_at_first:
                     return found
     return sorted(found, key=EpiWitness.sort_key)
 
 
-def epi_targets(big: KnotClass, budget: SearchBudget | None = None) -> list[EpiWitness]:
+def epi_targets(big: KnotClass, max_nodes: int | None = None) -> list[EpiWitness]:
     """Every witness of an epimorphism from ``big`` onto a smaller knot.
 
     Exhaustive within the crossing-number bounds; sorted for
     reproducible output.  Raises BudgetExceeded (with partial results)
     if the node budget runs out.
     """
-    return _search(big, budget)
+    return _search(big, max_nodes)
 
 
 def admits_epi(
-    big: KnotClass, small: KnotClass, budget: SearchBudget | None = None
+    big: KnotClass, small: KnotClass, max_nodes: int | None = None
 ) -> EpiWitness | None:
     """First witness (in epi_targets order) mapping ``big`` onto ``small``.
 
     Proper targets only: returns None for small == big.
     """
-    witnesses = _search(big, budget, small)
+    witnesses = _search(big, max_nodes, small)
     return witnesses[0] if witnesses else None
 
 
-def is_minimal(big: KnotClass, budget: SearchBudget | None = None) -> bool:
+def is_minimal(big: KnotClass, max_nodes: int | None = None) -> bool:
     """True iff the knot's group surjects onto no smaller knot group."""
-    return not _search(big, budget, stop_at_first=True)
+    return not _search(big, max_nodes, stop_at_first=True)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +408,7 @@ class EpiGraph:
     edges: tuple[tuple[KnotClass, KnotClass, tuple[EpiWitness, ...]], ...]
 
 
-def epi_graph(max_crossing: int, budget: SearchBudget | None = None) -> EpiGraph:
+def epi_graph(max_crossing: int, max_nodes: int | None = None) -> EpiGraph:
     """Epimorphism digraph over all knots with crossing number <= max_crossing."""
     nodes = []
     for c in range(3, max_crossing + 1):
@@ -420,7 +416,7 @@ def epi_graph(max_crossing: int, budget: SearchBudget | None = None) -> EpiGraph
             nodes.append(knot_from_word(word))
     edges = []
     for big in nodes:
-        witnesses = epi_targets(big, budget)
+        witnesses = epi_targets(big, max_nodes)
         by_small: dict[Word, list[EpiWitness]] = {}
         for witness in witnesses:
             by_small.setdefault(witness.small.canon, []).append(witness)

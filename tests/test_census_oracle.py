@@ -27,7 +27,8 @@ from operator import mul
 import pytest
 
 from bridgekit import census
-from bridgekit.census import DEFAULT_ENUM_CEILING, ResourceBound, _assemble_row
+from bridgekit.census import ResourceBound, _assemble_row
+from bridgekit.epim import DEFAULT_ENUM_CEILING
 
 import _oracles
 

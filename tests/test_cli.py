@@ -18,7 +18,6 @@ from bridgekit.cli import (
     EXIT_PARSE,
     EXIT_RESOURCE,
     build_parser,
-    load_config,
     main,
 )
 
@@ -128,11 +127,6 @@ class TestCensus:
         assert code == EXIT_RESOURCE
         assert err == "resource bound: --max-c 30 exceeds ceiling 22\n"
 
-    def test_ceiling_override_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("BRIDGEKIT_CEILING", "8")
-        code, _, err = run(capsys, "epi", "graph", "--max-c", "9")
-        assert code == EXIT_RESOURCE
-
     def test_ceiling_does_not_bound_census(self, capsys):
         code, out, _ = run(capsys, "census", "23..24")
         assert code == EXIT_OK
@@ -157,6 +151,16 @@ class TestCensus:
         code, out, _ = run(capsys, "--format", "csv", "census", "5..6", "--up-to-mirror")
         assert code == EXIT_OK
         assert out.splitlines() == ["c,TK*,TS*,avg braid*", "5,2,4,5/2", "6,3,4,10/3"]
+
+    def test_decimal_json(self, capsys):
+        # json follows --decimal as the tables do
+        code, out, _ = run(capsys, "--decimal", "--format", "json", "census", "5")
+        assert code == EXIT_OK
+        row = json.loads(out)[0]
+        assert row["avg_braid"] == row["avg_braid_star"] == "2.5"
+        assert row["avg_genus"] == "1.5"
+        _, out, _ = run(capsys, "--decimal", "--format", "json", "census", "6", "--up-to-mirror")
+        assert json.loads(out)[0]["avg_braid_star"] == "3.33333333333"
 
     def test_up_to_mirror_json(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "census", "6", "--up-to-mirror")
@@ -453,40 +457,28 @@ class TestFlagsAfterSubcommand:
         between = run(capsys, "epi", "--format", "json", "targets", self.T15)
         assert between == before and before[0] == EXIT_OK
 
-    def test_config_file(self, tmp_path, capsys):
-        config_file = tmp_path / "bridgekit.conf"
-        config_file.write_text("enumeration_ceiling = 8\noutput_format = json\n")
-        for c in ("8", "9"):
-            before = run(capsys, "--config", str(config_file), "epi", "graph", "--max-c", c)
-            after = run(capsys, "epi", "graph", "--max-c", c, "--config", str(config_file))
-            assert after == before
-        assert before[0] == EXIT_RESOURCE
-
     def test_flag_after_subcommand_overrides_flag_before(self, capsys):
         overridden = run(capsys, "--format", "csv", "census", "5", "--format", "json")
         assert overridden == run(capsys, "--format", "json", "census", "5")
 
 
 class TestConfig:
-    def test_config_file(self, tmp_path, capsys):
-        config_file = tmp_path / "bridgekit.conf"
-        config_file.write_text("# settings\nenumeration_ceiling = 8\noutput_format = json\n")
-        config = load_config(str(config_file))
-        assert config.enumeration_ceiling == 8
-        assert config.output_format == "json"
-        code, _, err = run(capsys, "--config", str(config_file), "epi", "graph", "--max-c", "9")
-        assert code == EXIT_RESOURCE
-
-    def test_bad_config_key(self, tmp_path):
-        config_file = tmp_path / "bad.conf"
-        config_file.write_text("mystery = 1\n")
-        with pytest.raises(ValueError):
-            load_config(str(config_file))
-
     def test_bad_ceiling_rejected(self, capsys):
         code, _, err = run(capsys, "--ceiling", "2", "census", "3")
         assert code == EXIT_PARSE
         assert "configuration error" in err
+
+    def test_bad_budget_rejected(self, capsys):
+        code, out, err = run(capsys, "--budget", "0", "epi", "targets", "2,-2")
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+
+    def test_config_file_flag_removed(self, tmp_path, capsys):
+        config_file = tmp_path / "bridgekit.conf"
+        config_file.write_text("output_format = json\n")
+        code, out, err = in_process(capsys, "--config", str(config_file), "census", "5")
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("usage: bridgekit") and "--config" not in err.splitlines()[0]
 
 
 class TestRepeatedCalls:
@@ -558,10 +550,9 @@ class TestRepeatedCalls:
         assert tuple(code for code, _, _ in calls) == codes
         assert calls[1][1].startswith(second_starts)
 
-    def test_environment_is_read_on_every_call(self, capsys, monkeypatch):
-        argv = ["epi", "graph", "--max-c", "9"]
-        first = in_process(capsys, *argv)
-        assert first == fresh_process(argv) and first[0] == EXIT_OK
+    def test_environment_sets_no_ceiling(self, capsys, monkeypatch):
+        # the ceiling comes only from --ceiling, in process and in a fresh one
         monkeypatch.setenv("BRIDGEKIT_CEILING", "8")
-        second = in_process(capsys, *argv)
-        assert second == fresh_process(argv) and second[0] == EXIT_RESOURCE
+        argv = ["epi", "graph", "--max-c", "9"]
+        call = in_process(capsys, *argv)
+        assert call == fresh_process(argv) and call[0] == EXIT_OK

@@ -9,10 +9,10 @@ from bridgekit.census import enumerate_words
 from bridgekit.contfrac import rev_neg
 from bridgekit.epim import (
     AuditFailure,
+    DEFAULT_SEARCH_BUDGET,
     BudgetExceeded,
     EpiWitness,
     OrsParams,
-    SearchBudget,
     admits_epi,
     audit_inequality,
     audit_params,
@@ -193,7 +193,7 @@ class TestSearch:
 
     def test_budget_exceeded_carries_partial(self):
         with pytest.raises(BudgetExceeded) as info:
-            epi_targets(TORUS15, SearchBudget(max_nodes=3))
+            epi_targets(TORUS15, 3)
         assert isinstance(info.value.partial, list)
 
     def test_crossing_cap_skips_unreadable_patterns(self):
@@ -202,13 +202,13 @@ class TestSearch:
         # one candidate node and is never read; bounded by length alone,
         # r would reach 5 and the read would run past the budget
         big = knot_from_word((2, -2) * 6)
-        assert epi_targets(big, SearchBudget(max_nodes=1)) == []
+        assert epi_targets(big, 1) == []
 
     def test_periodic_word_within_default_budget(self):
         # every small pattern of a word of one sign reads far into it;
         # rereading the word for each r ran out of nodes at 6,000 entries
         big = knot_from_word((2, 4) * 3000)
-        witnesses = epi_targets(big, SearchBudget())
+        witnesses = epi_targets(big, DEFAULT_SEARCH_BUDGET)
         assert witnesses
         for witness in witnesses:
             assert canonical_word(ors_compose(witness.params)) == big.canon

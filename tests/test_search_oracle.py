@@ -26,7 +26,6 @@ from bridgekit.epim import (
     AuditFailure,
     EpiWitness,
     OrsParams,
-    SearchBudget,
     _NodeCounter,
     _orientations,
     _pattern,
@@ -192,14 +191,14 @@ def _parse(
 
 def _search(
     big: KnotClass,
-    budget: SearchBudget | None,
+    max_nodes: int | None,
     small: KnotClass | None = None,
     *,
     stop_at_first: bool = False,
 ) -> list[EpiWitness]:
     """Witnesses onto every proper target, or onto ``small`` only if given."""
     found: list[EpiWitness] = []
-    counter = _NodeCounter(budget, found)
+    counter = _NodeCounter(max_nodes, found)
     length = len(big.canon)
     wanted = None if small is None else _orientations(small.canon)
     # 2r+1 blocks of length n take at least (2r+1)(n-1)+1 entries, r >= 1
