@@ -23,24 +23,19 @@ orbit.  All positions are 1-based.
 
 Table 1 lists the non-minimal knots with braid index <= 4.  By the same
 inequality they are exactly the knots spelled by ORS words onto the
-torus knots T(2m+1, 2), whose words are (2, -2, ..., 2, -2) and its
-negation, the mirror image.  So `table1` generates those words, pruned
-by crossing number and braid index, rather than classifying every knot
-of braid index <= 4: the work follows the rows, not the census.  Each
-row is tagged by the clauses, and its images are the targets of the
-words that spell it, each word's parameters audited against the
-inequality; no search runs.  A generated word that the clauses call
-minimal, or whose audit fails, is an AuditFailure.
+torus knots T(2m+1, 2), so `table1` takes its rows from
+`epim.ors_words` on (2, -2, ..., 2, -2) with braid index <= 4, rather
+than classifying every knot of braid index <= 4; no search runs.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .contfrac import Word, check_even_word, format_word, negate
-from .epim import AuditFailure, OrsParams, audit_params
+from .epim import AuditFailure, OrsParams, audit_params, ors_words
 from .knot import (
     braid_index,
     canonical_word,
@@ -359,69 +354,11 @@ def _display_word(word: Word) -> Word:
     return min(_positive_candidates(word))
 
 
-def _ors_words(c_max: int) -> Iterator[tuple[OrsParams, Word]]:
-    """Every ORS word onto a 2-strand torus knot with crossing <= c_max and braid <= 4.
-
-    The target T(2m+1, 2) is the word (2, -2, ..., 2, -2) of length 2m;
-    its 2r+1 >= 3 blocks cost at least 3(2m+1) crossings.
-    """
-    for m in range(1, (c_max // 3 - 1) // 2 + 1):
-        yield from _ors_words_onto(m, c_max)
-
-
-def _ors_words_onto(m: int, c_max: int) -> Iterator[tuple[OrsParams, Word]]:
-    """The ORS words onto (2, -2) * m within the bounds, depth first.
-
-    The walk appends one connector and block at a time and carries the
-    prefix's sum of magnitudes and sign changes, hence its crossing
-    number and braid index.  Neither ever decreases: an appended entry
-    adds |e| >= 2 and at most one sign change, and a zero connector
-    doubles the boundary entry, which keeps its sign.  So a prefix past
-    either bound is pruned with all its extensions, and so is every
-    larger |c_j| with the same signs, which is what ends the connector loop.
-    """
-    target = (2, -2) * m
-    # block j+1 follows connector j: the reversal for odd j (1-based)
-    bodies = {
-        (parity, sign): tuple(sign * e for e in block)
-        for parity, block in enumerate(((-2, 2) * m, target))
-        for sign in (1, -1)
-    }
-
-    def within(total: int, changes: int) -> bool:
-        return total - changes <= c_max and total // 2 - changes + 1 <= 4
-
-    def walk(word, eps, cvec, total, changes):
-        if cvec and len(cvec) % 2 == 0:
-            yield OrsParams(target, len(cvec) // 2, eps, cvec), word
-        edge = word[-1]
-        for sign in (1, -1):
-            body = bodies[len(cvec) % 2, sign]
-            # a block adds 4m to the magnitudes and 2m - 1 sign changes
-            grown, inner = total + 4 * m, changes + 2 * m - 1
-            if sign == eps[-1] and within(grown, inner):
-                merged = word[:-1] + (2 * edge,) + body[1:]
-                yield from walk(merged, eps + (sign,), cvec + (0,), grown, inner)
-            for direction in (1, -1):
-                x = 2 * direction
-                flips = inner + (edge * x < 0) + (x * body[0] < 0)
-                while within(grown + abs(x), flips):
-                    yield from walk(
-                        word + (x,) + body, eps + (sign,), cvec + (x // 2,),
-                        grown + abs(x), flips,
-                    )
-                    x += 2 * direction
-
-    yield from walk(target, (1,), (), 4 * m, 2 * m - 1)
-
-
 def table1(c_max: int, *, up_to_mirror: bool = True) -> list[Table1Row]:
     """All non-minimal knots with braid index <= 4 and crossing <= c_max.
 
-    An epimorphism onto K' forces braid(K) >= 3 braid(K') - 4, so every
-    image of a knot with braid index <= 4 has braid index 2: it is a
-    torus knot T(2m+1, 2).  The rows are therefore the classes of the
-    ORS words onto those targets, one per mirror class (or per knot with
+    The rows are the classes of the ORS words onto the torus knots
+    T(2m+1, 2), one per mirror class (or per knot with
     ``up_to_mirror=False``), and a row's images are the targets of the
     words that spell it, negated where the row is the word's mirror
     image.  Every generated parameter tuple is audited against the
@@ -429,13 +366,15 @@ def table1(c_max: int, *, up_to_mirror: bool = True) -> list[Table1Row]:
     the clauses call minimal raises AuditFailure.
     """
     targets: dict[Word, set[Word]] = {}
-    for params, word in _ors_words(c_max):
-        audit_params(params, word)
-        lead = mirror_canonical_word(word)
-        for image, spelled in ((params.target, word), (negate(params.target), negate(word))):
-            rep = canonical_word(spelled)
-            if rep == lead or not up_to_mirror:
-                targets.setdefault(rep, set()).add(image)
+    # three blocks onto T(2m+1, 2), the word (2, -2) * m, cost 3(2m+1) crossings
+    for m in range(1, (c_max // 3 - 1) // 2 + 1):
+        for params, word in ors_words((2, -2) * m, c_max, braid_max=4):
+            audit_params(params, word)
+            lead = mirror_canonical_word(word)
+            for image, spelled in ((params.target, word), (negate(params.target), negate(word))):
+                rep = canonical_word(spelled)
+                if rep == lead or not up_to_mirror:
+                    targets.setdefault(rep, set()).add(image)
     rows = []
     for rep, images in targets.items():
         matches = nonminimal_matches(rep)

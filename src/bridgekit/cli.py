@@ -221,11 +221,8 @@ def cmd_epi(args) -> int:
         _check_max_c(args.max_c)
         if args.max_c > args.ceiling:
             raise census.ResourceBound(f"--max-c {args.max_c} exceeds ceiling {args.ceiling}")
-        graph = epim.epi_graph(args.max_c, args.budget)
-        if args.format == "json":
-            print(epim.graph_to_json(graph))
-        else:
-            print(epim.graph_to_dot(graph))
+        write = epim.write_json if args.format == "json" else epim.write_dot
+        write(args.max_c, sys.stdout)
         return EXIT_OK
     raise AssertionError(f"unhandled epi subcommand {args.epi_command}")
 
@@ -278,7 +275,8 @@ def _shared_flags(default) -> argparse.ArgumentParser:
     shared.add_argument("--format", choices=FORMATS, help="output format")
     ceiling = f"largest epi graph --max-c (default {epim.DEFAULT_ENUM_CEILING}, exit 4 above)"
     shared.add_argument("--ceiling", type=int, help=ceiling)
-    budget = f"epi search node budget (default {epim.DEFAULT_SEARCH_BUDGET}, exit 4 when spent)"
+    budget = "search node budget of epi targets, check and minimal"
+    budget += f" (default {epim.DEFAULT_SEARCH_BUDGET}, exit 4 when spent)"
     shared.add_argument("--budget", type=int, help=budget)
     shared.add_argument(
         "--decimal", action="store_true", help="render fractions with 12 significant digits"

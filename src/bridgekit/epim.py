@@ -11,45 +11,46 @@ where eps_1 = +1.  A zero connector is deleted and the two adjacent
 block-boundary entries merge by addition; the constraint eps_{j+1} =
 eps_j for c_j = 0 keeps the merged entry nonzero and even.
 
-Detection reads the targets off the big word.  In each orientation w
-of the big word (w and its reverse-negation) the first block is the
-target itself (eps_1 = +1), so a target of length n is w[:n] or, when
-the first connector is zero and the block's last entry merged into
-twice itself, w[:n-1] followed by w[n-1]/2 (if even).  Each even n
-with 3(n-1) < L thus gives at most two patterns a, kept if 3
-crossing(a) <= crossing(big); no census of targets is enumerated.  For
-each pattern, ``_parse`` reads w once, left to right, block by block.
-Each block boundary admits one reading only, and how block j is read
-does not depend on r, which says only where the parse ends: block 2r
-ends at the word's last entry.  So one read without backtracking finds
-the only parse, whatever r it has, in O(L).  It stops at the largest r
-with (2r+1) crossing(a) <= crossing(big) and (2r+1)(n-1) < L, and the
-pattern is not read at all when even that r spells fewer than L
-entries: 2r+1 blocks with z of the 2r connectors zero spell (2r+1) n +
-2r - 2z.  A composition spells one word, so no witness is found twice,
-and it canonicalises to the big knot exactly when it is the big word
-in one of its orientations, so the parses are exactly the matching
-parameter tuples; each is still composed again and compared before it
-becomes a witness.
+Generation spells these words onto a given target, pruned by crossing
+number and braid index (``ors_words``).  ``epi_graph`` takes every edge
+from the words onto the knots with at most a third of its crossing
+bound, and ``classify.table1`` its rows from the words onto the
+2-strand torus knots; neither searches.
+
+Detection, the search behind ``epi_targets``, ``admits_epi`` and
+``is_minimal``, reads the targets off the big word.  In each orientation
+w of the big word (w and its reverse-negation) the first block is the
+target itself, so a target of length n is w[:n] or, after a zero first
+connector, w[:n-1] followed by w[n-1]/2 if even; a pattern a is kept if 3
+crossing(a) <= crossing(big), and no census of targets is enumerated.
+``_parse`` reads w once per pattern, block by block.  Each block
+boundary admits one reading only, whatever r is, so one read without
+backtracking finds the only parse in O(L).  A composition spells one
+word, so no witness is found twice, and it canonicalises to the big
+knot exactly when it is the big word in one of its orientations; each
+parse is still composed again and compared before it becomes a witness.
 
 Every returned witness carries an audit splitting the braid-index gap
 braid(big) - 3 braid(target) + 4 into four non-negative terms; the
-audit recomputes everything from the parameters and the recomposed
-word, trusting nothing from the search state.
+audit recomputes everything from the parameters and the composed word,
+trusting nothing from the search or the walk.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
+from typing import Iterator, TextIO
 
 from .census import enumerate_words
 from .contfrac import Word, check_even_word, format_word, rev_neg, reverse, sign_changes
 from .knot import (
+    KNOT_NAMES,
     KnotClass,
     braid_index,
     canonical_word,
+    crossing_number,
     display_name,
     knot_from_word,
 )
@@ -57,10 +58,9 @@ from .knot import (
 # The largest --max-c of epi graph, whose cost grows exponentially in c.
 DEFAULT_ENUM_CEILING = 22
 DEFAULT_SEARCH_BUDGET = 5_000_000
-# Longest word the CLI searches: at 100,000 entries epi targets, knot build
-# included, takes about 0.18 s on T(100001,2) and 3.2 s on 2,4 repeated, of
-# which knot_from_word (about length^2 there) is 0.9-1.2 s, on a 2-vCPU host.
-# The budget bounds the search.
+# Longest word the CLI searches: at 100,000 entries, in process on a 2-vCPU
+# host, epi targets takes 0.07 s on T(100001,2) and 0.7 s on 2,4 repeated, of
+# which building the knot is 0.01 s.  The budget bounds the search.
 WORD_MAX = 100_000
 
 
@@ -192,6 +192,57 @@ def ors_compose(params: OrsParams) -> Word:
             out[-1] = merged
             out.extend(sign * e for e in block[1:])
     return tuple(out)
+
+
+def ors_words(
+    target: Word, c_max: int, braid_max: int | None = None
+) -> Iterator[tuple[OrsParams, Word]]:
+    """(params, word) of every ORS word onto ``target`` within both bounds, depth first.
+
+    The walk appends one connector and block at a time, carrying the
+    prefix's sum of magnitudes and sign changes.  A block a adds sum|a|
+    and t(a), also after a zero connector, which doubles the boundary
+    entry and keeps its sign; a connector x adds |x| and at most two
+    sign changes more.  As crossing(a) >= 2 and braid(a) >= 2, neither
+    crossing number nor braid index ever decreases: a prefix past a bound
+    is pruned with its extensions, and with every larger |x| of its signs.
+    """
+    target = check_even_word(target)
+    size, flips = sum(map(abs, target)), sign_changes(target)
+    # block j+1 follows connector j: the reversal for odd j (1-based)
+    bodies = {
+        (parity, sign): tuple(sign * e for e in block)
+        for parity, block in enumerate((reverse(target), target))
+        for sign in (1, -1)
+    }
+
+    # a knot word's braid index is at most its crossing number
+    braid_cap = c_max if braid_max is None else braid_max
+
+    def within(total: int, changes: int) -> bool:
+        return total - changes <= c_max and total // 2 - changes + 1 <= braid_cap
+
+    def walk(word, eps, cvec, total, changes):
+        if cvec and len(cvec) % 2 == 0:
+            yield OrsParams(target, len(cvec) // 2, eps, cvec), word
+        edge = word[-1]
+        grown, inner = total + size, changes + flips
+        for sign in (1, -1):
+            body = bodies[len(cvec) % 2, sign]
+            if sign == eps[-1] and within(grown, inner):
+                merged = word[:-1] + (2 * edge,) + body[1:]
+                yield from walk(merged, eps + (sign,), cvec + (0,), grown, inner)
+            for direction in (1, -1):
+                x = 2 * direction
+                crossed = inner + (edge * x < 0) + (x * body[0] < 0)
+                while within(grown + abs(x), crossed):
+                    yield from walk(
+                        word + (x,) + body, eps + (sign,), cvec + (x // 2,),
+                        grown + abs(x), crossed,
+                    )
+                    x += 2 * direction
+
+    yield from walk(target, (1,), (), size, flips)
 
 
 def audit_params(params: OrsParams, composed: Word | None = None) -> InequalityAudit:
@@ -400,62 +451,82 @@ def is_minimal(big: KnotClass, max_nodes: int | None = None) -> bool:
 # Digraph export
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class EpiGraph:
-    max_crossing: int
-    nodes: tuple[KnotClass, ...]
-    edges: tuple[tuple[KnotClass, KnotClass, tuple[EpiWitness, ...]], ...]
+# the largest crossing number in KNOT_NAMES; no larger node has a name
+_NAMED_C_MAX = max(map(crossing_number, KNOT_NAMES))
 
 
-def epi_graph(max_crossing: int, max_nodes: int | None = None) -> EpiGraph:
-    """Epimorphism digraph over all knots with crossing number <= max_crossing."""
-    nodes = []
-    for c in range(3, max_crossing + 1):
-        for word in enumerate_words(c):
-            nodes.append(knot_from_word(word))
+def epi_graph(max_crossing: int) -> Iterator[tuple[int, Word, tuple[tuple, ...]]]:
+    """Epimorphism digraph over all knots with crossing number <= max_crossing.
+
+    Every edge is generated and audited before this returns: the ORS
+    words onto each word of each knot with 3c <= max_crossing, grouped
+    by the knot they spell.  The nodes then stream in census order as
+    (crossing, word, edges), each edge (big, small, witnesses) and all
+    ordered as ``epi_targets`` orders them.
+    """
+    found: dict[Word, list[tuple[KnotClass, OrsParams, InequalityAudit]]] = {}
+    for c in range(3, max_crossing // 3 + 1):
+        for canon in enumerate_words(c):
+            small = knot_from_word(canon)
+            for pattern in _orientations(canon):
+                for params, word in ors_words(pattern, max_crossing):
+                    audit = audit_params(params, word)
+                    found.setdefault(canonical_word(word), []).append((small, params, audit))
+    edges = {}
+    for canon, spelled in found.items():
+        big = knot_from_word(canon)
+        witnesses = sorted((EpiWitness(big, *w) for w in spelled), key=EpiWitness.sort_key)
+        groups = groupby(witnesses, lambda witness: witness.small)
+        edges[canon] = tuple((big, small, tuple(group)) for small, group in groups)
+    nodes = ((c, word) for c in range(3, max_crossing + 1) for word in enumerate_words(c))
+    return ((c, word, edges.get(word, ())) for c, word in nodes)
+
+
+def write_dot(max_crossing: int, out: TextIO) -> None:
+    """Write ``epi_graph(max_crossing)`` as dot: each node as it comes, then the edges."""
+    nodes = epi_graph(max_crossing)
+    out.write("digraph epimorphisms {\n")
     edges = []
-    for big in nodes:
-        witnesses = epi_targets(big, max_nodes)
-        by_small: dict[Word, list[EpiWitness]] = {}
-        for witness in witnesses:
-            by_small.setdefault(witness.small.canon, []).append(witness)
-        for canon in sorted(by_small):
-            group = by_small[canon]
-            edges.append((big, group[0].small, tuple(group)))
-    return EpiGraph(max_crossing=max_crossing, nodes=tuple(nodes), edges=tuple(edges))
-
-
-def graph_to_dot(graph: EpiGraph) -> str:
-    lines = ["digraph epimorphisms {"]
-    for node in graph.nodes:
-        word = format_word(node.canon)
-        name = display_name(node)
-        label = name if name == word else f"{name}\\n{word}"
-        lines.append(f'  "{word}" [label="{label}"];')
-    for big, small, witnesses in graph.edges:
-        first = witnesses[0]
-        label = f"r={first.params.r} c={list(first.params.cvec)} x{len(witnesses)}"
-        lines.append(
-            f'  "{format_word(big.canon)}" -> "{format_word(small.canon)}" [label="{label}"];'
+    for c, word, node_edges in nodes:
+        text = format_word(word)
+        name = display_name(knot_from_word(word)) if c <= _NAMED_C_MAX else text
+        label = name if name == text else f"{name}\\n{text}"
+        out.write(f'  "{text}" [label="{label}"];\n')
+        edges.extend(node_edges)
+    for big, small, witnesses in edges:
+        first = witnesses[0].params
+        label = f"r={first.r} c={list(first.cvec)} x{len(witnesses)}"
+        out.write(
+            f'  "{format_word(big.canon)}" -> "{format_word(small.canon)}" [label="{label}"];\n'
         )
-    lines.append("}")
-    return "\n".join(lines)
+    out.write("}\n")
 
 
-def graph_to_json(graph: EpiGraph) -> str:
-    payload = {
-        "max_crossing": graph.max_crossing,
-        "nodes": [
-            {**node.to_json(), "name": display_name(node)} for node in graph.nodes
-        ],
-        "edges": [
-            {
-                "source": format_word(big.canon),
-                "target": format_word(small.canon),
-                "witnesses": [witness.to_json() for witness in witnesses],
-            }
-            for big, small, witnesses in graph.edges
-        ],
-    }
-    return json.dumps(payload, indent=2)
+def write_json(max_crossing: int, out: TextIO) -> None:
+    """Write ``epi_graph(max_crossing)`` as ``json.dumps(..., indent=2)`` would, node by node."""
+    nodes = epi_graph(max_crossing)
+    out.write(f'{{\n  "max_crossing": {max_crossing},\n  "nodes": [')
+    edges = []
+    comma = "\n"
+    for c, word, node_edges in nodes:
+        text = format_word(word)
+        name = display_name(knot_from_word(word)) if c <= _NAMED_C_MAX else text
+        braid = (c - sign_changes(word)) // 2 + 1  # c = sum|e| - t, braid = sum|e|/2 - t + 1
+        out.write(  # nothing in a node needs escaping
+            f'{comma}    {{\n      "word": "{text}",\n      "crossing": {c},\n'
+            f'      "braid": {braid},\n      "genus": {len(word) // 2},\n'
+            f'      "name": "{name}"\n    }}'
+        )
+        comma = ",\n"
+        edges.extend(node_edges)
+    out.write('\n  ],\n  "edges": [')
+    comma = "\n    "
+    for big, small, witnesses in edges:
+        record = {
+            "source": format_word(big.canon),
+            "target": format_word(small.canon),
+            "witnesses": [witness.to_json() for witness in witnesses],
+        }
+        out.write(comma + json.dumps(record, indent=2).replace("\n", "\n    "))
+        comma = ",\n    "
+    out.write("\n  ]\n}\n" if edges else "]\n}\n")

@@ -19,24 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .contfrac import (
-    Word,
-    _continuant,
-    check_even_word,
-    format_word,
-    negate,
-    rev_neg,
-    reverse,
-    sign_changes,
-)
-
-
-class NotAKnot(ValueError):
-    """Defensive: the word's fraction has an even denominator.
-
-    Cannot happen for a valid reduced even word; raising instead of
-    silently continuing keeps the representation assumption honest.
-    """
+from .contfrac import Word, check_even_word, format_word, negate, rev_neg, reverse, sign_changes
 
 
 def crossing_number(word: Word) -> int:
@@ -87,9 +70,13 @@ class KnotClass:
 
 
 def knot_from_word(word: Word) -> KnotClass:
+    """The knot of a reduced even word, in O(length).
+
+    Every such word is a knot, so its fraction is not evaluated: the
+    continuant fold (p, q) <- (q, e q + p) is a swap mod 2 for even e,
+    and from (0, 1) an even number of swaps ends at an odd denominator q.
+    """
     word = check_even_word(word)
-    if _continuant(word)[1] % 2 == 0:
-        raise NotAKnot(f"{word} evaluates to an even-denominator fraction")
     canon = min(word, rev_neg(word))
     total = sum(map(abs, canon))
     signchg = sign_changes(canon)

@@ -8,7 +8,6 @@ from bridgekit import classify
 from bridgekit.census import enumerate_words
 from bridgekit.classify import (
     COLUMNS,
-    TABLE1_C_MAX,
     TABLE1_REFERENCE,
     Table1Row,
     nonminimal_matches,
@@ -23,9 +22,7 @@ from bridgekit.classify import (
 from bridgekit.cli import EXIT_MISMATCH, EXIT_OK, format_table, main
 from bridgekit.epim import AuditFailure, epi_targets, is_minimal, ors_compose
 from bridgekit.knot import (
-    braid_index,
     canonical_word,
-    crossing_number,
     display_name,
     knot_from_word,
     mirror_orbit,
@@ -219,15 +216,6 @@ class TestGeneratedTable:
         ]
         got = table1(c_max, up_to_mirror=up_to_mirror)
         assert [(row, row.matches) for row in got] == expected
-
-    @pytest.mark.parametrize("c_max", [13, 30, TABLE1_C_MAX])
-    def test_generated_words_within_bounds(self, c_max):
-        generated = list(classify._ors_words(c_max))
-        assert generated
-        for params, word in generated:
-            assert crossing_number(word) <= c_max
-            assert braid_index(word) <= 4
-            assert ors_compose(params) == word
 
     def test_clause_miss_is_an_audit_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(classify, "nonminimal_matches", lambda word: ())

@@ -22,6 +22,19 @@ from bridgekit.cli import (
 )
 
 
+# sha256 of epi graph stdout, recorded while every node was still searched
+GRAPH_DIGESTS = [
+    ("3", "dot", "323b3cabff3235a323f02b6ca8958723ee3ab90e49e9c84182f1a24893c14ff6"),
+    ("3", "json", "5d360b6a51dd8d6e23ca5b467f48d0668fc90da5a8a31008f0afd16f9daaccf3"),
+    ("8", "dot", "144ac76f2428590ec90abf67965c2aa9fcb1fb5c8db6e7ec8b7d91d434a29593"),
+    ("8", "json", "e3ed9bcfcc3365786e15342d4f9eddfffbdd938d78c23b443bc6cc7936698d53"),
+    ("9", "dot", "6534c36e4f90cf7e4af65c9b10aa6ce09ddbd91318eee6ff829f026c957ec9ea"),
+    ("9", "json", "848805820ea0107aa38a3c810ac80d3fcebfbedb5e91463159ef4b4dce4a74fd"),
+    ("16", "dot", "4163ded391f865f18ee63ab751387e5d675d77a10690daa52d8f34d8c7980c78"),
+    ("16", "json", "827ebb0c51f3089200a11b58f3a06541b5f8261f24595e23bcbf5f203fa32d52"),
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -302,6 +315,31 @@ class TestEpi:
         payload = json.loads(out)
         assert payload["max_crossing"] == 9
 
+    @pytest.mark.parametrize("max_c, output_format, digest", GRAPH_DIGESTS)
+    def test_graph_stdout_matches_recorded_digest(self, capsys, max_c, output_format, digest):
+        code, out, _ = run(capsys, "--format", output_format, "epi", "graph", "--max-c", max_c)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("output_format", ["dot", "json"])
+    def test_graph_runs_no_search(self, capsys, monkeypatch, output_format):
+        def refuse(*args, **kwargs):
+            raise AssertionError("epi graph entered the search")
+
+        monkeypatch.setattr(epim, "_search", refuse)
+        code, out, _ = run(capsys, "--format", output_format, "epi", "graph", "--max-c", "12")
+        assert code == EXIT_OK and out.endswith("}\n")
+
+    @pytest.mark.parametrize("output_format", ["dot", "json"])
+    def test_graph_audit_failure_prints_nothing(self, capsys, monkeypatch, output_format):
+        def fail(params, composed=None):
+            raise epim.AuditFailure(f"audit rejected {params}")
+
+        monkeypatch.setattr(epim, "audit_params", fail)
+        code, out, err = run(capsys, "--format", output_format, "epi", "graph", "--max-c", "9")
+        assert code == EXIT_MISMATCH and out == ""
+        assert err.startswith("verification failed: audit rejected")
+
     def test_graph_dot_is_default(self, capsys):
         assert run(capsys, "--format", "dot", "epi", "graph", "--max-c", "6") == run(
             capsys, "epi", "graph", "--max-c", "6"
@@ -492,7 +530,6 @@ class TestRepeatedCalls:
     def fixed_width(self, monkeypatch):
         # help and usage text wrap at the terminal width; pin it for both sides
         monkeypatch.setenv("COLUMNS", "80")
-        monkeypatch.delenv("BRIDGEKIT_CEILING", raising=False)
 
     def test_no_parser_built_after_the_first_call(self, capsys, monkeypatch):
         assert main(["invariants", "2,-2"]) == EXIT_OK

@@ -19,7 +19,6 @@ from bridgekit.census import enumerate_words
 from bridgekit.contfrac import NotAKnotFraction, check_even_word, check_word
 from bridgekit.knot import (
     KnotClass,
-    NotAKnot,
     braid_index,
     canonical_word,
     crossing_number,
@@ -72,6 +71,10 @@ def to_reduced_even(r):
     if len(word) % 2 or eval_word(word) != r:
         raise ArithmeticError(f"expansion {word} of {r} is not a reduced even word for it")
     return word
+
+
+class NotAKnot(ValueError):
+    """The word's fraction has an even denominator; never for a reduced even word."""
 
 
 def knot_from_word(word):

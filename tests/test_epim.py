@@ -1,5 +1,7 @@
 """Interleaving composition, inequality audits, and epimorphism search."""
 
+import hashlib
+import io
 import json
 import random
 
@@ -18,10 +20,11 @@ from bridgekit.epim import (
     audit_params,
     epi_graph,
     epi_targets,
-    graph_to_dot,
-    graph_to_json,
     is_minimal,
     ors_compose,
+    ors_words,
+    write_dot,
+    write_json,
 )
 from bridgekit.knot import (
     braid_index,
@@ -218,22 +221,55 @@ class TestSearch:
         assert epi_targets(big) == epi_targets(big)
 
 
+class TestGenerator:
+    @pytest.mark.parametrize(
+        "targets, c_max, braid_max",
+        [
+            *(
+                ([(2, -2) * m for m in range(1, (c_max // 3 - 1) // 2 + 1)], c_max, 4)
+                for c_max in (13, 30, 45)
+            ),
+            ([(2, 2)], 24, None),
+        ],
+        ids=["13", "30", "45", "2,2"],
+    )
+    def test_generated_words_within_bounds(self, targets, c_max, braid_max):
+        for target in targets:
+            generated = list(ors_words(target, c_max, braid_max))
+            assert generated
+            for params, word in generated:
+                assert params.target == target
+                assert crossing_number(word) <= c_max
+                assert braid_max is None or braid_index(word) <= braid_max
+                assert ors_compose(params) == word
+
+
+def graph_text(write, max_crossing):
+    out = io.StringIO()
+    write(max_crossing, out)
+    return out.getvalue()
+
+
+def graph_edges(max_crossing):
+    return [edge for _, _, edges in epi_graph(max_crossing) for edge in edges]
+
+
 class TestGraph:
     def test_graph_smoke(self):
-        graph = epi_graph(9)
-        words = {node.canon for node in graph.nodes}
-        assert (2, -2) in words and len(graph.nodes) == 2 + 1 + 4 + 5 + 14 + 21 + 48
-        edges = {(big.canon, small.canon) for big, small, _ in graph.edges}
+        nodes = list(epi_graph(9))
+        words = {word for _, word, _ in nodes}
+        assert (2, -2) in words and len(nodes) == 2 + 1 + 4 + 5 + 14 + 21 + 48
+        edges = {(big.canon, small.canon) for big, small, _ in graph_edges(9)}
         assert ((2, -2, 2, -2, 2, -2, 2, -2), (2, -2)) in edges
         assert ((2, -4, 4, -2), (2, -2)) in edges
 
     def test_dot_output(self):
-        dot = graph_to_dot(epi_graph(9))
-        assert dot.startswith("digraph epimorphisms {") and dot.endswith("}")
+        dot = graph_text(write_dot, 9)
+        assert dot.startswith("digraph epimorphisms {") and dot.endswith("}\n")
         assert '"2,-2,2,-2,2,-2,2,-2" -> "2,-2"' in dot
 
     def test_json_output(self):
-        payload = json.loads(graph_to_json(epi_graph(9)))
+        payload = json.loads(graph_text(write_json, 9))
         assert payload["max_crossing"] == 9
         names = {node["name"] for node in payload["nodes"]}
         assert {"3_1", "4_1", "5_1"} <= names
@@ -244,4 +280,18 @@ class TestGraph:
         assert edge["witnesses"][0]["audit"]["slack"] == 0
 
     def test_graph_deterministic(self):
-        assert graph_to_json(epi_graph(11)) == graph_to_json(epi_graph(11))
+        assert graph_text(write_json, 11) == graph_text(write_json, 11)
+
+    def test_json_digest_at_15(self):
+        # the digest of json.dumps(payload, indent=2), kept since the graph was searched
+        text = graph_text(write_json, 15)
+        assert hashlib.sha256(text[:-1].encode()).hexdigest().startswith("512d960a4ceba223")
+
+    def test_witnesses_match_the_search_through_18(self):
+        # the generated edges and the search, node by node, witness for witness
+        witnesses = 0
+        for _, word, edges in epi_graph(18):
+            generated = [witness for _, _, group in edges for witness in group]
+            assert generated == epi_targets(knot_from_word(word)), word
+            witnesses += len(generated)
+        assert witnesses == 2064
