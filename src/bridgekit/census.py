@@ -27,9 +27,10 @@ test suite checks the rule against it.
 
 Formula side: closed forms for the number of knots TK(c) (and TK*(c)
 up to mirror), the total sign change TS(c) / TS*(c), the per-class
-counts N(c, ell), and the average braid index and genus.  Every
-division is checked for zero remainder; a nonzero remainder means a
-transcription bug, never a rounding choice.
+counts N(c, ell), whose slice sums collapse by the odd-slice-, even-slice-
+and halved-slice-partial-sum identities, and the average braid index and
+genus.  Every division is checked for zero remainder; a nonzero remainder
+means a transcription bug, never a rounding choice.
 
 The counting and formula sides are developed independently and must
 agree exactly; the test suite treats the counts as the oracle for the
@@ -48,13 +49,13 @@ from typing import Iterator, Sequence
 
 from .contfrac import Word, format_fraction
 
-# verify_identities' cost grows about as n^4: 1.8 s at n_max = 200,
-# 7.8 s at 300 and 26 s at 400 on a 2-vCPU host.
+# verify_identities' cost grows about as n^4: 0.4 s at n_max = 200 and
+# 2.5 s at 300 on a 2-vCPU host (Python 3.11).
 IDENTITIES_N_MAX = 300
-# The largest c of either census path.  closed_row's cost grows about as c^4:
-# 11 ms at c = 400, 23 ms at 500 and 0.3 s at 1000; the range 3..500 takes
-# 3.3 s and 3..1000 83 s.  brute_counts takes 0.07 s at c = 400 and 0.15 s at
-# 500, and 17 s over 3..500 (2-vCPU host).
+# The largest c of either census path.  closed_row costs about c^2.5: 0.3 ms
+# at c = 400, 0.5 ms at 500 and 2.8 ms at 1000; 3..500 takes 0.11 s and 3..1000
+# 1.1 s.  brute_counts takes 21 ms at c = 400 and 45 ms at 500, and 6 s over
+# 3..500 (2-vCPU host, Python 3.11).
 FORMULAS_C_MAX = 500
 
 
@@ -238,8 +239,8 @@ def _assemble_row(
         ts=ts,
         tk_star=tk_star,
         ts_star=ts_star,
-        avg_braid=Fraction(c, 2) + 1 - Fraction(ts, 2 * tk),
-        avg_braid_star=Fraction(c, 2) + 1 - Fraction(ts_star, 2 * tk_star),
+        avg_braid=Fraction((c + 2) * tk - ts, 2 * tk),
+        avg_braid_star=Fraction((c + 2) * tk_star - ts_star, 2 * tk_star),
         avg_genus=Fraction(genus_total, tk),
         by_ell=tuple(
             SignClassCount(c, ell, by_ell[ell]) for ell in sorted(by_ell)
@@ -344,7 +345,9 @@ def closed_n(c: int, ell: int) -> int:
     """Number of c-crossing knots whose word has exactly ell sign changes.
 
     Zero whenever the parity or range constraints fail (ell must match
-    c mod 2; ell <= c - 4 for even c, ell <= c - 2 for odd c).
+    c mod 2; ell <= c - 4 for even c, ell <= c - 2 for odd c).  Each slice
+    sum over m is a power of two by its identity in ``verify_identities``:
+    the binomial theorem split into even and odd terms, so for every parameter.
     """
     if c < 3 or ell < 0 or (c - ell) % 2:
         return 0
@@ -352,19 +355,13 @@ def closed_n(c: int, ell: int) -> int:
         k, l = c // 2, ell // 2
         if l > k - 2:
             return 0
-        return comb(k + l - 1, 2 * l) * sum(
-            comb(k - l - 1, 2 * m - 2 * l - 1) for m in range(l + 1, (k + l) // 2 + 1)
-        )
+        return comb(k + l - 1, 2 * l) << (k - l - 2)
     k, l = (c - 1) // 2, (ell - 1) // 2
     if l > k - 1:
         return 0
-    value = comb(k + l, 2 * l + 1) * sum(
-        comb(k - l - 1, 2 * m - 2 * l - 2) for m in range(l + 1, (k + l + 1) // 2 + 1)
-    )
+    value = comb(k + l, 2 * l + 1) << max(k - l - 2, 0)
     if (k + l + 1) % 2 == 0:
-        value += comb((k + l - 1) // 2, l) * sum(
-            comb((k - l - 1) // 2, m - l - 1) for m in range(l + 1, (k + l + 1) // 2 + 1)
-        )
+        value += comb((k + l - 1) // 2, l) << ((k - l - 1) // 2)
     return value
 
 

@@ -17,7 +17,8 @@ of the values returned.  No floating point appears anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import neg
+from itertools import repeat
+from operator import lt, mod, mul, neg
 from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
@@ -43,10 +44,10 @@ class NotAKnotFraction(ValueError):
 
 def check_word(entries: Iterable[int]) -> Word:
     """Validate a general continued-fraction word: nonzero ints, length >= 1."""
-    word = tuple(int(e) for e in entries)
+    word = tuple(map(int, entries))
     if not word:
         raise ValueError("empty word")
-    if any(e == 0 for e in word):
+    if 0 in word:
         raise ValueError(f"word {word} contains a zero entry")
     return word
 
@@ -56,8 +57,8 @@ def check_even_word(entries: Iterable[int]) -> Word:
     word = check_word(entries)
     if len(word) % 2:
         raise ValueError(f"even word must have even length, got {word}")
-    odd = [e for e in word if e % 2]
-    if odd:
+    if any(map(mod, word, repeat(2))):
+        odd = [e for e in word if e % 2]
         raise ValueError(f"even word has odd entries {odd}: {word}")
     return word
 
@@ -89,7 +90,7 @@ def eval_word(word: Sequence[int]) -> Fraction:
 
 def sign_changes(word: Sequence[int]) -> int:
     """Number of adjacent sign changes: #{i : word[i] * word[i+1] < 0}."""
-    return sum(1 for a, b in zip(word, word[1:]) if a * b < 0)
+    return sum(map(lt, map(mul, word, word[1:]), repeat(0)))
 
 
 def reverse(word: Sequence[int]) -> Word:

@@ -58,9 +58,11 @@ from .knot import (
 # The largest --max-c of epi graph, whose cost grows exponentially in c.
 DEFAULT_ENUM_CEILING = 22
 DEFAULT_SEARCH_BUDGET = 5_000_000
-# Longest word the CLI searches: at 100,000 entries, in process on a 2-vCPU
-# host, epi targets takes 0.07 s on T(100001,2) and 0.7 s on 2,4 repeated, of
-# which building the knot is 0.01 s.  The budget bounds the search.
+# Longest word the CLI searches: at 100,000 entries, with cli.main called in
+# process on a 2-vCPU host, epi targets takes 0.07 s on T(100001,2) and 0.7 s
+# on 2,4 repeated, of which building the knot is 0.01 s.  From a shell, Linux's
+# 131,072-byte limit on one argv string stops a word near 65,000 one-digit
+# entries.  The budget bounds the search.
 WORD_MAX = 100_000
 
 

@@ -23,11 +23,11 @@ from .contfrac import Word, check_even_word, format_word, negate, rev_neg, rever
 
 
 def crossing_number(word: Word) -> int:
-    return sum(abs(e) for e in word) - sign_changes(word)
+    return sum(map(abs, word)) - sign_changes(word)
 
 
 def braid_index(word: Word) -> int:
-    return sum(abs(e) for e in word) // 2 - sign_changes(word) + 1
+    return sum(map(abs, word)) // 2 - sign_changes(word) + 1
 
 
 def genus(word: Word) -> int:

@@ -5,7 +5,12 @@ only the canonical ones, through the census's own slices; tests use it
 to audit that ``enumerate_words`` emits each class exactly once.
 ``is_mirror_representative`` picks one canonical word per mirror pair.
 ``tests/test_census_oracle.py`` checks both against independent copies.
+``closed_n`` is the census's N(c, ell) as it was before its binomial
+partial sums were collapsed to powers of two; tests compare the closed
+form against it.
 """
+
+from math import comb
 
 from bridgekit.census import _slices, _words
 
@@ -26,3 +31,31 @@ def is_mirror_representative(word) -> bool:
     most its negation exactly when its lead entry is negative.
     """
     return word[0] < 0 and word <= word[::-1]
+
+
+def closed_n(c: int, ell: int) -> int:
+    """Number of c-crossing knots whose word has exactly ell sign changes.
+
+    Zero whenever the parity or range constraints fail (ell must match
+    c mod 2; ell <= c - 4 for even c, ell <= c - 2 for odd c).
+    """
+    if c < 3 or ell < 0 or (c - ell) % 2:
+        return 0
+    if c % 2 == 0:
+        k, l = c // 2, ell // 2
+        if l > k - 2:
+            return 0
+        return comb(k + l - 1, 2 * l) * sum(
+            comb(k - l - 1, 2 * m - 2 * l - 1) for m in range(l + 1, (k + l) // 2 + 1)
+        )
+    k, l = (c - 1) // 2, (ell - 1) // 2
+    if l > k - 1:
+        return 0
+    value = comb(k + l, 2 * l + 1) * sum(
+        comb(k - l - 1, 2 * m - 2 * l - 2) for m in range(l + 1, (k + l + 1) // 2 + 1)
+    )
+    if (k + l + 1) % 2 == 0:
+        value += comb((k + l - 1) // 2, l) * sum(
+            comb((k - l - 1) // 2, m - l - 1) for m in range(l + 1, (k + l + 1) // 2 + 1)
+        )
+    return value

@@ -29,6 +29,7 @@ from bridgekit.census import (
 from bridgekit.cli import format_table
 from bridgekit.knot import canonical_word, crossing_number, genus
 
+from _oracles import closed_n as summed_closed_n
 from _oracles import is_mirror_representative, raw_words
 
 
@@ -134,6 +135,16 @@ class TestClosedForms:
             for ell in range(0, c + 2):
                 if (c - ell) % 2:
                     assert closed_n(c, ell) == 0
+
+    def test_n_equals_its_binomial_sum_form(self):
+        # every zero case too: c < 3, ell < 0, wrong parity, ell past the range
+        mismatches = [
+            (c, ell)
+            for c in range(-2, 301)
+            for ell in range(-2, c + 3)
+            if closed_n(c, ell) != summed_closed_n(c, ell)
+        ]
+        assert mismatches == []
 
     def test_avg_examples(self):
         assert closed_avg_braid(7) == Fraction(24, 7)
