@@ -583,18 +583,16 @@ def verify_identities(n_max: int) -> list[IdentityCheck]:
         ),
         _scan(
             "even-slice-partial-sum",
-            "sum_{m=l+1}^{floor((k+l+1)/2)} C(k-l-1, 2m-2l-2) == 2^(k-l-2), plus 1/2 when l = k-1",
+            "sum_{m=l+1}^{floor((k+l+1)/2)} C(k-l-1, 2m-2l-2) == 2^max(k-l-2, 0)  (0 <= l <= k-1)",
             n_max,
             (
                 (
                     (k, l),
-                    Fraction(
-                        sum(
-                            comb(k - l - 1, 2 * m - 2 * l - 2)
-                            for m in range(l + 1, (k + l + 1) // 2 + 1)
-                        )
+                    sum(
+                        comb(k - l - 1, 2 * m - 2 * l - 2)
+                        for m in range(l + 1, (k + l + 1) // 2 + 1)
                     ),
-                    Fraction(2) ** (k - l - 2) + (Fraction(1, 2) if l == k - 1 else 0),
+                    1 << max(k - l - 2, 0),
                 )
                 for k in range(1, n_max + 1)
                 for l in range(0, k)

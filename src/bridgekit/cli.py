@@ -6,7 +6,9 @@ integers (``2,-4,4,-2``); fractions print as ``p/q`` unless --decimal
 asks for a 12-digit rendering.
 
 Exit codes: 0 success, 2 verification mismatch, 3 parse or usage error,
-4 resource/budget bound.
+4 resource bound: an input above its size bound (``census.ResourceBound``).
+Words of ``invariants`` and ``epi`` have at most ``epim.WORD_MAX`` entries,
+which also bounds the epimorphism search.
 
 Each setting comes only from its flag, given before or after the
 subcommand.  ``main`` can be called repeatedly in one process; its
@@ -106,14 +108,22 @@ def format_table(
 
 
 def cmd_invariants(args) -> int:
-    word = parse_word(args.word)
+    word = _bounded_word(args.word, "invariants")
     knot = knot_from_word(word)
     torus = is_torus_two_strand(knot)
-    fmt = _fraction_formatter(args.decimal)
+    value = eval_word(word)
+    try:
+        text = _fraction_formatter(args.decimal)(value)
+    except ValueError:  # str() refuses an int of more than this many digits
+        digits = sys.get_int_max_str_digits()
+        raise census.ResourceBound(
+            f"the value's numerator or denominator has more than {digits} digits;"
+            " --decimal prints it"
+        ) from None
     fields = [
         ("word", format_word(word)),
         ("canonical", format_word(knot.canon)),
-        ("value", fmt(eval_word(word))),
+        ("value", text),
         ("name", display_name(knot)),
         ("crossing", knot.crossing),
         ("braid", knot.braid),
@@ -180,18 +190,22 @@ def _print_witnesses(witnesses, header: str) -> None:
         )
 
 
-def _epi_knot(text: str):
-    """The knot of an epi word argument, refused above epim.WORD_MAX entries."""
+def _bounded_word(text: str, command: str):
+    """The word argument of ``command``, refused above epim.WORD_MAX entries."""
     word = parse_word(text)
     if len(word) > epim.WORD_MAX:
-        raise census.ResourceBound(f"epi word length {len(word)} exceeds {epim.WORD_MAX}")
-    return knot_from_word(word)
+        raise census.ResourceBound(f"{command} word length {len(word)} exceeds {epim.WORD_MAX}")
+    return word
+
+
+def _epi_knot(text: str):
+    return knot_from_word(_bounded_word(text, "epi"))
 
 
 def cmd_epi(args) -> int:
     if args.epi_command == "targets":
         knot = _epi_knot(args.word)
-        witnesses = epim.epi_targets(knot, args.budget)
+        witnesses = epim.epi_targets(knot)
         if args.format == "json":
             print(json.dumps([w.to_json() for w in witnesses], indent=2))
         else:
@@ -202,7 +216,7 @@ def cmd_epi(args) -> int:
     if args.epi_command == "check":
         big = _epi_knot(args.big)
         small = _epi_knot(args.small)
-        witness = epim.admits_epi(big, small, args.budget)
+        witness = epim.admits_epi(big, small)
         if witness is None:
             print(f"no epimorphism {format_word(big.canon)} -> {format_word(small.canon)}")
         else:
@@ -210,7 +224,7 @@ def cmd_epi(args) -> int:
         return EXIT_OK
     if args.epi_command == "minimal":
         knot = _epi_knot(args.word)
-        witnesses = epim.epi_targets(knot, args.budget)
+        witnesses = epim.epi_targets(knot)
         if not witnesses:
             print(f"{format_word(knot.canon)}: minimal")
         else:
@@ -275,9 +289,6 @@ def _shared_flags(default) -> argparse.ArgumentParser:
     shared.add_argument("--format", choices=FORMATS, help="output format")
     ceiling = f"largest epi graph --max-c (default {epim.DEFAULT_ENUM_CEILING}, exit 4 above)"
     shared.add_argument("--ceiling", type=int, help=ceiling)
-    budget = "search node budget of epi targets, check and minimal"
-    budget += f" (default {epim.DEFAULT_SEARCH_BUDGET}, exit 4 when spent)"
-    shared.add_argument("--budget", type=int, help=budget)
     shared.add_argument(
         "--decimal", action="store_true", help="render fractions with 12 significant digits"
     )
@@ -298,7 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     after = [_shared_flags(argparse.SUPPRESS)]
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("invariants", help="invariants of one word", parents=after)
+    bound = f"The word has at most {epim.WORD_MAX} entries (exit 4 above)."
+    p = sub.add_parser(
+        "invariants", help="invariants of one word", description=bound, parents=after
+    )
     p.add_argument("word")
     p.set_defaults(func=cmd_invariants)
 
@@ -355,13 +369,9 @@ def main(argv: list[str] | None = None) -> int:
         args.format = "dot" if command == "epi graph" else "md"
     if args.ceiling is None:
         args.ceiling = epim.DEFAULT_ENUM_CEILING
-    if args.budget is None:
-        args.budget = epim.DEFAULT_SEARCH_BUDGET
     renders = RENDERS[command]
     if args.ceiling < 3:
         problem = f"--ceiling {args.ceiling} is below 3"
-    elif args.budget < 1:
-        problem = f"--budget {args.budget} is not positive"
     elif args.format not in renders:
         problem = f"{command} cannot render {args.format} (it renders {', '.join(renders)})"
     else:
@@ -376,9 +386,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     except census.ResourceBound as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except epim.BudgetExceeded as exc:
-        print(f"search budget exceeded: {exc} (partial results: {len(exc.partial)})", file=sys.stderr)
         return EXIT_RESOURCE
     except (epim.AuditFailure, epim.MergeCancellation, census.NonIntegralFormula) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

@@ -57,12 +57,16 @@ from .knot import (
 
 # The largest --max-c of epi graph, whose cost grows exponentially in c.
 DEFAULT_ENUM_CEILING = 22
-DEFAULT_SEARCH_BUDGET = 5_000_000
-# Longest word the CLI searches: at 100,000 entries, with cli.main called in
-# process on a 2-vCPU host, epi targets takes 0.07 s on T(100001,2) and 0.7 s
-# on 2,4 repeated, of which building the knot is 0.01 s.  From a shell, Linux's
+# Longest word the CLI reads, and the search's one bound.  On a word of L
+# entries the search checks at most two patterns of each even length
+# n <= (L-1)//3 + 1 in each of two orientations, and reads each at most
+# (L-1)//(n-1) blocks deep: at most 4 * sum(1 + (L-1)//(n-1)) steps, 2,372,080
+# at 100,000 entries.  The most measured there is 1,184,214, on 4 repeated.
+# At that length, with cli.main called in process on a 2-vCPU host, epi
+# targets takes 0.07 s on T(100001,2), 0.7 s on 2,4 repeated and 0.8 s on 4
+# repeated, of which building the knot is 0.01 s.  From a shell, Linux's
 # 131,072-byte limit on one argv string stops a word near 65,000 one-digit
-# entries.  The budget bounds the search.
+# entries.
 WORD_MAX = 100_000
 
 
@@ -75,14 +79,6 @@ class MergeCancellation(ArithmeticError):
 
 class AuditFailure(AssertionError):
     """An audit term came out negative or the terms missed the slack."""
-
-
-class BudgetExceeded(RuntimeError):
-    """Search node budget exhausted; ``partial`` holds witnesses found so far."""
-
-    def __init__(self, message: str, partial: list["EpiWitness"]):
-        super().__init__(message)
-        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -296,33 +292,13 @@ def _orientations(word: Word) -> tuple[Word, ...]:
     return (word,) if word == other else (word, other)
 
 
-class _NodeCounter:
-    """Search nodes spent: one per candidate target and one per parse state."""
-
-    __slots__ = ("nodes", "limit", "found")
-
-    def __init__(self, max_nodes: int | None, found: list[EpiWitness]):
-        self.nodes = 0
-        self.limit = max_nodes
-        self.found = found
-
-    def charge(self, word: Word, n: int, last: int, r: int) -> None:
-        self.nodes += 1
-        if self.limit is not None and self.nodes > self.limit:
-            pattern = format_word(_pattern(word, n, last))
-            raise BudgetExceeded(
-                f"search exceeded {self.limit} nodes at target {pattern}, r={r}",
-                sorted(self.found, key=EpiWitness.sort_key),
-            )
-
-
 def _pattern(word: Word, n: int, last: int) -> Word:
     """The length-n target read off ``word``: its first n-1 entries, then ``last``."""
     return word[: n - 1] + (last,)
 
 
 def _parse(
-    word: Word, n: int, last: int, r_max: int, counter: _NodeCounter
+    word: Word, n: int, last: int, r_max: int
 ) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
     """``(r, eps, cvec)`` of an interleaving of ``_pattern(word, n, last)`` spelling ``word``.
 
@@ -343,7 +319,6 @@ def _parse(
     eps, cvec = [1], []
     start = 1
     for j in range(2 * r_max + 1):
-        counter.charge(word, n, last, max(1, (j + 1) // 2))
         sign, block = eps[j], shapes[j % 2]
         middle = middles.get((j % 2, sign))
         if middle is None:
@@ -370,14 +345,12 @@ def _parse(
 
 def _search(
     big: KnotClass,
-    max_nodes: int | None,
     small: KnotClass | None = None,
     *,
     stop_at_first: bool = False,
 ) -> list[EpiWitness]:
     """Witnesses onto every proper target, or onto ``small`` only if given."""
     found: list[EpiWitness] = []
-    counter = _NodeCounter(max_nodes, found)
     length = len(big.canon)
     wanted = None if small is None else _orientations(small.canon)
     # 2r+1 blocks of length n take at least (2r+1)(n-1)+1 entries, r >= 1
@@ -404,13 +377,12 @@ def _search(
                     and (n != len(small.canon) or _pattern(word, n, last) not in wanted)
                 ):
                     continue
-                counter.charge(word, n, last, 1)
                 # Largest r the crossings and the length allow; no r fits if
                 # even that r spells fewer than L entries, at most (2r+1)(n+1) - 1.
                 r_max = (min(big.crossing // crossing, (length - 1) // (n - 1)) - 1) // 2
                 if (2 * r_max + 1) * (n + 1) <= length:
                     continue
-                parsed = _parse(word, n, last, r_max, counter)
+                parsed = _parse(word, n, last, r_max)
                 if parsed is None:
                     continue
                 pattern = _pattern(word, n, last)
@@ -423,30 +395,28 @@ def _search(
     return sorted(found, key=EpiWitness.sort_key)
 
 
-def epi_targets(big: KnotClass, max_nodes: int | None = None) -> list[EpiWitness]:
+def epi_targets(big: KnotClass) -> list[EpiWitness]:
     """Every witness of an epimorphism from ``big`` onto a smaller knot.
 
     Exhaustive within the crossing-number bounds; sorted for
-    reproducible output.  Raises BudgetExceeded (with partial results)
-    if the node budget runs out.
+    reproducible output.  Each pattern is read at most once, so the word's
+    length bounds the search; the CLI refuses words above ``WORD_MAX``.
     """
-    return _search(big, max_nodes)
+    return _search(big)
 
 
-def admits_epi(
-    big: KnotClass, small: KnotClass, max_nodes: int | None = None
-) -> EpiWitness | None:
+def admits_epi(big: KnotClass, small: KnotClass) -> EpiWitness | None:
     """First witness (in epi_targets order) mapping ``big`` onto ``small``.
 
     Proper targets only: returns None for small == big.
     """
-    witnesses = _search(big, max_nodes, small)
+    witnesses = _search(big, small)
     return witnesses[0] if witnesses else None
 
 
-def is_minimal(big: KnotClass, max_nodes: int | None = None) -> bool:
+def is_minimal(big: KnotClass) -> bool:
     """True iff the knot's group surjects onto no smaller knot group."""
-    return not _search(big, max_nodes, stop_at_first=True)
+    return not _search(big, stop_at_first=True)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,11 @@ import random
 
 import pytest
 
+from bridgekit import epim
 from bridgekit.census import enumerate_words
 from bridgekit.contfrac import rev_neg
 from bridgekit.epim import (
     AuditFailure,
-    DEFAULT_SEARCH_BUDGET,
-    BudgetExceeded,
     EpiWitness,
     OrsParams,
     admits_epi,
@@ -194,24 +193,22 @@ class TestSearch:
         names = lambda k: sorted({display_name(w.small) for w in epi_targets(k)})
         assert names(big) == names(mirrored) == ["3_1"]
 
-    def test_budget_exceeded_carries_partial(self):
-        with pytest.raises(BudgetExceeded) as info:
-            epi_targets(TORUS15, 3)
-        assert isinstance(info.value.partial, list)
-
-    def test_crossing_cap_skips_unreadable_patterns(self):
+    def test_crossing_cap_skips_unreadable_patterns(self, monkeypatch):
         # T(13,2) onto the trefoil: the crossings allow r <= 1, whose three
-        # blocks spell at most 8 of the 12 entries, so the pattern costs its
-        # one candidate node and is never read; bounded by length alone,
-        # r would reach 5 and the read would run past the budget
-        big = knot_from_word((2, -2) * 6)
-        assert epi_targets(big, 1) == []
+        # blocks spell at most 8 of the 12 entries, so the pattern is never
+        # read; bounded by length alone, r would reach 5 and it would be
+        def unread(*args):
+            raise AssertionError(f"pattern read: {args[1:]}")
 
-    def test_periodic_word_within_default_budget(self):
+        monkeypatch.setattr(epim, "_parse", unread)
+        assert epi_targets(knot_from_word((2, -2) * 6)) == []
+
+    @pytest.mark.parametrize("word", [(2, 4) * 3000, (4,) * 6000], ids=["2,4", "4"])
+    def test_periodic_word_is_searched(self, word):
         # every small pattern of a word of one sign reads far into it;
-        # rereading the word for each r ran out of nodes at 6,000 entries
-        big = knot_from_word((2, 4) * 3000)
-        witnesses = epi_targets(big, DEFAULT_SEARCH_BUDGET)
+        # rereading the word for each r took over 5,000,000 steps at 6,000 entries
+        big = knot_from_word(word)
+        witnesses = epi_targets(big)
         assert witnesses
         for witness in witnesses:
             assert canonical_word(ors_compose(witness.params)) == big.canon

@@ -26,7 +26,6 @@ from bridgekit.epim import (
     AuditFailure,
     EpiWitness,
     OrsParams,
-    _NodeCounter,
     _orientations,
     _pattern,
     admits_epi,
@@ -150,7 +149,7 @@ def test_seeded_random_knots(c):
 
 
 def _parse(
-    word: Word, n: int, last: int, r: int, counter: _NodeCounter
+    word: Word, n: int, last: int, r: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Signs and connectors of an interleaving of ``_pattern(word, n, last)`` spelling ``word``.
 
@@ -169,7 +168,6 @@ def _parse(
     eps, cvec = [1], []
     start = 1
     for j in range(2 * r + 1):
-        counter.charge(word, n, last, r)
         sign, block = eps[j], shapes[j % 2]
         stop = start + n - 2
         if stop > end or word[start:stop] != tuple(sign * e for e in block[1:-1]):
@@ -191,14 +189,12 @@ def _parse(
 
 def _search(
     big: KnotClass,
-    max_nodes: int | None,
     small: KnotClass | None = None,
     *,
     stop_at_first: bool = False,
 ) -> list[EpiWitness]:
     """Witnesses onto every proper target, or onto ``small`` only if given."""
     found: list[EpiWitness] = []
-    counter = _NodeCounter(max_nodes, found)
     length = len(big.canon)
     wanted = None if small is None else _orientations(small.canon)
     # 2r+1 blocks of length n take at least (2r+1)(n-1)+1 entries, r >= 1
@@ -226,13 +222,12 @@ def _search(
                 ):
                     continue
                 r = 1
-                counter.charge(word, n, last, r)
                 while (2 * r + 1) * crossing <= big.crossing and (2 * r + 1) * (n - 1) < length:
                     # Each zero connector shortens the composition by two
                     # entries; both lengths are even, so the count is an
                     # integer, and the length test above is zeros <= 2r.
                     zeros = ((2 * r + 1) * n + 2 * r - length) // 2
-                    parsed = _parse(word, n, last, r, counter) if zeros >= 0 else None
+                    parsed = _parse(word, n, last, r) if zeros >= 0 else None
                     if parsed is not None:
                         pattern = _pattern(word, n, last)
                         params = OrsParams(pattern, r, *parsed)
@@ -257,11 +252,11 @@ TREFOIL = knot_from_word((2, -2))
 
 
 def assert_same_as_rloop(big):
-    expected = _search(big, None)
+    expected = _search(big)
     assert epi_targets(big) == expected, big.canon
-    assert is_minimal(big) == (not _search(big, None, stop_at_first=True)), big.canon
+    assert is_minimal(big) == (not _search(big, stop_at_first=True)), big.canon
     for small in {w.small for w in expected} | {FIGURE_EIGHT, TREFOIL}:
-        first = _search(big, None, small)
+        first = _search(big, small)
         assert admits_epi(big, small) == (first[0] if first else None), big.canon
 
 
