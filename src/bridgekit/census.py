@@ -7,23 +7,24 @@ a sign vector s with exactly ell changes, and a composition p of
 (c + ell) / 2 into n = 2m positive halved magnitudes; the word is
 w_i = 2 s_i p_i.  A word is emitted iff it is the canonical
 representative of its class (at most its reverse-negation), so no
-seen-set is needed.  The compositions of an (m, ell) slice are listed
-once, with each one's profile (f, lt): f is the first j < m with
-p_j != p_{n-1-j} (m for a palindrome) and lt says p_f < p_{n-1-f}.
-One rule on profiles decides canonicity: with k the first i < m where
-s_i = s_{n-1-i} (m if none), w <= rev_neg(w) iff f < k and
-(s_f > 0) == lt, or f >= k and (k = m or s_k < 0).
-``enumerate_words`` walks each slice's sign vectors and filters its
-compositions with the rule.
+seen-set is needed.  rev_neg(w) starts with -w_{n-1}, so w_0 + w_{n-1}
+< 0 keeps w, > 0 drops it, and only a sum of 0 needs the full compare:
+w <= rev_neg(w) iff the first nonzero w_i + w_{n-1-i} is negative, or
+there is none.  If s_0 = s_{n-1} the sum has their sign for every
+composition, and ``enumerate_words`` keeps or skips the whole sign
+vector without building a word.  Otherwise the sum is
+2 s_0 (p_0 - p_{n-1}), so each (m, ell) slice lists its compositions
+once, and those the sum does not drop once per lead sign s_0; only
+their words are compared in full.
 
-Counting side: ``brute_counts`` enumerates nothing and does not use the
-rule.  A slice holds 2 C(n-1, ell) C(total-1, n-1) words (sign vectors
+Counting side: ``brute_counts`` enumerates nothing and compares no
+words.  A slice holds 2 C(n-1, ell) C(total-1, n-1) words (sign vectors
 times compositions, total = (c + ell) / 2) and is closed under reverse,
 negate and rev_neg, so Burnside's lemma counts its knots, the orbits of
 {id, rev_neg}, and its mirror classes, the orbits of all four, from the
 words each symmetry fixes (Ernst and Sumners, 1987).  Its cost is
-polynomial in c, and the word-by-word tally of ``enumerate_words`` in the
-test suite checks the rule against it.
+polynomial in c, and the test suite checks ``enumerate_words`` against
+it word by word.
 
 Formula side: closed forms for the number of knots TK(c) (and TK*(c)
 up to mirror), the total sign change TS(c) / TS*(c), the per-class
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
 from math import comb
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Iterator, Sequence
 
 from .contfrac import Word, format_fraction
@@ -124,54 +125,15 @@ def _partitions(c: int, ell: int | None = None) -> Iterator[tuple[int, int]]:
 
 def _slices(
     c: int, ell: int | None
-) -> Iterator[tuple[list[tuple[int, ...]], list[tuple[int, bool]], Iterator[tuple[int, ...]]]]:
-    """Each (m, ell) slice as its compositions, their profiles and its sign vectors.
-
-    The compositions and their profiles are built once per slice and
-    shared by all of its sign vectors.
-    """
+) -> Iterator[tuple[list[tuple[int, ...]], Iterator[tuple[int, ...]]]]:
+    """Each (m, ell) slice as its compositions, shared by its sign vectors."""
     for m, ell_value in _partitions(c, ell):
-        parts = _compositions((c + ell_value) // 2, 2 * m)
-        yield parts, list(map(_profile, parts)), _sign_vectors(2 * m, ell_value)
+        yield _compositions((c + ell_value) // 2, 2 * m), _sign_vectors(2 * m, ell_value)
 
 
 def _words(signs: tuple[int, ...], parts: list[tuple[int, ...]]) -> Iterator[Word]:
     """The words with these signs and halved magnitudes, in the order of ``parts``."""
     return map(tuple, map(map, repeat(mul), repeat(tuple(2 * s for s in signs)), parts))
-
-
-def _profile(parts: tuple[int, ...]) -> tuple[int, bool]:
-    """(f, lt) of a composition p of length n = 2m: f is the first j < m
-    with p_j != p_{n-1-j} (m for a palindrome), lt whether p_f < p_{n-1-f}."""
-    last = len(parts) - 1
-    for j in range(len(parts) // 2):
-        if parts[j] != parts[last - j]:
-            return j, parts[j] < parts[last - j]
-    return len(parts) // 2, False
-
-
-_Rule = tuple[tuple[int, ...], bool]
-
-
-def _rule(signs: tuple[int, ...]) -> _Rule:
-    """Which profiles (f, lt) put the word w of ``signs`` first, as (prefix, tail).
-
-    Let k be the first i < m with s_i == s_{n-1-i}, or m if there is
-    none; ``prefix`` is s_0..s_{k-1}.  A composition with f < k
-    qualifies iff lt == (s_f > 0), one with f >= k iff ``tail``, which
-    is k == m or s_k < 0.
-
-    This decides w <= rev_neg(w).  While s_i = -s_{n-1-i},
-    rev_neg(w)_i = 2 s_i p_{n-1-i} has the sign of w_i, so if f < k the
-    words first differ at f and w comes first iff (s_f > 0) == lt.  At
-    k the two entries differ in sign, and w comes first iff s_k < 0; if
-    k = f = m the words are equal.
-    """
-    last = len(signs) - 1
-    for k in range(len(signs) // 2):
-        if signs[k] == signs[last - k]:
-            return signs[:k], signs[k] < 0
-    return signs[: len(signs) // 2], True
 
 
 def enumerate_words(c: int, *, ell: int | None = None) -> Iterator[Word]:
@@ -183,19 +145,17 @@ def enumerate_words(c: int, *, ell: int | None = None) -> Iterator[Word]:
     """
     if c < 3:
         raise ValueError(f"crossing number must be >= 3, got {c}")
-    for parts, profiles, sign_vectors in _slices(c, ell):
-        canonical: dict[_Rule, list[tuple[int, ...]]] = {}
+    for parts, sign_vectors in _slices(c, ell):
+        # by s_0: the compositions whose end sum 2 s_0 (p_0 - p_{n-1}) is <= 0
+        kept = {1: [p for p in parts if p[0] <= p[-1]], -1: [p for p in parts if p[0] >= p[-1]]}
         for signs in sign_vectors:
-            rule = _rule(signs)
-            kept = canonical.get(rule)
-            if kept is None:
-                prefix, tail = rule
-                kept = canonical[rule] = [
-                    p
-                    for p, (f, lt) in zip(parts, profiles)
-                    if (lt == (prefix[f] > 0) if f < len(prefix) else tail)
-                ]
-            yield from _words(signs, kept)
+            if signs[0] == signs[-1]:
+                if signs[0] < 0:
+                    yield from _words(signs, parts)
+                continue
+            for word in _words(signs, kept[signs[0]]):
+                if next(filter(None, map(add, word, reversed(word))), 0) <= 0:
+                    yield word
 
 
 # ---------------------------------------------------------------------------

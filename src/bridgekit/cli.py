@@ -2,8 +2,8 @@
 
 Subcommands: invariants, census, epi (targets/check/minimal/graph),
 table1, identities.  Words are written as comma-separated signed
-integers (``2,-4,4,-2``); fractions print as ``p/q`` unless --decimal
-asks for a 12-digit rendering.
+integers (``2,-4,4,-2``), and one may start with a minus sign (``-2,2``);
+fractions print as ``p/q`` unless --decimal asks for a 12-digit rendering.
 
 Exit codes: 0 success, 2 verification mismatch, 3 parse or usage error,
 4 resource bound: an input above its size bound (``census.ResourceBound``).
@@ -23,8 +23,10 @@ import decimal
 import functools
 import io
 import json
+import re
 import sys
 from fractions import Fraction
+from math import log10
 
 from . import census, classify, epim
 from .contfrac import (
@@ -107,19 +109,28 @@ def format_table(
 # ---------------------------------------------------------------------------
 
 
+def _unprintable(digits: int) -> census.ResourceBound:
+    return census.ResourceBound(
+        f"the value's numerator or denominator has more than {digits} digits;"
+        " --decimal prints it"
+    )
+
+
 def cmd_invariants(args) -> int:
     word = _bounded_word(args.word, "invariants")
     knot = knot_from_word(word)
     torus = is_torus_two_strand(knot)
+    # Each fold step of a reduced even word has a tail below 1 in absolute
+    # value, so the denominator is at least prod(|e| - 1): refuse before
+    # evaluating when that alone has too many digits (the 1 absorbs rounding).
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (before 3.10.7)
+    if not args.decimal and digits and sum(log10(abs(e) - 1) for e in word) > digits + 1:
+        raise _unprintable(digits)
     value = eval_word(word)
     try:
         text = _fraction_formatter(args.decimal)(value)
     except ValueError:  # str() refuses an int of more than this many digits
-        digits = sys.get_int_max_str_digits()
-        raise census.ResourceBound(
-            f"the value's numerator or denominator has more than {digits} digits;"
-            " --decimal prints it"
-        ) from None
+        raise _unprintable(digits) from None
     fields = [
         ("word", format_word(word)),
         ("canonical", format_word(knot.canon)),
@@ -295,13 +306,22 @@ def _shared_flags(default) -> argparse.ArgumentParser:
     return shared
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a word such as ``-2,2`` as a positional, where argparse alone
+    admits only a negative number; subcommand parsers share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(,[-+]?\d+)*$|^-\d*\.\d+$")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared after it.
 
     Parsing does not change it; bounds reach it only through help strings.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bridgekit",
         description="Exact two-bridge knot combinatorics: invariants, census, epimorphisms.",
         parents=[_shared_flags(None)],

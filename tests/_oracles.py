@@ -17,7 +17,7 @@ from bridgekit.census import _slices, _words
 
 def raw_words(c: int, *, ell: int | None = None):
     """Every reduced even word with crossing number c, each exactly once."""
-    for parts, _, sign_vectors in _slices(c, ell):
+    for parts, sign_vectors in _slices(c, ell):
         for signs in sign_vectors:
             yield from _words(signs, parts)
 

@@ -1,6 +1,7 @@
 """Enumeration vs closed forms: the census must agree both ways."""
 
 from fractions import Fraction
+from operator import neg
 
 import pytest
 
@@ -65,6 +66,20 @@ class TestEnumeration:
         assert len(emitted) == len(set(emitted))
         assert all(w == canonical_word(w) for w in emitted)
         assert set(emitted) == {canonical_word(w) for w in raw}
+
+    def test_slice_counts_meet_the_closed_forms_through_22(self):
+        # The words are distinct raw words, so canonical words in the closed
+        # forms' number are exactly the canonical words: one per knot.
+        for c in range(3, 23):
+            total = 0
+            for ell in range(c):
+                count = 0
+                for word in enumerate_words(c, ell=ell):
+                    assert word <= tuple(map(neg, reversed(word))), word
+                    count += 1
+                assert count == closed_n(c, ell), (c, ell)
+                total += count
+            assert total == closed_tk(c), c
 
     def test_ell_filter(self):
         full = set(enumerate_words(9))

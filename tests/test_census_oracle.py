@@ -9,16 +9,16 @@ min(negate, reverse).  The two must emit the same words in the same
 order and agree on every mirror verdict.
 
 ``brute_counts`` counts each slice's knots and mirror classes as
-Burnside orbits of the symmetry group, without the canonicity rule.  The
+Burnside orbits of the symmetry group, without comparing any words.  The
 word-by-word tally it replaced is kept below as it was, run over the
 oracle enumerator, and must give equal rows, per-ell counts, mirror
 counts and genus total included; ``census.enumerate_words`` emits the
-same words, so this also checks the rule against a count that does not
-use it.
+same words, so this also checks its canonicity test against a count
+that does not use it.
 
 The slice's compositions and their palindromes are counted with
-binomials; a tally over the listed compositions, f = m marking a
-palindrome, must give the same two numbers for every slice.
+binomials; a tally over the listed compositions must give the same two
+numbers for every slice.
 """
 
 from itertools import combinations
@@ -158,8 +158,8 @@ def test_counts_match_word_by_word_tally(c):
 
 
 def composition_tally(m, total):
-    profiles = list(map(census._profile, census._compositions(total, 2 * m)))
-    return len(profiles), sum(f == m for f, lt in profiles)
+    parts = census._compositions(total, 2 * m)
+    return len(parts), sum(p == p[::-1] for p in parts)
 
 
 @pytest.mark.parametrize("c", range(3, 27))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bridgekit import census, classify, epim
+from bridgekit import census, classify, cli, epim
 from bridgekit.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -20,6 +20,7 @@ from bridgekit.cli import (
     build_parser,
     main,
 )
+from bridgekit.contfrac import eval_word
 
 
 # sha256 of epi graph stdout, recorded while every node was still searched
@@ -116,6 +117,45 @@ class TestInvariants:
             f"resource bound: the value's numerator or denominator has more than"
             f" {INT_DIGITS} digits; --decimal prints it\n"
         )
+
+    @pytest.mark.skipif(INT_DIGITS == 0, reason="this interpreter converts ints of any length")
+    def test_value_bound_refuses_before_evaluating(self, capsys, monkeypatch):
+        # prod(|e| - 1) = 99^4000 has 7,983 digits, so the word is not evaluated
+        def evaluated(word):
+            raise AssertionError("the word was evaluated")
+
+        monkeypatch.setattr(cli, "eval_word", evaluated)
+        code, out, err = run(capsys, "invariants", self.LONG_VALUES[0])
+        assert code == EXIT_RESOURCE and out == ""
+        assert err == (
+            f"resource bound: the value's numerator or denominator has more than"
+            f" {INT_DIGITS} digits; --decimal prints it\n"
+        )
+
+    @pytest.mark.skipif(INT_DIGITS == 0, reason="this interpreter converts ints of any length")
+    def test_value_past_the_digit_limit_found_by_evaluating(self, capsys, monkeypatch):
+        # prod(|e| - 1) = 3^5000 has 2,386 digits, below the limit; the value's
+        # denominator has 4,978
+        evaluated = []
+
+        def counted(word):
+            evaluated.append(word)
+            return eval_word(word)
+
+        monkeypatch.setattr(cli, "eval_word", counted)
+        code, out, _ = run(capsys, "invariants", self.LONG_VALUES[1])
+        assert code == EXIT_RESOURCE and out == "" and len(evaluated) == 1
+
+    @pytest.mark.parametrize(
+        "word",
+        [",".join(["2,4"] * 1000), ",".join(["1000"] * 1432 + ["2,2000"])],
+        ids=["2,4", "4300-digit-denominator"],
+    )
+    def test_long_value_within_the_digit_limit_prints(self, capsys, word):
+        # the second value's denominator has exactly 4,300 digits, the default limit
+        code, out, err = run(capsys, "invariants", word)
+        assert code == EXIT_OK and err == ""
+        assert "/" in next(line for line in out.splitlines() if line.startswith("value: "))
 
     @pytest.mark.parametrize("word", LONG_VALUES, ids=["100,100", "2,4"])
     def test_decimal_prints_a_value_past_the_digit_limit(self, capsys, word):
@@ -513,6 +553,38 @@ class TestFlagsAfterSubcommand:
     def test_flag_after_subcommand_overrides_flag_before(self, capsys):
         overridden = run(capsys, "--format", "csv", "census", "5", "--format", "json")
         assert overridden == run(capsys, "--format", "json", "census", "5")
+
+
+class TestWordsStartingWithMinus:
+    """A word such as -2,2 is read as a word, not as an unknown option."""
+
+    def test_invariants(self, capsys):
+        code, out, err = run(capsys, "invariants", "-2,2")
+        assert code == EXIT_OK and err == ""
+        assert "canonical: -2,2" in out and "name: 3_1" in out
+
+    @pytest.mark.parametrize(
+        "head, word, tail",
+        [
+            (["epi", "check", "2,-2,2,-2,2,-2,2,-2"], "-2,2", []),
+            (["epi", "targets"], "-2,-2,2,-2,-2,2", ["--format", "json"]),
+            (["invariants"], "-2,2", ["--decimal"]),
+        ],
+    )
+    def test_same_as_after_double_dash(self, capsys, head, word, tail):
+        plain = run(capsys, *head, word, *tail)
+        assert plain == run(capsys, *head, *tail, "--", word) and plain[0] == EXIT_OK
+
+    def test_negative_ceiling_still_refused(self, capsys):
+        code, out, err = run(capsys, "--ceiling", "-3", "epi", "graph", "--max-c", "5")
+        assert code == EXIT_PARSE and out == ""
+        assert err == "configuration error: --ceiling -3 is below 3\n"
+
+    @pytest.mark.parametrize("token", ["-x", "-2,x"])
+    def test_other_dash_token_is_a_usage_error(self, capsys, token):
+        code, out, err = in_process(capsys, "invariants", token)
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("usage: bridgekit invariants")
 
 
 class TestConfig:
