@@ -2,24 +2,32 @@
 
 An epimorphism G(K) -> G(K') forces braid(K) >= 3 braid(K') - 4, so
 any epimorphic image of a knot with braid index at most 4 has braid
-index 2, i.e. is a 2-strand torus knot.  That pins down the shape a
-non-minimal word can take: an interleaving of strictly alternating
-blocks leaves at most two marked spots, either an enlarged magnitude (a
-connector entry of 4 or 6, or a merged pair) or a repeated sign (a
-flipped block), at arithmetically constrained positions.
+index 2, i.e. is a 2-strand torus knot T(2m+1, 2).  A non-minimal word
+of braid index at most 4 is therefore an interleaving of 2r+1 blocks of
+(2, -2) * m with connectors (-1)^(j-1), with at most two defects, its
+marks:
 
-Words with braid index 3 or 4 therefore fall into a handful of shapes
-(one 4; one sign repeat; one 6; two 4s; a 4 plus a sign repeat; two
-sign repeats), and each shape is non-minimal exactly when its word
-length and marked positions satisfy a divisibility pattern in the
-tiling period 2m + 1.  This module implements those shape tests and
-position conditions directly, with no search; the search-based decision
-in `epim` must agree with it exactly, and the pair of independent
-implementations cross-validate each other.
+    D  doubles connector j, which leaves an entry 4;
+    T  triples it, which leaves an entry 6;
+    Z  zeroes it: the two boundary 2s merge into a 4 and the word loses
+       two entries, so (2r+1)(2m+1) = length + 1 + 2 #Z;
+    F  negates every later block, which leaves a repeated sign.
 
-Patterns are stated for a positive leading entry and up to mirror
+Each Table 1 type is its list of marks, written once in ``CLAUSES``;
+both the matcher and ``reconstruct_params`` read that table.  One
+position rule places the marks: connector j sits at j(2m+1), two places
+further left for each zeroed connector before it; a zero's 4 sits one
+place before its connector, a repeat at it or one place before, and a
+zeroed slot takes no other mark.  The matcher reads a word's spots (4s,
+6s and repeats) once, hands them to the clauses with that many spots,
+and keeps each factorization of the length whose slots put every mark
+on its spot.  No search runs; the search-based decision in `epim` must
+agree with it exactly, and the pair of independent implementations
+cross-validate each other.
+
+Positions are stated for a positive leading entry and up to mirror
 image, so words are first normalized within their four-word mirror
-orbit.  All positions are 1-based.
+orbit.  All positions and slots are 1-based.
 
 Table 1 lists the non-minimal knots with braid index <= 4.  By the same
 inequality they are exactly the knots spelled by ORS words onto the
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations, permutations, product
 from typing import Sequence
 
 from .contfrac import Word, check_even_word, format_word, negate
@@ -50,22 +59,60 @@ from .knot import (
 # 0.7-1.2 s at 45 with up_to_mirror=False.
 TABLE1_C_MAX = 45
 
-KIND_ORDER = ("TORUS", "3A1", "3A2", "3B", "4A", "4B1", "4B2", "4B3", "4C1", "4C2", "4D")
+# Each Table 1 type as its marks, in the order i0/j0 and i1/j1 name them.
+CLAUSES = {
+    "TORUS": "",
+    "3A1": "D",
+    "3A2": "Z",
+    "3B": "F",
+    "4A": "T",
+    "4B1": "DD",
+    "4B2": "ZD",
+    "4B3": "ZZ",
+    "4C1": "DF",
+    "4C2": "ZF",
+    "4D": "FF",
+}
+KIND_ORDER = tuple(CLAUSES)
+# the factor a mark puts on its connector; F negates instead
+_SCALE = {"D": 2, "T": 3, "Z": 0}
+# a mark's spot: 0 an entry 4, 1 an entry 6, 2 a repeated sign
+_SPOT = {"D": 0, "Z": 0, "T": 1, "F": 2}
+# how many places before its connector a mark's spot may sit
+_BEFORE = {"D": (0,), "T": (0,), "Z": (1,), "F": (0, 1)}
 
 
-@dataclass(frozen=True)
-class StructureTag:
-    """Shape of a braid-index <= 4 word.
+def _clauses_by_spots() -> dict[tuple[int, int, int], list]:
+    """(kind, marks, lost, picks, reach) by the spot count (4s, 6s, repeats) they need.
 
-    tags: B2 (alternating, all magnitude 2), T3a (one 4), T3b (one sign
-    repeat), T4a (one 6), T4b (two 4s), T4c (one 4 + one sign repeat),
-    T4d (two sign repeats), other (braid index > 4).  ``positions``
-    holds the marked 1-based indices; for T4c the magnitude position
-    comes first.
+    A word lists its spots as 4s, 6s, repeats, each left to right; a pick
+    gives each mark the index of its spot there, and marks of one letter
+    take their spots left to right.  ``lost`` = 2 #Z counts the entries the
+    zeros took out of the word.  ``reach`` lists for each mark how
+    far before connector j * period its spot may sit: ``_BEFORE``, plus
+    two for each other zero.
     """
+    by_spots: dict[tuple[int, int, int], list] = {}
+    for kind, marks in CLAUSES.items():
+        types = sorted(_SPOT[x] for x in marks)  # by a matching word's spot index
+        pairs = list(combinations(range(len(marks)), 2))
+        picks = [
+            pick
+            for pick in permutations(range(len(marks)))
+            if all(types[k] == _SPOT[x] for k, x in zip(pick, marks))
+            and all(pick[a] < pick[b] for a, b in pairs if marks[a] == marks[b])
+        ]
+        zeros = marks.count("Z")
+        reach = tuple(
+            tuple(gap + 2 * z for z in range(zeros - (x == "Z") + 1) for gap in _BEFORE[x])
+            for x in marks
+        )
+        key = (types.count(0), types.count(1), types.count(2))
+        by_spots.setdefault(key, []).append((kind, marks, 2 * zeros, picks, reach))
+    return by_spots
 
-    tag: str
-    positions: tuple[int, ...]
+
+_BY_SPOTS = _clauses_by_spots()
 
 
 @dataclass(frozen=True)
@@ -73,8 +120,8 @@ class NonminimalType:
     """One satisfied non-minimality clause, with its witnessing numbers.
 
     ``word`` is the mirror-normalized representative the clause matched;
-    (2r+1)(2m+1) tiles the relevant length, j0/j1 index the connector
-    slots, i0/i1 the marked positions in the word.
+    (2r+1)(2m+1) tiles the relevant length, j0/j1 are the slots of the
+    clause's marks, i0/i1 their spots in the word.
     """
 
     kind: str
@@ -119,36 +166,6 @@ def _positive_candidates(word: Word) -> tuple[Word, ...]:
     return tuple(c for c in mirror_orbit(word) if c[0] > 0)
 
 
-def _structure_exact(word: Word) -> StructureTag:
-    b = braid_index(word)
-    if b == 2:
-        return StructureTag("B2", ())
-    if b not in (3, 4):
-        return StructureTag("other", ())
-    bigs = tuple(i + 1 for i, e in enumerate(word) if abs(e) != 2)
-    gaps = tuple(i + 1 for i in range(len(word) - 1) if word[i] * word[i + 1] > 0)
-    if b == 3:
-        if not gaps:
-            (i0,) = bigs
-            return StructureTag("T3a", (i0,))
-        (i0,) = gaps
-        return StructureTag("T3b", (i0,))
-    if not gaps:
-        if len(bigs) == 1:
-            return StructureTag("T4a", bigs)
-        return StructureTag("T4b", bigs)
-    if len(gaps) == 1 and len(bigs) == 1:
-        return StructureTag("T4c", (bigs[0], gaps[0]))
-    return StructureTag("T4d", gaps)
-
-
-def structure(word: Word) -> StructureTag:
-    """Shape of the word after mirror normalization to a positive lead."""
-    word = check_even_word(word)
-    candidates = _positive_candidates(word)
-    return _structure_exact(min(candidates))
-
-
 def _factorizations(n: int) -> list[tuple[int, int]]:
     """(r, m) with (2r+1)(2m+1) = n and r, m >= 1, smallest period first."""
     out = []
@@ -160,110 +177,70 @@ def _factorizations(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _matches_for_candidate(word: Word) -> list[NonminimalType]:
-    tag = _structure_exact(word)
-    n = len(word)
+def _connector(j: int, period: int, zeroed: Sequence[int]) -> int:
+    """Position of connector j, two places further left per zeroed connector before it."""
+    return j * period - 2 * sum(z < j for z in zeroed)
+
+
+def _slots(
+    marks: str, reach: Sequence[Sequence[int]], at: Sequence[int], period: int
+) -> list[tuple[int, ...]]:
+    """Each slot tuple that puts every mark on its spot ``at``, by the position rule.
+
+    The spots lie inside a word of (2r+1) period - 1 - 2 #Z entries, so
+    every slot found is one of 1..2r.
+    """
+    options = []
+    for i, ends in zip(at, reach):
+        slots = [(i + d) // period for d in ends if (i + d) % period == 0]
+        if not slots:
+            return []
+        options.append(slots)
+    if len(marks) < 2 or "Z" not in marks:
+        return list(product(*options))  # no zero moves another mark
+    found = []
+    for slots in product(*options):
+        zeroed = [j for x, j in zip(marks, slots) if x == "Z"]
+        if any(slots.count(z) > 1 for z in zeroed):
+            continue  # a zeroed slot takes no other mark
+        placed = zip(marks, at, slots)
+        if all(_connector(j, period, zeroed) - i in _BEFORE[x] for x, i, j in placed):
+            found.append(slots)
+    return found
+
+
+def _matches_for_candidate(word: Word, braid: int) -> list[NonminimalType]:
+    # braid - 2 counts the spots, a 6 twice: read only the spots it admits
+    bigs = [i for i, e in enumerate(word, 1) if e != 2 and e != -2] if braid > 2 else []
+    sixes = [i for i in bigs if word[i - 1] in (6, -6)]
+    fours = [i for i in bigs if word[i - 1] in (4, -4)]
+    repeats = []
+    if braid > 2 + len(fours) + 2 * len(sixes):
+        repeats = [i for i in range(1, len(word)) if word[i - 1] * word[i] > 0]
+    spots = fours + sixes + repeats
     out: list[NonminimalType] = []
-    if tag.tag == "B2":
-        for r, m in _factorizations(n + 1):
-            out.append(NonminimalType("TORUS", word, r, m))
-    elif tag.tag in ("T3a", "T4a"):
-        (i0,) = tag.positions
-        enlarged, shifted = ("3A1", "3A2") if tag.tag == "T3a" else ("4A", None)
-        for r, m in _factorizations(n + 1):
-            period = 2 * m + 1
-            for j0 in range(1, 2 * r + 1):
-                if i0 == j0 * period:
-                    out.append(NonminimalType(enlarged, word, r, m, i0=i0, j0=j0))
-        if shifted is not None:
-            for r, m in _factorizations(n + 3):
-                period = 2 * m + 1
-                for j0 in range(1, 2 * r + 1):
-                    if i0 == j0 * period - 1:
-                        out.append(NonminimalType(shifted, word, r, m, i0=i0, j0=j0))
-    elif tag.tag == "T3b":
-        (i0,) = tag.positions
-        for r, m in _factorizations(n + 1):
-            period = 2 * m + 1
-            for j0 in range(1, 2 * r + 1):
-                if i0 in (j0 * period, j0 * period - 1):
-                    out.append(NonminimalType("3B", word, r, m, i0=i0, j0=j0))
-    elif tag.tag == "T4b":
-        p0, p1 = tag.positions
-        for r, m in _factorizations(n + 1):
-            period = 2 * m + 1
-            if p0 % period == 0 and p1 % period == 0:
-                j0, j1 = p0 // period, p1 // period
-                if 1 <= j0 <= 2 * r and 1 <= j1 <= 2 * r:
-                    out.append(NonminimalType("4B1", word, r, m, i0=p0, i1=p1, j0=j0, j1=j1))
-        for r, m in _factorizations(n + 3):
-            period = 2 * m + 1
-            for merged, plain in ((p0, p1), (p1, p0)):
-                for j0 in range(1, 2 * r + 1):
-                    if merged != j0 * period - 1:
-                        continue
-                    for j1 in range(1, 2 * r + 1):
-                        if j1 == j0:
-                            continue
-                        want = j1 * period if j1 < j0 else j1 * period - 2
-                        if plain == want:
-                            out.append(
-                                NonminimalType("4B2", word, r, m, i0=merged, i1=plain, j0=j0, j1=j1)
-                            )
-        for r, m in _factorizations(n + 5):
-            period = 2 * m + 1
-            for j0 in range(1, 2 * r):
-                if p0 != j0 * period - 1:
-                    continue
-                for j1 in range(j0 + 1, 2 * r + 1):
-                    if p1 == j1 * period - 3:
-                        out.append(NonminimalType("4B3", word, r, m, i0=p0, i1=p1, j0=j0, j1=j1))
-    elif tag.tag == "T4c":
-        i0, i1 = tag.positions
-        for r, m in _factorizations(n + 1):
-            period = 2 * m + 1
-            for j0 in range(1, 2 * r + 1):
-                if i0 != j0 * period:
-                    continue
-                for j1 in range(1, 2 * r + 1):
-                    if i1 in (j1 * period, j1 * period - 1):
-                        out.append(NonminimalType("4C1", word, r, m, i0=i0, i1=i1, j0=j0, j1=j1))
-        for r, m in _factorizations(n + 3):
-            period = 2 * m + 1
-            for j0 in range(1, 2 * r + 1):
-                if i0 != j0 * period - 1:
-                    continue
-                for j1 in range(1, 2 * r + 1):
-                    if j1 == j0:
-                        continue
-                    allowed = (
-                        (j1 * period, j1 * period - 1)
-                        if j1 < j0
-                        else (j1 * period - 2, j1 * period - 3)
-                    )
-                    if i1 in allowed:
-                        out.append(NonminimalType("4C2", word, r, m, i0=i0, i1=i1, j0=j0, j1=j1))
-    elif tag.tag == "T4d":
-        p0, p1 = tag.positions
-        for r, m in _factorizations(n + 1):
-            period = 2 * m + 1
-            for j0 in range(1, 2 * r + 1):
-                if p0 not in (j0 * period - 1, j0 * period):
-                    continue
-                for j1 in range(j0, 2 * r + 1):
-                    if p1 in (j1 * period - 1, j1 * period):
-                        out.append(NonminimalType("4D", word, r, m, i0=p0, i1=p1, j0=j0, j1=j1))
+    clauses = _BY_SPOTS.get((len(fours), len(sixes), len(repeats)), ())
+    for kind, marks, lost, picks, reach in clauses:
+        factors = _factorizations(len(word) + 1 + lost)
+        for pick in picks:
+            at = [spots[k] for k in pick]
+            i0, i1 = at + [None] * (2 - len(at))
+            for r, m in factors:
+                for slots in _slots(marks, reach, at, 2 * m + 1):
+                    j0, j1 = slots + (None,) * (2 - len(slots))
+                    out.append(NonminimalType(kind, word, r, m, i0, i1, j0, j1))
     return out
 
 
 def nonminimal_matches(word: Word) -> tuple[NonminimalType, ...]:
     """All satisfied non-minimality clauses, over both normalized reps."""
     word = check_even_word(word)
-    if braid_index(word) not in (2, 3, 4):
+    braid = braid_index(word)
+    if braid not in (2, 3, 4):
         raise ValueError(f"classification covers braid index 2..4 only: {word}")
     matches: list[NonminimalType] = []
     for candidate in _positive_candidates(word):
-        matches.extend(_matches_for_candidate(candidate))
+        matches.extend(_matches_for_candidate(candidate, braid))
     return tuple(sorted(set(matches), key=NonminimalType.sort_key))
 
 
@@ -276,63 +253,28 @@ def nonminimal_type(word: Word) -> NonminimalType | None:
 def reconstruct_params(match: NonminimalType) -> OrsParams:
     """Interleaving parameters realizing a matched clause.
 
-    Composing them reproduces the matched representative, tying the
-    closed-form classification back to the generative construction.
+    Starting from the alternating connectors, the marks apply in clause
+    order: D, T and Z scale their connector by 2, 3 and 0; F negates its
+    connector when the repeat falls just before it, then every later
+    block and connector.  Composing the parameters reproduces the
+    matched representative, tying the closed-form classification back to
+    the generative construction.
     """
-    r, m = match.r, match.m
-    period = 2 * m + 1
-    target = tuple(2 * (-1) ** i for i in range(2 * m))
+    r, period = match.r, 2 * match.m + 1
+    marks = CLAUSES[match.kind]
+    at, slots = (match.i0, match.i1), (match.j0, match.j1)
+    zeroed = [j for x, j in zip(marks, slots) if x == "Z"]
     eps = [1] * (2 * r + 1)
-    cvec = [(-1) ** (j - 1) for j in range(1, 2 * r + 1)]
-    kind, i0, i1, j0, j1 = match.kind, match.i0, match.i1, match.j0, match.j1
-    if kind == "TORUS":
-        pass
-    elif kind == "3A1":
-        cvec[j0 - 1] *= 2
-    elif kind == "3A2":
-        cvec[j0 - 1] = 0
-    elif kind == "4A":
-        cvec[j0 - 1] *= 3
-    elif kind == "4B1":
-        cvec[j0 - 1] *= 2
-        cvec[j1 - 1] *= 2
-    elif kind == "4B2":
-        cvec[j0 - 1] = 0
-        cvec[j1 - 1] *= 2
-    elif kind == "4B3":
-        cvec[j0 - 1] = 0
-        cvec[j1 - 1] = 0
-    elif kind == "3B":
-        for j in range(j0 + 1, 2 * r + 2):
-            eps[j - 1] = -1
-        for j in range(j0 + 1, 2 * r + 1):
-            cvec[j - 1] = (-1) ** j
-        cvec[j0 - 1] = (-1) ** (j0 - 1) if i0 == j0 * period else (-1) ** j0
-    elif kind in ("4C1", "4C2"):
-        for j in range(j1 + 1, 2 * r + 2):
-            eps[j - 1] = -1
-        for j in range(j1 + 1, 2 * r + 1):
-            cvec[j - 1] = (-1) ** j
-        if kind == "4C1":
-            cvec[j1 - 1] = (-1) ** (j1 - 1) if i1 == j1 * period else (-1) ** j1
-            cvec[j0 - 1] *= 2  # when j0 == j1 the doubled connector carries the flip sign
-        else:
-            straight = j1 * period if j1 < j0 else j1 * period - 2
-            cvec[j1 - 1] = (-1) ** (j1 - 1) if i1 == straight else (-1) ** j1
-            cvec[j0 - 1] = 0
-    elif kind == "4D":
-        if j0 == j1:
-            cvec[j0 - 1] = (-1) ** j0
-        else:
-            for j in range(j0 + 1, j1 + 1):
-                eps[j - 1] = -1
-            for j in range(j0 + 1, j1):
-                cvec[j - 1] = (-1) ** j
-            cvec[j0 - 1] = (-1) ** (j0 - 1) if i0 == j0 * period else (-1) ** j0
-            cvec[j1 - 1] = (-1) ** (j1 - 1) if i1 == j1 * period - 1 else (-1) ** j1
-    else:
-        raise ValueError(f"unknown kind {kind}")
-    return OrsParams(target=target, r=r, eps=tuple(eps), cvec=tuple(cvec))
+    cvec = [(-1) ** j for j in range(2 * r)]
+    for x, i, j in zip(marks, at, slots):
+        if x != "F":
+            cvec[j - 1] *= _SCALE[x]
+            continue
+        if i < _connector(j, period, zeroed):
+            cvec[j - 1] *= -1
+        cvec[j:] = [-c for c in cvec[j:]]
+        eps[j:] = [-e for e in eps[j:]]
+    return OrsParams(target=(2, -2) * match.m, r=r, eps=tuple(eps), cvec=tuple(cvec))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ fractions print as ``p/q`` unless --decimal asks for a 12-digit rendering.
 
 Exit codes: 0 success, 2 verification mismatch, 3 parse or usage error,
 4 resource bound: an input above its size bound (``census.ResourceBound``).
+Run as a program (``entry``), a closed stdout ends the process by SIGPIPE.
 Words of ``invariants`` and ``epi`` have at most ``epim.WORD_MAX`` entries,
 which also bounds the epimorphism search.
 
@@ -24,9 +25,9 @@ import functools
 import io
 import json
 import re
+import signal
 import sys
 from fractions import Fraction
-from math import log10
 
 from . import census, classify, epim
 from .contfrac import (
@@ -121,10 +122,13 @@ def cmd_invariants(args) -> int:
     knot = knot_from_word(word)
     torus = is_torus_two_strand(knot)
     # Each fold step of a reduced even word has a tail below 1 in absolute
-    # value, so the denominator is at least prod(|e| - 1): refuse before
-    # evaluating when that alone has too many digits (the 1 absorbs rounding).
+    # value, so the denominator is at least prod(|e| - 1) >= 2^s, s the sum
+    # of floor(log2(|e| - 1)): refuse before evaluating when 3 s > 10 * digits,
+    # as 2^(10/3) > 10 makes 2^s a number of more than `digits` digits.
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (before 3.10.7)
-    if not args.decimal and digits and sum(log10(abs(e) - 1) for e in word) > digits + 1:
+    if not args.decimal and digits and (
+        3 * sum((abs(e) - 1).bit_length() - 1 for e in word) > 10 * digits
+    ):
         raise _unprintable(digits)
     value = eval_word(word)
     try:
@@ -307,12 +311,13 @@ def _shared_flags(default) -> argparse.ArgumentParser:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a word such as ``-2,2`` as a positional, where argparse alone
-    admits only a negative number; subcommand parsers share the class."""
+    """Reads every token that starts with a minus sign and a digit, such as
+    the word ``-2,2``, as a positional, where argparse alone admits only a
+    negative number; subcommand parsers share the class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(,[-+]?\d+)*$|^-\d*\.\d+$")
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
 @functools.cache
@@ -416,6 +421,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # a closed stdout ends the process quietly, as it ends cat
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

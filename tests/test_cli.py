@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -580,11 +581,35 @@ class TestWordsStartingWithMinus:
         assert code == EXIT_PARSE and out == ""
         assert err == "configuration error: --ceiling -3 is below 3\n"
 
-    @pytest.mark.parametrize("token", ["-x", "-2,x"])
+    @pytest.mark.parametrize("token", ["-x"])
     def test_other_dash_token_is_a_usage_error(self, capsys, token):
         code, out, err = in_process(capsys, "invariants", token)
         assert code == EXIT_PARSE and out == ""
         assert err.startswith("usage: bridgekit invariants")
+
+    def test_malformed_word_is_a_parse_error(self, capsys):
+        # a minus sign and a digit make a word, and the word parser reports the fault
+        code, out, err = in_process(capsys, "invariants", "-2,x")
+        assert code == EXIT_PARSE and out == ""
+        assert err == "parse error: not an integer: token 'x' at position 2\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_quietly():
+    # 147 kB of dot: more than a pipe holds, so the CLI is still writing when it closes
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bridgekit", "epi", "graph", "--max-c", "14"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.readline() == b"digraph epimorphisms {\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""
 
 
 class TestConfig:
