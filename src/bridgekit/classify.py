@@ -244,12 +244,6 @@ def nonminimal_matches(word: Word) -> tuple[NonminimalType, ...]:
     return tuple(sorted(set(matches), key=NonminimalType.sort_key))
 
 
-def nonminimal_type(word: Word) -> NonminimalType | None:
-    """First matching clause, or None when the knot is minimal."""
-    matches = nonminimal_matches(word)
-    return matches[0] if matches else None
-
-
 def reconstruct_params(match: NonminimalType) -> OrsParams:
     """Interleaving parameters realizing a matched clause.
 

@@ -81,10 +81,12 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _check_max_c(max_c: int) -> None:
-    """Refuse a --max-c below 3, the smallest crossing number of a knot."""
+def _check_max_c(max_c: int, command: str, bound: int) -> None:
+    """Refuse a --max-c below 3, the smallest crossing number of a knot, or above ``bound``."""
     if max_c < 3:
         raise ValueError(f"--max-c {max_c} is below 3, the smallest crossing number")
+    if max_c > bound:
+        raise census.ResourceBound(f"--max-c {max_c} exceeds the {command} bound {bound}")
 
 
 def format_table(
@@ -247,9 +249,7 @@ def cmd_epi(args) -> int:
             print(f"{format_word(knot.canon)}: not minimal (onto {' and '.join(names)})")
         return EXIT_OK
     if args.epi_command == "graph":
-        _check_max_c(args.max_c)
-        if args.max_c > args.ceiling:
-            raise census.ResourceBound(f"--max-c {args.max_c} exceeds ceiling {args.ceiling}")
+        _check_max_c(args.max_c, "epi graph", epim.EPI_GRAPH_C_MAX)
         write = epim.write_json if args.format == "json" else epim.write_dot
         write(args.max_c, sys.stdout)
         return EXIT_OK
@@ -257,11 +257,7 @@ def cmd_epi(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    _check_max_c(args.max_c)
-    if args.max_c > classify.TABLE1_C_MAX:
-        raise census.ResourceBound(
-            f"--max-c {args.max_c} exceeds the table1 bound {classify.TABLE1_C_MAX}"
-        )
+    _check_max_c(args.max_c, "table1", classify.TABLE1_C_MAX)
     rows = classify.table1(args.max_c, up_to_mirror=not args.chiral)
     if args.format == "json":
         print(classify.rows_to_json(rows))
@@ -302,8 +298,6 @@ def _shared_flags(default) -> argparse.ArgumentParser:
     default to SUPPRESS, so that a flag given only before keeps its value."""
     shared = argparse.ArgumentParser(add_help=False, argument_default=default)
     shared.add_argument("--format", choices=FORMATS, help="output format")
-    ceiling = f"largest epi graph --max-c (default {epim.DEFAULT_ENUM_CEILING}, exit 4 above)"
-    shared.add_argument("--ceiling", type=int, help=ceiling)
     shared.add_argument(
         "--decimal", action="store_true", help="render fractions with 12 significant digits"
     )
@@ -313,11 +307,26 @@ def _shared_flags(default) -> argparse.ArgumentParser:
 class _Parser(argparse.ArgumentParser):
     """Reads every token that starts with a minus sign and a digit, such as
     the word ``-2,2``, as a positional, where argparse alone admits only a
-    negative number; subcommand parsers share the class."""
+    negative number.  A parser with subcommands refuses an unknown --flag
+    before its subcommand by name, where argparse would set the flag aside
+    and read its value as the subcommand.  Subcommand parsers share the class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else args
+        commands = [a.choices for a in self._actions if isinstance(a, argparse._SubParsersAction)]
+        for token in args if commands else ():
+            if token == "--" or token in commands[0]:
+                break
+            # a prefix of a known flag abbreviates it, and argparse reads it
+            if token.startswith("--") and not any(
+                flag.startswith(token.partition("=")[0]) for flag in self._option_string_actions
+            ):
+                self.error(f"unrecognized arguments: {token}")
+        return super().parse_known_args(args, namespace)
 
 
 @functools.cache
@@ -366,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = epi_sub.add_parser("minimal", help="decide minimality by search", parents=after)
     q.add_argument("word")
     q = epi_sub.add_parser("graph", help="epimorphism digraph up to a crossing bound", parents=after)
-    q.add_argument("--max-c", type=int, required=True)
+    bound = f"largest crossing number, 3 to {epim.EPI_GRAPH_C_MAX} (exit 3 below, 4 above)"
+    q.add_argument("--max-c", type=int, required=True, help=bound)
     p.set_defaults(func=cmd_epi)
 
     p = sub.add_parser("table1", help="non-minimal knots with braid index <= 4", parents=after)
@@ -392,16 +402,9 @@ def main(argv: list[str] | None = None) -> int:
     command = f"epi {args.epi_command}" if args.command == "epi" else args.command
     if args.format is None:
         args.format = "dot" if command == "epi graph" else "md"
-    if args.ceiling is None:
-        args.ceiling = epim.DEFAULT_ENUM_CEILING
     renders = RENDERS[command]
-    if args.ceiling < 3:
-        problem = f"--ceiling {args.ceiling} is below 3"
-    elif args.format not in renders:
+    if args.format not in renders:
         problem = f"{command} cannot render {args.format} (it renders {', '.join(renders)})"
-    else:
-        problem = None
-    if problem:
         print(f"configuration error: {problem}", file=sys.stderr)
         return EXIT_PARSE
     try:
@@ -412,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
     except census.ResourceBound as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (epim.AuditFailure, epim.MergeCancellation, census.NonIntegralFormula) as exc:
+    except (epim.AuditFailure, census.NonIntegralFormula) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except ValueError as exc:

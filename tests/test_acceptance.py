@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 from bridgekit.census import (
+    IDENTITIES_N_MAX,
     TABLE2_REFERENCE,
     brute_counts,
     closed_avg_braid,
@@ -160,14 +161,17 @@ def test_criterion_5_minimality_cross_validation():
 
 
 def test_criterion_6_identities():
-    """All binomial-sum identities hold exactly for parameters up to 200."""
+    """All binomial-sum identities hold exactly for parameters up to IDENTITIES_N_MAX (300).
+
+    closed_n relies on them for k up to 249 at the census bound c = 500.
+    """
     start = time.monotonic()
-    checks = verify_identities(200)
+    checks = verify_identities(IDENTITIES_N_MAX)
     elapsed = time.monotonic() - start
     failed = [check.name for check in checks if not check.passed]
     report(
         6,
-        "binomial-sum and partial-sum identities up to 200",
+        f"binomial-sum and partial-sum identities up to {IDENTITIES_N_MAX}",
         len(checks) == 7 and not failed and elapsed < 10,
         f" ({elapsed:.1f}s)" + (f" failed={failed}" if failed else ""),
     )

@@ -5,6 +5,7 @@ from operator import neg
 
 import pytest
 
+from bridgekit import census
 from bridgekit.census import (
     COLUMNS,
     TABLE2_REFERENCE,
@@ -113,7 +114,7 @@ class TestBruteCounts:
     def test_ceiling(self):
         with pytest.raises(ResourceBound):
             brute_counts(501)
-        brute_counts(23)  # the epi graph ceiling does not bound the census
+        brute_counts(23)  # the epi graph bound does not limit the census
 
     def test_avg_genus(self):
         # five 6-crossing knots: two of genus 1, three of genus 2
@@ -122,7 +123,7 @@ class TestBruteCounts:
         assert row.avg_genus == Fraction(sum(genus(w) for w in knots), len(knots)) == Fraction(8, 5)
 
     def test_counts_past_the_default_ceiling(self):
-        # the epi graph ceiling does not bound the census
+        # the epi graph bound does not limit the census
         for c in range(23, 27):
             assert verify_row(c, brute_counts(c)) == []
 
@@ -236,12 +237,15 @@ class TestIdentities:
         checks = {check.name: check for check in verify_identities(10)}
         assert checks["even-slice-partial-sum"].passed
 
-    def test_counterexample_reporting(self):
-        from bridgekit.census import _scan
+    def test_counterexample_reporting(self, monkeypatch):
+        def params(n_max):
+            return ((n,) for n in range(1, n_max + 1))
 
-        bad = _scan("demo", "x == x + 1", 3, (((n,), n, n + 1) for n in range(1, 4)))
-        assert not bad.passed
-        assert bad.counterexample == ((1,), 1, 2)
+        false = ("demo", "n == n + 1", params, lambda C, n: n, lambda n: n + 1)
+        monkeypatch.setattr(census, "IDENTITIES", census.IDENTITIES + (false,))
+        *real, bad = verify_identities(3)
+        assert (bad.name, bad.passed, bad.counterexample) == ("demo", False, ((1,), 1, 2))
+        assert len(real) == 7 and all(check.passed for check in real)
 
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):

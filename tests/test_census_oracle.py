@@ -28,7 +28,7 @@ import pytest
 
 from bridgekit import census
 from bridgekit.census import ResourceBound, _assemble_row
-from bridgekit.epim import DEFAULT_ENUM_CEILING
+from bridgekit.epim import EPI_GRAPH_C_MAX
 
 import _oracles
 
@@ -132,7 +132,7 @@ def test_mirror_representative_matches_on_every_word():
     assert checked == 87380
 
 
-def brute_counts(c, *, ceiling=DEFAULT_ENUM_CEILING):
+def brute_counts(c, *, ceiling=EPI_GRAPH_C_MAX):
     if c < 3:
         raise ValueError(f"crossing number must be >= 3, got {c}")
     if c > ceiling:

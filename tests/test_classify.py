@@ -11,7 +11,6 @@ from bridgekit.classify import (
     TABLE1_REFERENCE,
     Table1Row,
     nonminimal_matches,
-    nonminimal_type,
     reconstruct_params,
     row_cells,
     rows_to_json,
@@ -56,37 +55,37 @@ def braid_slice(c, braid):
 
 class TestNonminimalClauses:
     def test_prime_torus_is_minimal(self):
-        assert nonminimal_type((2, -2) * 3) is None  # T(7,2), 7 prime
+        assert nonminimal_matches((2, -2) * 3) == ()  # T(7,2), 7 prime
 
     def test_composite_torus(self):
-        match = nonminimal_type((2, -2) * 4)
+        match = nonminimal_matches((2, -2) * 4)[0]
         assert match.kind == "TORUS" and (match.r, match.m) == (1, 1)
 
     def test_merged_pair_clause(self):
-        match = nonminimal_type((2, -4, 4, -2))
+        match = nonminimal_matches((2, -4, 4, -2))[0]
         assert match.kind == "4B3"
         assert (match.r, match.m) == (1, 1)
         assert (match.i0, match.i1, match.j0, match.j1) == (2, 3, 1, 2)
 
     def test_double_repeat_clause(self):
-        match = nonminimal_type((2, -2, -2, -2, 2, -2, 2, -2))
+        match = nonminimal_matches((2, -2, -2, -2, 2, -2, 2, -2))[0]
         assert match.kind == "4D"
 
     def test_mirror_normalization(self):
         # the clause applies to the mirror orbit, not just the given word
         word = (2, -4, 2, -2, 2, -2)
         mirrored = tuple(-e for e in word)
-        assert nonminimal_type(word).kind == "3A2"
-        assert nonminimal_type(mirrored).kind == "3A2"
+        assert nonminimal_matches(word)[0].kind == "3A2"
+        assert nonminimal_matches(mirrored)[0].kind == "3A2"
 
     def test_position_off_by_one_is_minimal(self):
         # same shape as a 3B row but the repeat sits at a bad position
         word = (2, 2, -2, 2, -2, 2, -2, 2)
-        assert nonminimal_type(word) is None
+        assert nonminimal_matches(word) == ()
 
     def test_braid_five_rejected(self):
         with pytest.raises(ValueError):
-            nonminimal_type((2, -6, 6, -2))
+            nonminimal_matches((2, -6, 6, -2))
 
     @pytest.mark.parametrize("c", range(3, 16))
     def test_cross_validation_against_search(self, c):

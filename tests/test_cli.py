@@ -190,7 +190,7 @@ class TestCensus:
         assert "agree" in out
 
     def test_verify_range_21_22(self, capsys):
-        # the counts against the closed forms up to the epi graph ceiling
+        # the counts against the closed forms up to the epi graph bound
         code, out, _ = run(capsys, "census", "21..22", "--verify")
         assert code == EXIT_OK
         assert "agree" in out
@@ -210,7 +210,7 @@ class TestCensus:
     def test_ceiling_enforced(self, capsys):
         code, _, err = run(capsys, "epi", "graph", "--max-c", "30")
         assert code == EXIT_RESOURCE
-        assert err == "resource bound: --max-c 30 exceeds ceiling 22\n"
+        assert err == "resource bound: --max-c 30 exceeds the epi graph bound 22\n"
 
     def test_ceiling_does_not_bound_census(self, capsys):
         code, out, _ = run(capsys, "census", "23..24")
@@ -352,15 +352,6 @@ class TestEpi:
         assert code == EXIT_MISMATCH and out == ""
         assert err.startswith("verification failed:") and err.count("\n") == 1
 
-    def test_merge_cancellation_is_mismatch(self, capsys, monkeypatch):
-        def cancel(params):
-            raise epim.MergeCancellation("boundary entries cancelled")
-
-        monkeypatch.setattr(epim, "ors_compose", cancel)
-        code, _, err = run(capsys, "epi", "check", ",".join(["2,-2"] * 4), "2,-2")
-        assert code == EXIT_MISMATCH
-        assert err == "verification failed: boundary entries cancelled\n"
-
     def test_graph_dot_default(self, capsys):
         code, out, _ = run(capsys, "epi", "graph", "--max-c", "9")
         assert code == EXIT_OK
@@ -421,9 +412,10 @@ class TestEpi:
         assert time.perf_counter() - start < 1.0
 
     def test_graph_respects_ceiling(self, capsys):
-        code, _, err = run(capsys, "epi", "graph", "--max-c", "30")
-        assert code == EXIT_RESOURCE
-        assert "resource bound" in err
+        # the fixed bound, epim.EPI_GRAPH_C_MAX = 22, refused just above it
+        code, out, err = run(capsys, "epi", "graph", "--max-c", "23")
+        assert code == EXIT_RESOURCE and out == ""
+        assert err == "resource bound: --max-c 23 exceeds the epi graph bound 22\n"
 
     @pytest.mark.parametrize("max_c", ["2", "0", "-4"])
     def test_graph_max_c_below_3_is_refused(self, capsys, max_c):
@@ -536,8 +528,8 @@ class TestFlagsAfterSubcommand:
             (["--format", "json"], ["epi", "targets", T15]),
             (["--decimal"], ["invariants", "2,-4,4,-2"]),
             (["--decimal", "--format", "csv"], ["census", "3..7"]),
-            (["--ceiling", "6"], ["epi", "graph", "--max-c", "7"]),
-            (["--ceiling", "20"], ["epi", "graph", "--max-c", "23"]),
+            (["--format", "dot"], ["epi", "graph", "--max-c", "7"]),
+            (["--format", "json"], ["epi", "graph", "--max-c", "23"]),
             (["--format", "dot"], ["identities", "--n-max", "3"]),
         ],
     )
@@ -577,9 +569,10 @@ class TestWordsStartingWithMinus:
         assert plain == run(capsys, *head, *tail, "--", word) and plain[0] == EXIT_OK
 
     def test_negative_ceiling_still_refused(self, capsys):
-        code, out, err = run(capsys, "--ceiling", "-3", "epi", "graph", "--max-c", "5")
+        # the removed flag is named, not its value read as the subcommand
+        code, out, err = in_process(capsys, "--ceiling", "-3", "epi", "graph", "--max-c", "5")
         assert code == EXIT_PARSE and out == ""
-        assert err == "configuration error: --ceiling -3 is below 3\n"
+        assert err.splitlines()[-1] == "bridgekit: error: unrecognized arguments: --ceiling"
 
     @pytest.mark.parametrize("token", ["-x"])
     def test_other_dash_token_is_a_usage_error(self, capsys, token):
@@ -614,9 +607,9 @@ def test_closed_stdout_ends_quietly():
 
 class TestConfig:
     def test_bad_ceiling_rejected(self, capsys):
-        code, _, err = run(capsys, "--ceiling", "2", "census", "3")
-        assert code == EXIT_PARSE
-        assert "configuration error" in err
+        code, out, err = in_process(capsys, "--ceiling", "2", "census", "3")
+        assert code == EXIT_PARSE and out == ""
+        assert err.splitlines()[-1] == "bridgekit: error: unrecognized arguments: --ceiling"
 
     def test_config_file_flag_removed(self, tmp_path, capsys):
         config_file = tmp_path / "bridgekit.conf"
@@ -625,11 +618,29 @@ class TestConfig:
         assert code == EXIT_PARSE and out == ""
         assert err.startswith("usage: bridgekit") and "--config" not in err.splitlines()[0]
 
-    def test_budget_flag_removed(self, capsys):
-        code, out, err = in_process(capsys, "--budget", "3", "epi", "targets", "2,-2")
+    @pytest.mark.parametrize(
+        "flag, value, command",
+        [
+            ("--budget", "3", ["epi", "targets", "2,-2"]),
+            ("--ceiling", "6", ["epi", "graph", "--max-c", "7"]),
+            ("--config", "bridgekit.conf", ["census", "5"]),
+        ],
+        ids=["budget", "ceiling", "config"],
+    )
+    def test_removed_flag_is_named(self, capsys, flag, value, command):
+        # before the subcommand, argparse alone would read the value as the subcommand
+        for argv in ([flag, value, *command], [*command, flag, value]):
+            code, out, err = in_process(capsys, *argv)
+            assert code == EXIT_PARSE and out == ""
+            assert err.startswith("usage: bridgekit") and flag not in err.splitlines()[0]
+            last = err.splitlines()[-1]
+            assert last.startswith("bridgekit: error: unrecognized arguments: ")
+            assert flag in last.split()
+
+    def test_removed_flag_between_epi_and_its_subcommand(self, capsys):
+        code, out, err = in_process(capsys, "epi", "--budget", "3", "targets", "2,-2")
         assert code == EXIT_PARSE and out == ""
-        assert err.startswith("usage: bridgekit") and "--budget" not in err.splitlines()[0]
-        assert err.splitlines()[-1].startswith("bridgekit: error:")
+        assert err.splitlines()[-1] == "bridgekit epi: error: unrecognized arguments: --budget"
 
 
 class TestRepeatedCalls:
@@ -701,8 +712,9 @@ class TestRepeatedCalls:
         assert calls[1][1].startswith(second_starts)
 
     def test_environment_sets_no_ceiling(self, capsys, monkeypatch):
-        # the ceiling comes only from --ceiling, in process and in a fresh one
-        monkeypatch.setenv("BRIDGEKIT_CEILING", "8")
-        argv = ["epi", "graph", "--max-c", "9"]
-        call = in_process(capsys, *argv)
-        assert call == fresh_process(argv) and call[0] == EXIT_OK
+        # the epi graph bound is fixed, in process and in a fresh one
+        for ceiling, max_c, code in (("8", "9", EXIT_OK), ("30", "23", EXIT_RESOURCE)):
+            monkeypatch.setenv("BRIDGEKIT_CEILING", ceiling)
+            argv = ["epi", "graph", "--max-c", max_c]
+            call = in_process(capsys, *argv)
+            assert call == fresh_process(argv) and call[0] == code
