@@ -40,7 +40,6 @@ formulas.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
@@ -48,7 +47,7 @@ from math import comb
 from operator import add, mul, sub
 from typing import Iterator, Sequence
 
-from .contfrac import Word, format_fraction
+from .contfrac import Word, format_fraction, format_json
 
 # verify_identities takes 0.3 s at n_max = 200 and 0.5 s at 300, where its
 # Pascal rows 0..600 raise a fresh process's peak RSS from 20 MB to 34 MB
@@ -545,7 +544,6 @@ def verify_identities(n_max: int) -> list[IdentityCheck]:
 COLUMNS = ("c", "TK", "TS", "avg braid", "TK*", "TS*", "avg braid*")
 # The up-to-mirror table keeps c and the three starred columns.
 MIRROR_COLUMNS = COLUMNS[:1] + COLUMNS[4:]
-MIRROR_KEYS = ("c", "tk_star", "ts_star", "avg_braid_star")
 
 
 def row_cells(
@@ -566,6 +564,17 @@ def row_cells(
 def rows_to_json(
     rows: Sequence[CensusRow], fmt=format_fraction, *, up_to_mirror: bool = False
 ) -> str:
+    if up_to_mirror:  # the four columns of MIRROR_COLUMNS
+        payload = [
+            {
+                "c": row.c,
+                "tk_star": row.tk_star,
+                "ts_star": row.ts_star,
+                "avg_braid_star": fmt(row.avg_braid_star),
+            }
+            for row in rows
+        ]
+        return format_json(payload)
     payload = [
         {
             "c": row.c,
@@ -580,6 +589,4 @@ def rows_to_json(
         }
         for row in rows
     ]
-    if up_to_mirror:
-        payload = [{key: entry[key] for key in MIRROR_KEYS} for entry in payload]
-    return json.dumps(payload, indent=2)
+    return format_json(payload)

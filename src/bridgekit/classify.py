@@ -38,12 +38,11 @@ than classifying every knot of braid index <= 4; no search runs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 from typing import Sequence
 
-from .contfrac import Word, check_even_word, format_word, negate
+from .contfrac import Word, check_even_word, format_json, format_word, negate
 from .epim import AuditFailure, OrsParams, audit_params, ors_words
 from .knot import (
     braid_index,
@@ -416,4 +415,4 @@ def rows_to_json(rows: Sequence[Table1Row]) -> str:
         }
         for row in rows
     ]
-    return json.dumps(payload, indent=2)
+    return format_json(payload)

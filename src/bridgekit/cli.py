@@ -23,7 +23,6 @@ import csv
 import decimal
 import functools
 import io
-import json
 import re
 import signal
 import sys
@@ -34,6 +33,7 @@ from .contfrac import (
     WordParseError,
     eval_word,
     format_fraction,
+    format_json,
     format_word,
     parse_word,
 )
@@ -149,7 +149,7 @@ def cmd_invariants(args) -> int:
         ("torus", f"T({torus},2)" if torus else "-"),
     ]
     if args.format == "json":
-        print(json.dumps(dict(fields), indent=2))
+        print(format_json(dict(fields)))
     else:
         for key, value in fields:
             print(f"{key}: {value}")
@@ -224,7 +224,7 @@ def cmd_epi(args) -> int:
         knot = _epi_knot(args.word)
         witnesses = epim.epi_targets(knot)
         if args.format == "json":
-            print(json.dumps([w.to_json() for w in witnesses], indent=2))
+            print(format_json([w.to_json() for w in witnesses]))
         else:
             names = sorted({display_name(w.small) for w in witnesses})
             summary = " and ".join(names) if names else "none"

@@ -34,17 +34,27 @@ Every returned witness carries an audit splitting the braid-index gap
 braid(big) - 3 braid(target) + 4 into four non-negative terms; the
 audit recomputes everything from the parameters and the composed word,
 trusting nothing from the search or the walk.
+
+``write_dot`` and ``write_json`` stream the graph as it is enumerated; the
+JSON is that of ``json.dumps(..., indent=2)``, byte for byte.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 from typing import Iterator, TextIO
 
 from .census import enumerate_words
-from .contfrac import Word, check_even_word, format_word, rev_neg, reverse, sign_changes
+from .contfrac import (
+    Word,
+    check_even_word,
+    format_json,
+    format_word,
+    rev_neg,
+    reverse,
+    sign_changes,
+)
 from .knot import (
     KNOT_NAMES,
     KnotClass,
@@ -466,7 +476,12 @@ def write_dot(max_crossing: int, out: TextIO) -> None:
 
 
 def write_json(max_crossing: int, out: TextIO) -> None:
-    """Write ``epi_graph(max_crossing)`` as ``json.dumps(..., indent=2)`` would, node by node."""
+    """Write ``epi_graph(max_crossing)`` as ``json.dumps(..., indent=2)`` would, node by node.
+
+    Each node is written by one f-string, and each edge by
+    ``contfrac.format_json`` at a margin of four spaces; at --max-c 22 there
+    are 699,732 nodes, and no general writer writes them as fast.
+    """
     nodes = epi_graph(max_crossing)
     out.write(f'{{\n  "max_crossing": {max_crossing},\n  "nodes": [')
     edges = []
@@ -490,6 +505,6 @@ def write_json(max_crossing: int, out: TextIO) -> None:
             "target": format_word(small.canon),
             "witnesses": [witness.to_json() for witness in witnesses],
         }
-        out.write(comma + json.dumps(record, indent=2).replace("\n", "\n    "))
+        out.write(comma + format_json(record, "    "))
         comma = ",\n    "
     out.write("\n  ]\n}\n" if edges else "]\n}\n")

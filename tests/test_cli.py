@@ -36,6 +36,21 @@ GRAPH_DIGESTS = [
     ("16", "json", "827ebb0c51f3089200a11b58f3a06541b5f8261f24595e23bcbf5f203fa32d52"),
 ]
 
+# sha256 of json stdout that no golden digest covers, recorded while json.dumps wrote it
+JSON_DIGESTS = {
+    # r = 2 with all four connectors zero
+    "--format json epi targets 2,-4,4,-4,4,-2": (
+        "1336b8cf54f08e722f99149fa11e71c23a7402fe6101000e4528cb4d20467ed4"
+    ),
+    "--decimal --format json census 3..30": (
+        "65a047fad91b77539e2d7191fd52c109f7015aea994446f507385b64e2c8305f"
+    ),
+    # "[]\n": Table 1 starts at 9 crossings
+    "--format json table1 --max-c 8": (
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"
+    ),
+}
+
 
 # the most digits int to str converts; 0 where it converts any number
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -497,6 +512,12 @@ class TestFormats:
     )
     def test_md_accepted(self, capsys, command):
         assert run(capsys, "--format", "md", *command) == run(capsys, *command)
+
+    @pytest.mark.parametrize("command", list(JSON_DIGESTS))
+    def test_json_stdout_matches_recorded_digest(self, capsys, command):
+        code, out, _ = run(capsys, *command.split(" "))
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == JSON_DIGESTS[command]
 
 
 class TestIdentities:

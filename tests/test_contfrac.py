@@ -1,5 +1,6 @@
 """Continued-fraction evaluation, symmetries, and the even expansion."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from bridgekit.contfrac import (
     check_even_word,
     eval_word,
     format_fraction,
+    format_json,
     format_word,
     negate,
     parse_word,
@@ -190,3 +192,36 @@ class TestTextFormats:
     def test_fractions(self):
         assert format_fraction(Fraction(26, 45)) == "26/45"
         assert format_fraction(Fraction(3)) == "3"
+
+
+# Text with what JSON escapes: quotes, backslashes, control characters,
+# non-ASCII and astral characters (escaped as surrogate pairs), lone surrogates.
+json_text = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\xe9\u2028\ud800\udfff\U0001d11e'),
+        st.characters(exclude_categories=()),
+    ),
+    max_size=12,
+)
+json_values = st.recursive(
+    st.none() | st.integers() | st.integers(-(2**200), 2**200) | json_text,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(json_text, children, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestFormatJson:
+    @given(json_values)
+    def test_is_json_dumps(self, value):
+        text = json.dumps(value, indent=2)
+        assert format_json(value) == text
+        assert format_json(value, "    ") == text.replace("\n", "\n    ")
+
+    @pytest.mark.parametrize(
+        "value", [True, False, 0.0, Fraction(1, 2), (1,), {1: 2}, [False], {"a": [True]}]
+    )
+    def test_refuses_what_the_cli_never_prints(self, value):
+        # json.dumps writes each of these; a fall-through must not write False as []
+        with pytest.raises(TypeError):
+            format_json(value)
