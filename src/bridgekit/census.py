@@ -40,12 +40,11 @@ formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
 from math import comb
 from operator import add, mul, sub
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .contfrac import Word, format_fraction, format_json
 
@@ -162,15 +161,13 @@ def enumerate_words(c: int, *, ell: int | None = None) -> Iterator[Word]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignClassCount:
+class SignClassCount(NamedTuple):
     c: int
     ell: int
     count: int
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     c: int
     tk: int
     ts: int
@@ -445,8 +442,7 @@ def verify_row(c: int, row: CensusRow | None = None) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     statement: str
     max_param: int

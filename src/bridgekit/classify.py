@@ -38,20 +38,12 @@ than classifying every knot of braid index <= 4; no search runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .contfrac import Word, check_even_word, format_json, format_word, negate
+from .contfrac import Word, check_even_word, format_json, format_word, negate, rev_neg, reverse
 from .epim import AuditFailure, OrsParams, audit_params, ors_words
-from .knot import (
-    braid_index,
-    canonical_word,
-    display_name,
-    knot_from_word,
-    mirror_canonical_word,
-    mirror_orbit,
-)
+from .knot import braid_index, display_name, knot_from_word, mirror_orbit
 
 # table1's rows grow about as c^3 (577 at c_max = 30, 1,902 at 45), and so
 # does its cost: 0.15 s at 30 and 0.4-0.6 s at 45 on a 2-vCPU host, and
@@ -114,8 +106,7 @@ def _clauses_by_spots() -> dict[tuple[int, int, int], list]:
 _BY_SPOTS = _clauses_by_spots()
 
 
-@dataclass(frozen=True)
-class NonminimalType:
+class NonminimalType(NamedTuple):
     """One satisfied non-minimality clause, with its witnessing numbers.
 
     ``word`` is the mirror-normalized representative the clause matched;
@@ -275,14 +266,24 @@ def reconstruct_params(match: NonminimalType) -> OrsParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(NamedTuple):
+    """One row of Table 1; rows are equal, and hash alike, whatever their matches."""
+
     braid: int
     kind: str
     crossing: int
     word: Word
     images: tuple[str, ...]
-    matches: tuple[NonminimalType, ...] = field(default=(), compare=False)
+    matches: tuple[NonminimalType, ...] = ()
+
+    def __eq__(self, other):
+        return isinstance(other, Table1Row) and self[:5] == other[:5]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:5])
 
 
 def _display_word(word: Word) -> Word:
@@ -300,23 +301,26 @@ def table1(c_max: int, *, up_to_mirror: bool = True) -> list[Table1Row]:
     inequality, type tags come from the closed-form clauses, and a row
     the clauses call minimal raises AuditFailure.
     """
-    targets: dict[Word, set[Word]] = {}
+    targets: dict[Word, set[str]] = {}
     # three blocks onto T(2m+1, 2), the word (2, -2) * m, cost 3(2m+1) crossings
     for m in range(1, (c_max // 3 - 1) // 2 + 1):
-        for params, word in ors_words((2, -2) * m, c_max, braid_max=4):
+        target = (2, -2) * m
+        names = [display_name(knot_from_word(image)) for image in (target, negate(target))]
+        for params, word in ors_words(target, c_max, braid_max=4):
             audit_params(params, word)
-            lead = mirror_canonical_word(word)
-            for image, spelled in ((params.target, word), (negate(params.target), negate(word))):
-                rep = canonical_word(spelled)
+            # the classes of the word and of its mirror image; the lesser leads the orbit
+            reps = (min(word, rev_neg(word)), min(negate(word), reverse(word)))
+            lead = min(reps)
+            for name, rep in zip(names, reps):
                 if rep == lead or not up_to_mirror:
-                    targets.setdefault(rep, set()).add(image)
+                    targets.setdefault(rep, set()).add(name)
     rows = []
     for rep, images in targets.items():
         matches = nonminimal_matches(rep)
         if not matches:
             raise AuditFailure(f"ORS word {format_word(rep)} matches no clause")
         knot = knot_from_word(rep)
-        names = tuple(sorted({display_name(knot_from_word(image)) for image in images}))
+        names = tuple(sorted(images))
         display = _display_word(rep) if up_to_mirror else rep
         rows.append(Table1Row(knot.braid, matches[0].label, knot.crossing, display, names, matches))
     rows.sort(key=lambda row: (row.braid, row.kind, row.crossing, row.images, row.word))

@@ -37,7 +37,7 @@ from .contfrac import (
     format_word,
     parse_word,
 )
-from .knot import display_name, is_torus_two_strand, knot_from_word
+from .knot import display_name, is_torus_two_strand, knot_from_word, mirror_canonical_word
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -233,6 +233,14 @@ def cmd_epi(args) -> int:
     if args.epi_command == "check":
         big = _epi_knot(args.big)
         small = _epi_knot(args.small)
+        # a knot's group is isomorphic to its mirror image's, and the search skips both
+        if mirror_canonical_word(big.canon) == mirror_canonical_word(small.canon):
+            relation = "the same knot" if big == small else "mirror images"
+            print(
+                f"{format_word(big.canon)} -> {format_word(small.canon)}: {relation};"
+                " epi check looks for proper images only"
+            )
+            return EXIT_OK
         witness = epim.admits_epi(big, small)
         if witness is None:
             print(f"no epimorphism {format_word(big.canon)} -> {format_word(small.canon)}")

@@ -41,9 +41,8 @@ JSON is that of ``json.dumps(..., indent=2)``, byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, groupby
-from typing import Iterator, TextIO
+from typing import Iterator, NamedTuple, TextIO
 
 from .census import enumerate_words
 from .contfrac import (
@@ -85,35 +84,41 @@ class AuditFailure(AssertionError):
     """An audit term came out negative or the terms missed the slack."""
 
 
-@dataclass(frozen=True)
-class OrsParams:
-    """Parameters of one interleaving: target expansion, r, signs, connectors."""
-
+class _OrsFields(NamedTuple):
     target: Word
     r: int
     eps: tuple[int, ...]
     cvec: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "target", tuple(self.target))
-        object.__setattr__(self, "eps", tuple(self.eps))
-        object.__setattr__(self, "cvec", tuple(self.cvec))
-        check_even_word(self.target)
-        if self.r < 1:
-            raise ValueError(f"r must be >= 1, got {self.r}")
-        if len(self.eps) != 2 * self.r + 1:
-            raise ValueError(f"need {2 * self.r + 1} signs, got {len(self.eps)}")
-        if any(e not in (1, -1) for e in self.eps):
-            raise ValueError(f"signs must be +-1, got {self.eps}")
-        if self.eps[0] != 1:
+
+class OrsParams(_OrsFields):
+    """Parameters of one interleaving: target expansion, r, signs, connectors.
+
+    The constructor makes tuples of the three sequences and validates them;
+    ``_make`` and ``_replace`` would skip both, so nothing calls them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, target, r, eps, cvec):
+        target, eps, cvec = tuple(target), tuple(eps), tuple(cvec)
+        check_even_word(target)
+        if r < 1:
+            raise ValueError(f"r must be >= 1, got {r}")
+        if len(eps) != 2 * r + 1:
+            raise ValueError(f"need {2 * r + 1} signs, got {len(eps)}")
+        if any(e not in (1, -1) for e in eps):
+            raise ValueError(f"signs must be +-1, got {eps}")
+        if eps[0] != 1:
             raise ValueError("leading sign must be +1")
-        if len(self.cvec) != 2 * self.r:
-            raise ValueError(f"need {2 * self.r} connectors, got {len(self.cvec)}")
-        for j, cj in enumerate(self.cvec):
-            if cj == 0 and self.eps[j + 1] != self.eps[j]:
+        if len(cvec) != 2 * r:
+            raise ValueError(f"need {2 * r} connectors, got {len(cvec)}")
+        for j, cj in enumerate(cvec):
+            if cj == 0 and eps[j + 1] != eps[j]:
                 raise ValueError(
-                    f"connector {j + 1} is zero but adjacent signs differ: {self.eps}"
+                    f"connector {j + 1} is zero but adjacent signs differ: {eps}"
                 )
+        return super().__new__(cls, target, r, eps, cvec)
 
     def to_json(self) -> dict:
         return {
@@ -124,8 +129,7 @@ class OrsParams:
         }
 
 
-@dataclass(frozen=True)
-class InequalityAudit:
+class InequalityAudit(NamedTuple):
     """Decomposition of braid(big) - 3 braid(target) + 4 into >= 0 terms."""
 
     term_copies: int     # (2r - 2) (braid(target) - 2)
@@ -148,8 +152,7 @@ class InequalityAudit:
         }
 
 
-@dataclass(frozen=True)
-class EpiWitness:
+class EpiWitness(NamedTuple):
     big: KnotClass
     small: KnotClass
     params: OrsParams

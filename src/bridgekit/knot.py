@@ -17,7 +17,7 @@ alternating words (+-2, -+2, ...), the closed 2-strand torus knots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .contfrac import Word, check_even_word, format_word, negate, rev_neg, reverse, sign_changes
 
@@ -50,9 +50,11 @@ def mirror_canonical_word(word: Word) -> Word:
     return mirror_orbit(word)[0]
 
 
-@dataclass(frozen=True, order=True)
-class KnotClass:
-    """Canonical representative of a two-bridge knot, invariants attached."""
+class KnotClass(NamedTuple):
+    """Canonical representative of a two-bridge knot, invariants attached.
+
+    Knots order by their fields, canonical word first.
+    """
 
     canon: Word
     crossing: int

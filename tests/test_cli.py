@@ -328,6 +328,21 @@ class TestEpi:
         assert code == EXIT_OK
         assert "no epimorphism" in out
 
+    @pytest.mark.parametrize(
+        "big, small, relation",
+        [
+            ("2,-2,2,-2", "2,-2,2,-2", "the same knot"),
+            ("2,2", "-2,-2", "the same knot"),  # 4_1, one class written two ways
+            ("-2,2,-2,2", "2,-2,2,-2", "mirror images"),
+        ],
+    )
+    def test_check_same_group_is_no_verdict(self, capsys, big, small, relation):
+        # the identity (or a mirror's isomorphism) is an epimorphism the search never tries
+        code, out, _ = run(capsys, "epi", "check", "--", big, small)
+        assert code == EXIT_OK
+        assert out.endswith(f": {relation}; epi check looks for proper images only\n")
+        assert "no epimorphism" not in out and out.count("\n") == 1
+
     def test_check_witness(self, capsys):
         code, out, _ = run(capsys, "epi", "check", "2,-2,2,-2,2,-4,2,-2", "2,-2")
         assert "epimorphism exists" in out and "cvec=[1, -2]" in out

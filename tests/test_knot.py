@@ -133,4 +133,4 @@ class TestNamesAndJson:
     def test_canonical_order_fixed(self):
         assert canonical_word((4, 2)) == (-2, -4)
         assert canonical_word((2, -4)) == (2, -4)
-        assert hash(knot_from_word((2, -2)))  # frozen dataclass, usable in sets
+        assert hash(knot_from_word((2, -2)))  # an immutable record, usable in sets
