@@ -35,7 +35,8 @@ means a transcription bug, never a rounding choice.
 
 The counting and formula sides are developed independently and must
 agree exactly; the test suite treats the counts as the oracle for the
-formulas.
+formulas.  ``census`` prints ``closed_row``, and ``census --verify`` prints
+``brute_counts`` and checks each row with ``verify_row``.
 """
 
 from __future__ import annotations
@@ -52,10 +53,11 @@ from .contfrac import Word, format_fraction, format_json
 # Pascal rows 0..600 raise a fresh process's peak RSS from 20 MB to 34 MB
 # (2-vCPU host, Python 3.11).
 IDENTITIES_N_MAX = 300
-# The largest c of either census path.  closed_row costs about c^2.5: 0.3 ms
-# at c = 400, 0.5 ms at 500 and 2.8 ms at 1000; 3..500 takes 0.11 s and 3..1000
-# 1.1 s.  brute_counts takes 21 ms at c = 400 and 45 ms at 500, and 6 s over
-# 3..500 (2-vCPU host, Python 3.11).
+# The largest c of a census row, from the closed forms or counted.  closed_row
+# costs about c^2.5: 0.3 ms at c = 400, 0.5 ms at 500 and 2.8 ms at 1000;
+# 3..500 takes 0.11 s and 3..1000 1.1 s.  brute_counts, which `census --verify`
+# prints, takes 21 ms at c = 400 and 45 ms at 500, and 6 s over 3..500
+# (2-vCPU host, Python 3.11).
 FORMULAS_C_MAX = 500
 
 
@@ -407,28 +409,17 @@ TABLE2_REFERENCE: dict[int, tuple[int, int, Fraction, int, int, Fraction]] = {
 }
 
 
-def verify_row(c: int, row: CensusRow | None = None) -> list[str]:
-    """Mismatches between the counted row, the closed forms and TABLE2_REFERENCE.
+def verify_row(c: int, row: CensusRow) -> list[str]:
+    """Mismatches of the counted ``row`` against ``closed_row(c)``, field by
+    field, and against TABLE2_REFERENCE.
 
     Empty list = everything agrees exactly.
     """
-    if row is None:
-        row = brute_counts(c)
-    problems = []
-
-    def expect(label: str, got, want) -> None:
-        if got != want:
-            problems.append(f"c={c} {label}: counted {got} != expected {want}")
-
-    expect("TK", row.tk, closed_tk(c))
-    expect("TS", row.ts, closed_ts(c))
-    expect("TK*", row.tk_star, closed_tk_star(c))
-    expect("TS*", row.ts_star, closed_ts_star(c))
-    expect("avg braid", row.avg_braid, closed_avg_braid(c))
-    expect("avg braid*", row.avg_braid_star, closed_avg_braid_star(c))
-    expect("avg genus", row.avg_genus, closed_avg_genus(c))
-    for entry in row.by_ell:
-        expect(f"N(ell={entry.ell})", entry.count, closed_n(c, entry.ell))
+    problems = [
+        f"c={c} {field}: counted {got} != expected {want}"
+        for field, got, want in zip(CensusRow._fields, row, closed_row(c))
+        if got != want
+    ]
     reference = TABLE2_REFERENCE.get(c)
     if reference is not None:
         got = (row.tk, row.ts, row.avg_braid, row.tk_star, row.ts_star, row.avg_braid_star)
@@ -560,17 +551,6 @@ def row_cells(
 def rows_to_json(
     rows: Sequence[CensusRow], fmt=format_fraction, *, up_to_mirror: bool = False
 ) -> str:
-    if up_to_mirror:  # the four columns of MIRROR_COLUMNS
-        payload = [
-            {
-                "c": row.c,
-                "tk_star": row.tk_star,
-                "ts_star": row.ts_star,
-                "avg_braid_star": fmt(row.avg_braid_star),
-            }
-            for row in rows
-        ]
-        return format_json(payload)
     payload = [
         {
             "c": row.c,
@@ -585,4 +565,7 @@ def rows_to_json(
         }
         for row in rows
     ]
+    if up_to_mirror:  # the keys of MIRROR_COLUMNS
+        keys = ("c", "tk_star", "ts_star", "avg_braid_star")
+        payload = [{key: record[key] for key in keys} for record in payload]
     return format_json(payload)

@@ -71,14 +71,12 @@ def _fraction_formatter(digits: bool):
 
 
 def _parse_range(text: str) -> range:
-    if ".." in text:
-        lo_text, _, hi_text = text.partition("..")
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
-    if lo < 3 or hi < lo:
+    lo_text, dots, hi_text = text.partition("..")
+    hi_text = hi_text if dots else lo_text
+    # digits only: int would also read a sign, spaces and underscores
+    if not (lo_text.isdecimal() and hi_text.isdecimal() and 3 <= int(lo_text) <= int(hi_text)):
         raise ValueError(f"bad crossing range {text!r}")
-    return range(lo, hi + 1)
+    return range(int(lo_text), int(hi_text) + 1)
 
 
 def _check_max_c(max_c: int, command: str, bound: int) -> None:
@@ -158,17 +156,13 @@ def cmd_invariants(args) -> int:
 
 def cmd_census(args) -> int:
     crossings = _parse_range(args.range)
-    if args.formulas_only and args.verify:
-        raise ValueError(
-            "--verify compares the counts with the closed forms, "
-            "and --formulas-only skips the counts"
-        )
     if crossings[-1] > census.FORMULAS_C_MAX:
         raise census.ResourceBound(
             f"c={crossings[-1]} exceeds the census bound {census.FORMULAS_C_MAX}"
         )
-    count = census.closed_row if args.formulas_only else census.brute_counts
-    rows = [count(c) for c in crossings]
+    # the closed forms; --verify prints the counts instead and checks them
+    make_row = census.brute_counts if args.verify else census.closed_row
+    rows = [make_row(c) for c in crossings]
     mirror = args.up_to_mirror
     fmt = _fraction_formatter(args.decimal)
     if args.format == "json":
@@ -362,12 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     bound = f"c at most {census.FORMULAS_C_MAX} (exit 4 above)"
     p.add_argument("range", help=f"crossing number or range, e.g. 12 or 3..15; {bound}")
     p.add_argument(
-        "--verify", action="store_true", help="check the counts against the closed forms"
-    )
-    p.add_argument(
-        "--formulas-only",
+        "--verify",
         action="store_true",
-        help="closed forms only, no counting",
+        help="print the counted rows and check them against the closed forms",
     )
     p.add_argument("--up-to-mirror", action="store_true", help="only the mirror-quotient columns")
     p.set_defaults(func=cmd_census)

@@ -9,6 +9,7 @@ from bridgekit import census
 from bridgekit.census import (
     COLUMNS,
     TABLE2_REFERENCE,
+    CensusRow,
     NonIntegralFormula,
     ResourceBound,
     brute_counts,
@@ -179,7 +180,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("c", range(3, 15))
     def test_brute_equals_closed(self, c):
-        assert not verify_row(c)
+        assert not verify_row(c, brute_counts(c))
 
     @pytest.mark.parametrize("c", range(3, 15))
     def test_by_ell_equals_closed_n(self, c):
@@ -210,6 +211,16 @@ class TestClosedForms:
         brute = brute_counts(9)
         formula = closed_row(9)
         assert formula == brute
+
+    def test_verify_row_names_each_mismatched_field(self):
+        # a by_ell entry missing from the counts is a mismatch too
+        counted = brute_counts(16)
+        wrong = CensusRow(*counted[:7], counted.avg_genus + 1, counted.by_ell[:-1])
+        problems = verify_row(16, wrong)
+        assert [problem.split(":")[0] for problem in problems] == [
+            "c=16 avg_genus",
+            "c=16 by_ell",
+        ]
 
 
 class TestMirrorQuotient:

@@ -1,11 +1,13 @@
-"""Byte-level guard for the census counts: ``census 3..22`` prints, in
-every format, exactly the stdout (by sha256) recorded while ``brute_counts``
+"""Byte-level guard for the census: ``census 3..22`` prints, in every
+format, exactly the stdout (by sha256) recorded while ``brute_counts``
 still listed each slice's compositions instead of counting them, and
 ``census 3..60`` prints, in md and json, the stdout recorded while it still
 counted canonical words by their canonicity rule instead of as Burnside
-orbits.  ``census 3..500 --formulas-only`` prints, in md, json, csv with
-``--decimal`` and up to mirror, the stdout recorded while ``closed_n``
-still summed its binomial slice sums term by term."""
+orbits.  ``census`` prints the closed forms, and ``census --verify`` the
+counts and then its verdict line, so both are checked against these.
+``census 3..500`` prints, in md, json, csv with ``--decimal`` and up to
+mirror, the stdout recorded while ``closed_n`` still summed its binomial
+slice sums term by term; CI checks its counts with ``--verify``."""
 
 import hashlib
 
@@ -31,27 +33,42 @@ CENSUS_3_60 = {
 }
 
 FORMULAS_3_500 = {
-    "census 3..500 --formulas-only": (
+    "census 3..500": (
         "f1c1879dc195e47ac2ec9e8a2d14f86ae1d8319792eb81a497c80b95b5e6a9c3"
     ),
-    "--format json census 3..500 --formulas-only": (
+    "--format json census 3..500": (
         "da7c0ba7ea671ce4b0cb0964c2ffde3100696767e1b941f96cd3eec4cc045bfa"
     ),
-    "--format csv census 3..500 --formulas-only --decimal": (
+    "--format csv census 3..500 --decimal": (
         "97546d43461c2a096568ab4fa5c3d061e937a9e4386a91ba877ae665c7c5b284"
     ),
-    "census 3..500 --formulas-only --up-to-mirror": (
+    "census 3..500 --up-to-mirror": (
         "a48156d9bf6d020191a07ac306a91fe53d84588b70c13c63d981836af7ae6efd"
     ),
 }
 
 
-@pytest.mark.parametrize("command", list(CENSUS_3_22))
-def test_census_stdout_matches_recorded_digest(command, capsys):
-    code = main(command.split(" "))
+def stdout_digest(argv, capsys):
+    code = main(argv)
     out = capsys.readouterr().out
     assert code == EXIT_OK
-    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_3_22[command]
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def counted_digest(argv, capsys):
+    """The digest of what ``argv --verify`` prints before its verdict line."""
+    code = main([*argv, "--verify"])
+    rows, _, verdict = capsys.readouterr().out[:-1].rpartition("\n")
+    assert code == EXIT_OK
+    assert verdict.startswith("verify: ")
+    return hashlib.sha256(f"{rows}\n".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", list(CENSUS_3_22))
+def test_census_stdout_matches_recorded_digest(command, capsys):
+    argv = command.split(" ")
+    assert stdout_digest(argv, capsys) == CENSUS_3_22[command]
+    assert counted_digest(argv, capsys) == CENSUS_3_22[command]
 
 
 WIDE_CENSUS = {**CENSUS_3_60, **FORMULAS_3_500}
@@ -59,7 +76,7 @@ WIDE_CENSUS = {**CENSUS_3_60, **FORMULAS_3_500}
 
 @pytest.mark.parametrize("command", list(WIDE_CENSUS))
 def test_wide_census_stdout_matches_recorded_digest(command, capsys):
-    code = main(command.split(" "))
-    out = capsys.readouterr().out
-    assert code == EXIT_OK
-    assert hashlib.sha256(out.encode()).hexdigest() == WIDE_CENSUS[command]
+    argv = command.split(" ")
+    assert stdout_digest(argv, capsys) == WIDE_CENSUS[command]
+    if command in CENSUS_3_60:
+        assert counted_digest(argv, capsys) == WIDE_CENSUS[command]

@@ -210,17 +210,21 @@ class TestCensus:
         assert code == EXIT_OK
         assert "agree" in out
 
-    def test_formulas_only_above_bound_is_resource_error(self, capsys):
-        start = time.perf_counter()
-        code, out, err = run(capsys, "census", "100000", "--formulas-only")
-        assert code == EXIT_RESOURCE
-        assert out == "" and err.count("\n") == 1 and "resource bound" in err
-        assert time.perf_counter() - start < 1.0
-
-    def test_formulas_only_skips_ceiling(self, capsys):
-        code, out, _ = run(capsys, "census", "100", "--formulas-only")
+    def test_plain_census_prints_closed_rows(self, capsys, monkeypatch):
+        # only --verify counts: plain census must not call brute_counts
+        monkeypatch.setattr(census, "brute_counts", None)
+        code, out, _ = run(capsys, "census", "100")
         assert code == EXIT_OK
         assert "105637550019019116791391933781" in out
+
+    def test_verify_prints_the_counted_rows(self, capsys, monkeypatch):
+        counted = census.brute_counts(16)
+        wrong = census.CensusRow(*counted[:1], counted.tk + 1, *counted[2:])
+        monkeypatch.setattr(census, "brute_counts", lambda c: wrong)
+        code, out, err = run(capsys, "census", "16", "--verify")
+        assert code == EXIT_MISMATCH
+        assert f"| 16 | {counted.tk + 1} |" in out
+        assert err == f"verify mismatch: c=16 tk: counted {wrong.tk} != expected {counted.tk}\n"
 
     def test_ceiling_enforced(self, capsys):
         code, _, err = run(capsys, "epi", "graph", "--max-c", "30")
@@ -233,11 +237,19 @@ class TestCensus:
         assert "\n| 23 | " in out and "\n| 24 | " in out
 
     def test_above_census_bound_is_resource_error(self, capsys):
-        start = time.perf_counter()
-        code, out, err = run(capsys, "census", "501")
-        assert code == EXIT_RESOURCE
-        assert out == "" and err == "resource bound: c=501 exceeds the census bound 500\n"
-        assert time.perf_counter() - start < 1.0
+        for crossings, c in (("501", 501), ("3..100000", 100000)):
+            for flags in ((), ("--verify",)):
+                start = time.perf_counter()
+                code, out, err = run(capsys, "census", crossings, *flags)
+                assert code == EXIT_RESOURCE
+                assert out == "" and err == f"resource bound: c={c} exceeds the census bound 500\n"
+                assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("crossings", ["3..", "x", "3..4..5", "..5", "2", "5..3", "-3", "1_0"])
+    def test_malformed_range_is_refused(self, capsys, crossings):
+        code, out, err = run(capsys, "census", crossings)
+        assert code == EXIT_PARSE and out == ""
+        assert err == f"invalid input: bad crossing range {crossings!r}\n"
 
     def test_csv_format(self, capsys):
         _, out, _ = run(capsys, "--format", "csv", "census", "5")
@@ -268,10 +280,15 @@ class TestCensus:
         assert json.loads(out) == [{"c": 6, "tk_star": 3, "ts_star": 4, "avg_braid_star": "10/3"}]
 
     def test_formulas_only_verify_refused(self, capsys):
-        code, out, err = run(capsys, "census", "16..17", "--formulas-only", "--verify")
-        assert code == EXIT_PARSE
-        assert "invalid input" in err
-        assert out == ""
+        # the flag is gone: census prints the closed forms, --verify the counts
+        for argv in (
+            ["census", "16..17", "--formulas-only", "--verify"],
+            ["census", "16..17", "--formulas-only"],
+            ["--formulas-only", "census", "16..17"],
+        ):
+            code, out, err = in_process(capsys, *argv)
+            assert code == EXIT_PARSE and out == ""
+            assert err.splitlines()[-1] == "bridgekit: error: unrecognized arguments: --formulas-only"
 
     def test_parallelism_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -292,7 +309,7 @@ class TestCensus:
         import bridgekit.census as census
 
         monkeypatch.setattr(census, "closed_tk", lambda c: census.exact_div(7, 2))
-        code, out, err = run(capsys, "census", "5", "--formulas-only")
+        code, out, err = run(capsys, "census", "5")
         assert code == EXIT_MISMATCH and out == ""
         assert err == "verification failed: 7 is not divisible by 2\n"
 

@@ -6,17 +6,20 @@ knots), and the Alexander polynomial.  An epimorphism G(K) -> G(K')
 forces the Alexander polynomial of K' to divide that of K, so along
 every edge the determinant divides and, sharper, so does the Conway
 polynomial, computed here from the word by its own recurrence.  The
-Conway check also covers Table 1's images column, which comes from the
-generating words rather than from the search.
+Conway check also covers Table 1's images column and every edge the
+generator spells through 24 crossings, which come from the generating
+words rather than from the search; the generator's knot count at each
+c up to 22 is pinned as well.
 """
 
+from collections import Counter
 from itertools import zip_longest
 
 from bridgekit.census import enumerate_words
 from bridgekit.classify import nonminimal_matches, table1
-from bridgekit.contfrac import eval_word, parse_word
-from bridgekit.epim import epi_graph, is_minimal
-from bridgekit.knot import KNOT_NAMES, knot_from_word
+from bridgekit.contfrac import eval_word, parse_word, rev_neg
+from bridgekit.epim import epi_graph, is_minimal, ors_words
+from bridgekit.knot import KNOT_NAMES, canonical_word, crossing_number, knot_from_word
 
 
 def is_prime(n):
@@ -114,11 +117,33 @@ def test_conway_polynomial_sanity_up_to_14_crossings():
     assert checked == 2772
 
 
+def generated_edges(c_max):
+    """(big, small) canonical words of every ORS word ``ors_words`` spells onto
+    either orientation of every knot with 3c <= c_max, the epi graph's edges."""
+    return {
+        (canonical_word(word), canon)
+        for c in range(3, c_max // 3 + 1)
+        for canon in enumerate_words(c)
+        for target in {canon, rev_neg(canon)}
+        for _, word in ors_words(target, c_max)
+    }
+
+
 def test_image_conway_divides_source_conway():
-    edges = graph_edges(18)
-    assert len(edges) == 1634
-    for big, small, _ in edges:
-        assert divides(conway(small.canon), conway(big.canon)), (big.canon, small.canon)
+    graph = {(big.canon, small.canon) for big, small, _ in graph_edges(18)}
+    edges = generated_edges(24)
+    assert len(graph) == 1634 and len(edges) == 32510
+    assert graph <= edges
+    for big, small in edges:
+        assert divides(conway(small), conway(big)), (big, small)
+
+
+def test_generated_knots_per_crossing_number():
+    # the knots with an ORS word onto a smaller knot, c = 9..22; closed_tk(22) is 349,525
+    spelled = Counter(map(crossing_number, {big for big, _ in generated_edges(22)}))
+    assert [spelled[c] for c in range(9, 23)] == [
+        6, 8, 14, 20, 30, 36, 78, 138, 266, 456, 752, 1128, 1804, 2846
+    ]
 
 
 def test_table1_image_conway_divides_row_conway():

@@ -9,7 +9,7 @@ import pytest
 
 from bridgekit import epim
 from bridgekit.census import enumerate_words
-from bridgekit.contfrac import rev_neg
+from bridgekit.contfrac import negate, rev_neg, reverse
 from bridgekit.epim import (
     AuditFailure,
     EpiWitness,
@@ -40,6 +40,16 @@ TORUS15 = knot_from_word((2, -2) * 7)
 
 def params(target, r, eps, cvec):
     return OrsParams(target=tuple(target), r=r, eps=tuple(eps), cvec=tuple(cvec))
+
+
+def random_params(rng, target):
+    """Seeded ORS parameters onto ``target``: r <= 2, connectors in -3..3."""
+    r = rng.randint(1, 2)
+    cvec = tuple(rng.randint(-3, 3) for _ in range(2 * r))
+    eps = [1]
+    for j, cj in enumerate(cvec):
+        eps.append(eps[j] if cj == 0 else rng.choice((1, -1)))
+    return params(target, r, eps, cvec)
 
 
 class TestCompose:
@@ -127,12 +137,7 @@ class TestAudit:
         pool = [w for c in range(3, 10) for w in enumerate_words(c)]
         for _ in range(2000):
             target = rng.choice(pool)
-            r = rng.randint(1, 2)
-            cvec = tuple(rng.randint(-3, 3) for _ in range(2 * r))
-            eps = [1]
-            for j, cj in enumerate(cvec):
-                eps.append(eps[j] if cj == 0 else rng.choice((1, -1)))
-            p = params(target, r, eps, cvec)
+            p = random_params(rng, target)
             composed = ors_compose(p)
             audit = audit_params(p, composed)  # raises on any violation
             assert braid_index(composed) >= 3 * braid_index(target) - 4
@@ -192,6 +197,22 @@ class TestSearch:
         mirrored = knot_from_word(tuple(-e for e in big.canon))
         names = lambda k: sorted({display_name(w.small) for w in epi_targets(k)})
         assert names(big) == names(mirrored) == ["3_1"]
+
+    def test_composed_ors_words_map_onto_the_first_target(self):
+        # an ORS word w2 onto a word of the knot w1, itself an ORS word onto a,
+        # maps onto a, or onto a's mirror image where w2 was built on w1's mirror
+        rng = random.Random(2020)
+        pool = [word for c in range(3, 7) for word in enumerate_words(c)]
+        onto_mirror_only = 0
+        for _ in range(1000):
+            small = rng.choice(pool)
+            w1 = ors_compose(random_params(rng, rng.choice((small, rev_neg(small)))))
+            w1 = rng.choice((w1, rev_neg(w1), negate(w1), reverse(w1)))
+            big = knot_from_word(ors_compose(random_params(rng, w1)))
+            if admits_epi(big, knot_from_word(small)) is None:
+                assert admits_epi(big, knot_from_word(negate(small))), (big.canon, small)
+                onto_mirror_only += 1
+        assert onto_mirror_only > 100
 
     def test_crossing_cap_skips_unreadable_patterns(self, monkeypatch):
         # T(13,2) onto the trefoil: the crossings allow r <= 1, whose three
