@@ -236,14 +236,24 @@ class TestCensus:
         assert code == EXIT_OK
         assert "\n| 23 | " in out and "\n| 24 | " in out
 
-    def test_above_census_bound_is_resource_error(self, capsys):
-        for crossings, c in (("501", 501), ("3..100000", 100000)):
+    def test_formulas_only_above_bound_is_resource_error(self, capsys):
+        # plain census prints the closed forms only; far above the bound it is
+        # refused before any row is built, as --verify is
+        for crossings in ("100000", "3..100000"):
             for flags in ((), ("--verify",)):
                 start = time.perf_counter()
                 code, out, err = run(capsys, "census", crossings, *flags)
                 assert code == EXIT_RESOURCE
-                assert out == "" and err == f"resource bound: c={c} exceeds the census bound 500\n"
+                assert out == "" and err == "resource bound: c=100000 exceeds the census bound 500\n"
                 assert time.perf_counter() - start < 1.0
+
+    def test_above_census_bound_is_resource_error(self, capsys):
+        for flags in ((), ("--verify",)):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "census", "501", *flags)
+            assert code == EXIT_RESOURCE
+            assert out == "" and err == "resource bound: c=501 exceeds the census bound 500\n"
+            assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("crossings", ["3..", "x", "3..4..5", "..5", "2", "5..3", "-3", "1_0"])
     def test_malformed_range_is_refused(self, capsys, crossings):
