@@ -71,12 +71,25 @@ def _fraction_formatter(digits: bool):
 
 
 def _parse_range(text: str) -> range:
+    """The crossing numbers ``c`` or ``lo..hi``; ResourceBound above census.FORMULAS_C_MAX.
+
+    The ends are compared as (digit count, digits) with leading zeros
+    dropped, so no end is read by int() before it is known to be within
+    the bound: int() refuses more than 4300 digits, leading zeros included.
+    """
     lo_text, dots, hi_text = text.partition("..")
     hi_text = hi_text if dots else lo_text
     # digits only: int would also read a sign, spaces and underscores
-    if not (lo_text.isdecimal() and hi_text.isdecimal() and 3 <= int(lo_text) <= int(hi_text)):
+    if not (lo_text.isdecimal() and hi_text.isdecimal()):
         raise ValueError(f"bad crossing range {text!r}")
-    return range(int(lo_text), int(hi_text) + 1)
+    # the significant digits, in ASCII: isdecimal also admits other scripts' digits
+    lo, hi = ("".join(map(str, map(int, end))).lstrip("0") for end in (lo_text, hi_text))
+    if not (1, "3") <= (len(lo), lo) <= (len(hi), hi):
+        raise ValueError(f"bad crossing range {text!r}")
+    bound = str(census.FORMULAS_C_MAX)
+    if (len(hi), hi) > (len(bound), bound):
+        raise census.ResourceBound(f"c={hi} exceeds the census bound {bound}")
+    return range(int(lo), int(hi) + 1)
 
 
 def _check_max_c(max_c: int, command: str, bound: int) -> None:
@@ -156,10 +169,6 @@ def cmd_invariants(args) -> int:
 
 def cmd_census(args) -> int:
     crossings = _parse_range(args.range)
-    if crossings[-1] > census.FORMULAS_C_MAX:
-        raise census.ResourceBound(
-            f"c={crossings[-1]} exceeds the census bound {census.FORMULAS_C_MAX}"
-        )
     # the closed forms; --verify prints the counts instead and checks them
     make_row = census.brute_counts if args.verify else census.closed_row
     rows = [make_row(c) for c in crossings]

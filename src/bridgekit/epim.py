@@ -41,15 +41,17 @@ JSON is that of ``json.dumps(..., indent=2)``, byte for byte.
 
 from __future__ import annotations
 
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, groupby, repeat
+from operator import getitem
 from typing import Iterator, NamedTuple, TextIO
 
-from .census import enumerate_words
+from .census import canonical_slices, enumerate_words
 from .contfrac import (
     Word,
     check_even_word,
     format_json,
     format_word,
+    parse_word,
     rev_neg,
     reverse,
     sign_changes,
@@ -57,7 +59,6 @@ from .contfrac import (
 from .knot import (
     KNOT_NAMES,
     KnotClass,
-    braid_index,
     canonical_word,
     crossing_number,
     display_name,
@@ -65,7 +66,8 @@ from .knot import (
 )
 
 # The largest --max-c of epi graph, whose cost grows exponentially in c: at 22
-# it writes 50 MB of dot in 2-3 s at 33 MB peak RSS (2-vCPU host).
+# it writes 50 MB of dot in 0.7 s, or 124 MB of json in 0.9 s, at 30 MB peak
+# RSS (a fresh process, 2-vCPU host, Python 3.11).
 EPI_GRAPH_C_MAX = 22
 # Longest word the CLI reads, and the search's one bound.  On a word of L
 # entries the search checks at most two patterns of each even length
@@ -251,16 +253,17 @@ def audit_params(params: OrsParams, composed: Word | None = None) -> InequalityA
     """Compute and check the four-term decomposition for one composition."""
     if composed is None:
         composed = ors_compose(params)
-    t_small = sign_changes(params.target)
-    t_big = sign_changes(composed)
-    braid_small = braid_index(params.target)
-    braid_big = braid_index(composed)
-    nonzero = sum(1 for cj in params.cvec if cj != 0)
+    target, r, cvec = params.target, params.r, params.cvec
+    t_small, t_big = sign_changes(target), sign_changes(composed)
+    # braid = sum|e| / 2 - t + 1, from the one count of each word's sign changes
+    braid_small = sum(map(abs, target)) // 2 - t_small + 1
+    braid_big = sum(map(abs, composed)) // 2 - t_big + 1
+    nonzero = len(cvec) - cvec.count(0)
     audit = InequalityAudit(
-        term_copies=(2 * params.r - 2) * (braid_small - 2),
-        term_cbudget=sum(abs(cj) - 1 for cj in params.cvec if cj != 0),
-        term_zero=2 * params.r - nonzero,
-        term_signs=(2 * params.r + 1) * t_small + 2 * nonzero - t_big,
+        term_copies=(2 * r - 2) * (braid_small - 2),
+        term_cbudget=sum(map(abs, cvec)) - nonzero,  # sum over c_j != 0 of |c_j| - 1
+        term_zero=2 * r - nonzero,
+        term_signs=(2 * r + 1) * t_small + 2 * nonzero - t_big,
         slack=braid_big - 3 * braid_small + 4,
     )
     if min(audit.terms) < 0:
@@ -429,16 +432,22 @@ def is_minimal(big: KnotClass) -> bool:
 
 # the largest crossing number in KNOT_NAMES; no larger node has a name
 _NAMED_C_MAX = max(map(crossing_number, KNOT_NAMES))
+# epi_graph yields a slice's nodes in chunks, each closed after the sign vector
+# that brings it to this many nodes: about 150 kB of json text.
+_NODE_CHUNK = 1024
 
 
-def epi_graph(max_crossing: int) -> Iterator[tuple[int, Word, tuple[tuple, ...]]]:
+def epi_graph(max_crossing: int) -> Iterator[tuple[int, int, int, list[str], list[tuple]]]:
     """Epimorphism digraph over all knots with crossing number <= max_crossing.
 
     Every edge is generated and audited before this returns: the ORS
     words onto each word of each knot with 3c <= max_crossing, grouped
-    by the knot they spell.  The nodes then stream in census order as
-    (crossing, word, edges), each edge (big, small, witnesses) and all
-    ordered as ``epi_targets`` orders them.
+    by the knot they spell.  The nodes then stream in census order, each
+    (m, ell) slice in chunks of about _NODE_CHUNK nodes, as (c, m, ell,
+    texts, edges): the ``format_word`` texts of the canonical words, joined
+    from tables of entry strings without building the words, and the edges
+    (big, small, witnesses) out of those nodes, matched by text.  Edges
+    come in node order and are ordered as ``epi_targets`` orders them.
     """
     found: dict[Word, list[tuple[KnotClass, OrsParams, InequalityAudit]]] = {}
     for c in range(3, max_crossing // 3 + 1):
@@ -449,26 +458,52 @@ def epi_graph(max_crossing: int) -> Iterator[tuple[int, Word, tuple[tuple, ...]]
                     audit = audit_params(params, word)
                     found.setdefault(canonical_word(word), []).append((small, params, audit))
     edges = {}
-    for canon, spelled in found.items():
+    while found:  # each knot's spelled words are dropped once grouped
+        canon, spelled = found.popitem()
         big = knot_from_word(canon)
         witnesses = sorted((EpiWitness(big, *w) for w in spelled), key=EpiWitness.sort_key)
         groups = groupby(witnesses, lambda witness: witness.small)
-        edges[canon] = tuple((big, small, tuple(group)) for small, group in groups)
-    nodes = ((c, word) for c in range(3, max_crossing + 1) for word in enumerate_words(c))
-    return ((c, word, edges.get(word, ())) for c, word in nodes)
+        edges[format_word(canon)] = tuple((big, small, tuple(group)) for small, group in groups)
+    # the text of each entry 2 s p, by sign s and halved magnitude p <= max_crossing
+    entry = {sign: [str(2 * sign * p) for p in range(max_crossing + 1)] for sign in (1, -1)}
+
+    def nodes():
+        for c in range(3, max_crossing + 1):
+            for m, ell, kept in canonical_slices(c):
+                texts = []
+                for signs, chosen in kept:
+                    tables = list(map(entry.__getitem__, signs))
+                    texts += map(",".join, map(map, repeat(getitem), repeat(tables), chosen))
+                    if len(texts) >= _NODE_CHUNK:
+                        yield c, m, ell, texts, _leaving(texts, edges)
+                        texts = []
+                if texts:
+                    yield c, m, ell, texts, _leaving(texts, edges)
+
+    return nodes()
+
+
+def _leaving(texts: list[str], edges: dict[str, tuple]) -> list[tuple]:
+    """The edges out of the nodes with these texts, in node order."""
+    return list(chain.from_iterable(filter(None, map(edges.get, texts))))
+
+
+def _names(texts: list[str]) -> list[str]:
+    """The display name of the knot of each node text."""
+    return [display_name(knot_from_word(parse_word(text))) for text in texts]
 
 
 def write_dot(max_crossing: int, out: TextIO) -> None:
-    """Write ``epi_graph(max_crossing)`` as dot: each node as it comes, then the edges."""
+    """Write ``epi_graph(max_crossing)`` as dot: the nodes a chunk at a time, then the edges."""
     nodes = epi_graph(max_crossing)
     out.write("digraph epimorphisms {\n")
     edges = []
-    for c, word, node_edges in nodes:
-        text = format_word(word)
-        name = display_name(knot_from_word(word)) if c <= _NAMED_C_MAX else text
-        label = name if name == text else f"{name}\\n{text}"
-        out.write(f'  "{text}" [label="{label}"];\n')
-        edges.extend(node_edges)
+    for c, _, _, texts, node_edges in nodes:
+        labels = texts if c > _NAMED_C_MAX else [
+            name if name == text else f"{name}\\n{text}" for text, name in zip(texts, _names(texts))
+        ]
+        out.write("".join(map('  "{}" [label="{}"];\n'.format, texts, labels)))
+        edges += node_edges
     for big, small, witnesses in edges:
         first = witnesses[0].params
         label = f"r={first.r} c={list(first.cvec)} x{len(witnesses)}"
@@ -479,27 +514,26 @@ def write_dot(max_crossing: int, out: TextIO) -> None:
 
 
 def write_json(max_crossing: int, out: TextIO) -> None:
-    """Write ``epi_graph(max_crossing)`` as ``json.dumps(..., indent=2)`` would, node by node.
+    """Write ``epi_graph(max_crossing)`` as ``json.dumps(..., indent=2)`` would, a chunk at a time.
 
-    Each node is written by one f-string, and each edge by
-    ``contfrac.format_json`` at a margin of four spaces; at --max-c 22 there
-    are 699,732 nodes, and no general writer writes them as fast.
+    A chunk's nodes share crossing number, braid index (c - ell) / 2 + 1
+    and genus m, so one template writes them all, and each edge is written
+    by ``contfrac.format_json`` at a margin of four spaces; at --max-c 22
+    there are 699,732 nodes, and no general writer writes them as fast.
     """
     nodes = epi_graph(max_crossing)
     out.write(f'{{\n  "max_crossing": {max_crossing},\n  "nodes": [')
     edges = []
     comma = "\n"
-    for c, word, node_edges in nodes:
-        text = format_word(word)
-        name = display_name(knot_from_word(word)) if c <= _NAMED_C_MAX else text
-        braid = (c - sign_changes(word)) // 2 + 1  # c = sum|e| - t, braid = sum|e|/2 - t + 1
-        out.write(  # nothing in a node needs escaping
-            f'{comma}    {{\n      "word": "{text}",\n      "crossing": {c},\n'
-            f'      "braid": {braid},\n      "genus": {len(word) // 2},\n'
-            f'      "name": "{name}"\n    }}'
+    for c, m, ell, texts, node_edges in nodes:
+        node = (  # nothing in a node needs escaping
+            '    {{\n      "word": "{}",\n      "crossing": %d,\n      "braid": %d,\n'
+            '      "genus": %d,\n      "name": "{}"\n    }}' % (c, (c - ell) // 2 + 1, m)
         )
+        names = texts if c > _NAMED_C_MAX else _names(texts)
+        out.write(comma + ",\n".join(map(node.format, texts, names)))
         comma = ",\n"
-        edges.extend(node_edges)
+        edges += node_edges
     out.write('\n  ],\n  "edges": [')
     comma = "\n    "
     for big, small, witnesses in edges:

@@ -12,13 +12,13 @@ form against it.
 
 from math import comb
 
-from bridgekit.census import _slices, _words
+from bridgekit.census import _sign_vectors, _slices, _words
 
 
 def raw_words(c: int, *, ell: int | None = None):
     """Every reduced even word with crossing number c, each exactly once."""
-    for parts, sign_vectors in _slices(c, ell):
-        for signs in sign_vectors:
+    for m, ell_value, parts in _slices(c, ell):
+        for signs in _sign_vectors(2 * m, ell_value):
             yield from _words(signs, parts)
 
 

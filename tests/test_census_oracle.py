@@ -21,6 +21,7 @@ binomials; a tally over the listed compositions must give the same two
 numbers for every slice.
 """
 
+import hashlib
 from itertools import combinations
 from operator import mul
 
@@ -109,18 +110,25 @@ def is_mirror_representative(word):
     return word <= min(negate(word), reverse(word))
 
 
-@pytest.mark.parametrize("c", range(3, 19))
+@pytest.mark.parametrize("c", range(3, 20))
 def test_same_words_in_same_order(c):
     assert list(census.enumerate_words(c)) == list(enumerate_words(c))
     assert list(_oracles.raw_words(c)) == list(_raw_words(c))
 
 
-@pytest.mark.parametrize("c", [17, 18])
+@pytest.mark.parametrize("c", [17, 18, 19])
 def test_every_ell_slice_matches(c):
     ells = sorted({ell for _, ell in _partitions(c)})
     assert len(ells) > 4
     for ell in ells:
         assert list(census.enumerate_words(c, ell=ell)) == list(enumerate_words(c, ell=ell)), ell
+
+
+def test_words_at_21_match_recorded_digest():
+    # recorded while canonicity was decided from the end entries and a full compare
+    words = repr(list(census.enumerate_words(21)))
+    digest = "930edc7dac0d8e6482c308482f516c6e318a30b7a74eb43a7f02d302ac519e30"
+    assert hashlib.sha256(words.encode()).hexdigest() == digest
 
 
 def test_mirror_representative_matches_on_every_word():

@@ -255,6 +255,16 @@ class TestCensus:
             assert out == "" and err == "resource bound: c=501 exceeds the census bound 500\n"
             assert time.perf_counter() - start < 1.0
 
+    def test_bound_past_int_digit_limit_is_resource_error(self, capsys):
+        # refused from its digit count: int() refuses more than 4,300 digits
+        nines = "9" * 4301
+        code, out, err = run(capsys, "census", f"3..{nines}")
+        assert code == EXIT_RESOURCE and out == ""
+        assert err == f"resource bound: c={nines} exceeds the census bound 500\n"
+        # leading zeros do not count
+        code, out, _ = run(capsys, "--format", "csv", "census", "0" * 5000 + "5")
+        assert code == EXIT_OK and "\n5,4,8,5/2,2,4,5/2\n" in out
+
     @pytest.mark.parametrize("crossings", ["3..", "x", "3..4..5", "..5", "2", "5..3", "-3", "1_0"])
     def test_malformed_range_is_refused(self, capsys, crossings):
         code, out, err = run(capsys, "census", crossings)

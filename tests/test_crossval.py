@@ -94,7 +94,7 @@ def test_torus_knot_minimal_iff_prime():
 
 
 def graph_edges(max_crossing):
-    return [edge for _, _, edges in epi_graph(max_crossing) for edge in edges]
+    return [edge for *_, edges in epi_graph(max_crossing) for edge in edges]
 
 
 def test_image_determinant_divides_source_determinant():

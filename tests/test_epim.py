@@ -9,10 +9,11 @@ import pytest
 
 from bridgekit import epim
 from bridgekit.census import enumerate_words
-from bridgekit.contfrac import negate, rev_neg, reverse
+from bridgekit.contfrac import format_word, negate, parse_word, rev_neg, reverse, sign_changes
 from bridgekit.epim import (
     AuditFailure,
     EpiWitness,
+    InequalityAudit,
     OrsParams,
     admits_epi,
     audit_inequality,
@@ -144,6 +145,40 @@ class TestAudit:
             assert crossing_number(composed) >= 3 * crossing_number(target)
             assert sum(audit.terms) == audit.slack
 
+    def test_one_count_audit_matches_a_count_from_scratch(self):
+        # every word generated onto each target with c <= 5 at c_max 20
+        def changes(word):
+            return sum((a < 0) != (b < 0) for a, b in zip(word, word[1:]))
+
+        def braid(word):
+            return sum(abs(e) for e in word) // 2 - changes(word) + 1
+
+        checked = 0
+        for c in range(3, 6):
+            for canon in enumerate_words(c):
+                for target in {canon, rev_neg(canon)}:
+                    for p, word in ors_words(target, 20):
+                        nonzero = [x for x in p.cvec if x]
+                        expected = InequalityAudit(
+                            term_copies=(2 * p.r - 2) * (braid(target) - 2),
+                            term_cbudget=sum(abs(x) - 1 for x in nonzero),
+                            term_zero=2 * p.r - len(nonzero),
+                            term_signs=(2 * p.r + 1) * changes(target)
+                            + 2 * len(nonzero) - changes(word),
+                            slack=braid(word) - 3 * braid(target) + 4,
+                        )
+                        assert audit_params(p, word) == expected, (p, word)
+                        checked += 1
+        assert checked == 5552
+
+    def test_composed_word_with_a_flipped_sign_rejected(self):
+        # (-2,4,-4,-2) has two sign changes more than (-2,-4,-4,-2), which the
+        # zero connectors onto (-2,-2) leave no room for in the signs term
+        p = params((-2, -2), 1, (1, 1, 1), (0, 0))
+        assert audit_params(p, (-2, -4, -4, -2)).terms == (0, 0, 2, 0)
+        with pytest.raises(AuditFailure):
+            audit_params(p, (-2, 4, -4, -2))
+
 
 class TestSearch:
     def test_torus9_targets_trefoil_only(self):
@@ -269,14 +304,17 @@ def graph_text(write, max_crossing):
 
 
 def graph_edges(max_crossing):
-    return [edge for _, _, edges in epi_graph(max_crossing) for edge in edges]
+    return [edge for *_, edges in epi_graph(max_crossing) for edge in edges]
 
 
 class TestGraph:
     def test_graph_smoke(self):
-        nodes = list(epi_graph(9))
-        words = {word for _, word, _ in nodes}
-        assert (2, -2) in words and len(nodes) == 2 + 1 + 4 + 5 + 14 + 21 + 48
+        slices = list(epi_graph(9))
+        words = [parse_word(text) for *_, texts, _ in slices for text in texts]
+        assert (2, -2) in words and len(words) == 2 + 1 + 4 + 5 + 14 + 21 + 48
+        for c, m, ell, texts, _ in slices:
+            for word in map(parse_word, texts):
+                assert (crossing_number(word), len(word), sign_changes(word)) == (c, 2 * m, ell)
         edges = {(big.canon, small.canon) for big, small, _ in graph_edges(9)}
         assert ((2, -2, 2, -2, 2, -2, 2, -2), (2, -2)) in edges
         assert ((2, -4, 4, -2), (2, -2)) in edges
@@ -308,8 +346,13 @@ class TestGraph:
     def test_witnesses_match_the_search_through_18(self):
         # the generated edges and the search, node by node, witness for witness
         witnesses = 0
-        for _, word, edges in epi_graph(18):
-            generated = [witness for _, _, group in edges for witness in group]
-            assert generated == epi_targets(knot_from_word(word)), word
-            witnesses += len(generated)
+        for *_, texts, edges in epi_graph(18):
+            by_source = {}
+            for big, _, group in edges:
+                by_source.setdefault(format_word(big.canon), []).extend(group)
+            for text in texts:
+                generated = by_source.pop(text, [])
+                assert generated == epi_targets(knot_from_word(parse_word(text))), text
+                witnesses += len(generated)
+            assert not by_source
         assert witnesses == 2064
