@@ -6,10 +6,13 @@ integers (``2,-4,4,-2``), and one may start with a minus sign (``-2,2``);
 fractions print as ``p/q`` unless --decimal asks for a 12-digit rendering.
 
 Exit codes: 0 success, 2 verification mismatch, 3 parse or usage error,
-4 resource bound: an input above its size bound (``census.ResourceBound``).
+4 resource bound (``census.ResourceBound``).  Every bounded number (the
+ends of the census range, --max-c and --n-max) is read by ``_bounded`` as
+digits and compared with its bounds before int() runs: malformed or below
+its least value exits 3, above its bound exits 4.  Words of ``invariants``
+and ``epi`` have at most ``epim.WORD_MAX`` entries, counted before any
+entry is parsed (exit 4 above); that also bounds the epimorphism search.
 Run as a program (``entry``), a closed stdout ends the process by SIGPIPE.
-Words of ``invariants`` and ``epi`` have at most ``epim.WORD_MAX`` entries,
-which also bounds the epimorphism search.
 
 Each setting comes only from its flag, given before or after the
 subcommand.  ``main`` can be called repeatedly in one process; its
@@ -70,34 +73,28 @@ def _fraction_formatter(digits: bool):
     return fmt
 
 
-def _parse_range(text: str) -> range:
-    """The crossing numbers ``c`` or ``lo..hi``; ResourceBound above census.FORMULAS_C_MAX.
+def _bounded(name: str, ends: list[str], low: int, high: int, command: str) -> range:
+    """The whole numbers from the first of ``ends`` to the last, given in digits.
 
-    The ends are compared as (digit count, digits) with leading zeros
-    dropped, so no end is read by int() before it is known to be within
-    the bound: int() refuses more than 4300 digits, leading zeros included.
+    Each end is read as ASCII digits without leading zeros and compared as
+    (digit count, digits), so no end is read by int() before it is known to
+    be within the bound: int() refuses more than 4300 digits, leading zeros
+    included.  ValueError when an end is not digits, the ends are out of
+    order or the first is below ``low``; ResourceBound when the last is
+    above ``high``.
     """
-    lo_text, dots, hi_text = text.partition("..")
-    hi_text = hi_text if dots else lo_text
+    text = "..".join(ends)
     # digits only: int would also read a sign, spaces and underscores
-    if not (lo_text.isdecimal() and hi_text.isdecimal()):
-        raise ValueError(f"bad crossing range {text!r}")
+    if len(ends) > 2 or not all(end.isdecimal() for end in ends):
+        raise ValueError(f"bad {name} {text!r}")
     # the significant digits, in ASCII: isdecimal also admits other scripts' digits
-    lo, hi = ("".join(map(str, map(int, end))).lstrip("0") for end in (lo_text, hi_text))
-    if not (1, "3") <= (len(lo), lo) <= (len(hi), hi):
-        raise ValueError(f"bad crossing range {text!r}")
-    bound = str(census.FORMULAS_C_MAX)
-    if (len(hi), hi) > (len(bound), bound):
-        raise census.ResourceBound(f"c={hi} exceeds the census bound {bound}")
+    lo, hi = ("".join(map(str, map(int, end))).lstrip("0") for end in (ends[0], ends[-1]))
+    least, first, last, most = ((len(d), d) for d in (str(low), lo, hi, str(high)))
+    if not least <= first <= last:
+        raise ValueError(f"bad {name} {text!r}")
+    if last > most:
+        raise census.ResourceBound(f"{name} {hi} exceeds the {command} bound {high}")
     return range(int(lo), int(hi) + 1)
-
-
-def _check_max_c(max_c: int, command: str, bound: int) -> None:
-    """Refuse a --max-c below 3, the smallest crossing number of a knot, or above ``bound``."""
-    if max_c < 3:
-        raise ValueError(f"--max-c {max_c} is below 3, the smallest crossing number")
-    if max_c > bound:
-        raise census.ResourceBound(f"--max-c {max_c} exceeds the {command} bound {bound}")
 
 
 def format_table(
@@ -168,7 +165,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_census(args) -> int:
-    crossings = _parse_range(args.range)
+    crossings = _bounded("c", args.range.split(".."), 3, census.FORMULAS_C_MAX, "census")
     # the closed forms; --verify prints the counts instead and checks them
     make_row = census.brute_counts if args.verify else census.closed_row
     rows = [make_row(c) for c in crossings]
@@ -211,11 +208,12 @@ def _print_witnesses(witnesses, header: str) -> None:
 
 
 def _bounded_word(text: str, command: str):
-    """The word argument of ``command``, refused above epim.WORD_MAX entries."""
-    word = parse_word(text)
-    if len(word) > epim.WORD_MAX:
-        raise census.ResourceBound(f"{command} word length {len(word)} exceeds {epim.WORD_MAX}")
-    return word
+    """The word argument of ``command``, refused above epim.WORD_MAX entries
+    before any entry is parsed."""
+    n = text.count(",") + 1
+    if n > epim.WORD_MAX:
+        raise census.ResourceBound(f"word length {n} exceeds the {command} bound {epim.WORD_MAX}")
+    return parse_word(text)
 
 
 def _epi_knot(text: str):
@@ -260,16 +258,16 @@ def cmd_epi(args) -> int:
             print(f"{format_word(knot.canon)}: not minimal (onto {' and '.join(names)})")
         return EXIT_OK
     if args.epi_command == "graph":
-        _check_max_c(args.max_c, "epi graph", epim.EPI_GRAPH_C_MAX)
+        max_c = _bounded("--max-c", [args.max_c], 3, epim.EPI_GRAPH_C_MAX, "epi graph")[0]
         write = epim.write_json if args.format == "json" else epim.write_dot
-        write(args.max_c, sys.stdout)
+        write(max_c, sys.stdout)
         return EXIT_OK
     raise AssertionError(f"unhandled epi subcommand {args.epi_command}")
 
 
 def cmd_table1(args) -> int:
-    _check_max_c(args.max_c, "table1", classify.TABLE1_C_MAX)
-    rows = classify.table1(args.max_c, up_to_mirror=not args.chiral)
+    max_c = _bounded("--max-c", [args.max_c], 3, classify.TABLE1_C_MAX, "table1")[0]
+    rows = classify.table1(max_c, up_to_mirror=not args.chiral)
     if args.format == "json":
         print(classify.rows_to_json(rows))
     else:
@@ -277,19 +275,20 @@ def cmd_table1(args) -> int:
         print(format_table(classify.COLUMNS, cells, args.format))
     if args.chiral:
         return EXIT_OK
-    diff = classify.table1_diff(rows, c_max=args.max_c)
+    diff = classify.table1_diff(rows, c_max=max_c)
     if diff:
         for line in diff:
             print(f"table1 diff: {line}", file=sys.stderr)
         return EXIT_MISMATCH
     # keep stdout machine-clean for structured formats
     stream = sys.stdout if args.format == "md" else sys.stderr
-    print(f"diff vs reference (c <= {min(args.max_c, 15)}): empty", file=stream)
+    print(f"diff vs reference (c <= {min(max_c, 15)}): empty", file=stream)
     return EXIT_OK
 
 
 def cmd_identities(args) -> int:
-    checks = census.verify_identities(args.n_max)
+    n_max = _bounded("--n-max", [args.n_max], 1, census.IDENTITIES_N_MAX, "identities")[0]
+    checks = census.verify_identities(n_max)
     failed = False
     for check in checks:
         status = "pass" if check.passed else f"FAIL at {check.counterexample}"
@@ -362,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("census", help="census table for a crossing range", parents=after)
-    bound = f"c at most {census.FORMULAS_C_MAX} (exit 4 above)"
+    bound = f"c from 3 to {census.FORMULAS_C_MAX} (exit 3 below, 4 above)"
     p.add_argument("range", help=f"crossing number or range, e.g. 12 or 3..15; {bound}")
     p.add_argument(
         "--verify",
@@ -384,18 +383,18 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("word")
     q = epi_sub.add_parser("graph", help="epimorphism digraph up to a crossing bound", parents=after)
     bound = f"largest crossing number, 3 to {epim.EPI_GRAPH_C_MAX} (exit 3 below, 4 above)"
-    q.add_argument("--max-c", type=int, required=True, help=bound)
+    q.add_argument("--max-c", required=True, help=bound)
     p.set_defaults(func=cmd_epi)
 
     p = sub.add_parser("table1", help="non-minimal knots with braid index <= 4", parents=after)
     bound = f"largest crossing number, 3 to {classify.TABLE1_C_MAX} (exit 3 below, 4 above)"
-    p.add_argument("--max-c", type=int, default=15, help=bound)
+    p.add_argument("--max-c", default="15", help=bound)
     p.add_argument("--chiral", action="store_true", help="one row per chiral knot, no diff")
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("identities", help="verify the binomial-sum identities", parents=after)
-    bound = f"largest parameter checked, at most {census.IDENTITIES_N_MAX} (exit 4 above)"
-    p.add_argument("--n-max", type=int, default=200, help=bound)
+    bound = f"largest parameter, 1 to {census.IDENTITIES_N_MAX} (exit 3 below, 4 above)"
+    p.add_argument("--n-max", default="200", help=bound)
     p.set_defaults(func=cmd_identities)
 
     return parser

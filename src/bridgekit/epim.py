@@ -145,13 +145,7 @@ class InequalityAudit(NamedTuple):
         return (self.term_copies, self.term_cbudget, self.term_zero, self.term_signs)
 
     def to_json(self) -> dict:
-        return {
-            "term_copies": self.term_copies,
-            "term_cbudget": self.term_cbudget,
-            "term_zero": self.term_zero,
-            "term_signs": self.term_signs,
-            "slack": self.slack,
-        }
+        return self._asdict()
 
 
 class EpiWitness(NamedTuple):
@@ -170,12 +164,7 @@ class EpiWitness(NamedTuple):
         )
 
     def to_json(self) -> dict:
-        return {
-            "big": self.big.to_json(),
-            "small": self.small.to_json(),
-            "params": self.params.to_json(),
-            "audit": self.audit.to_json(),
-        }
+        return {key: value.to_json() for key, value in self._asdict().items()}
 
 
 def ors_compose(params: OrsParams) -> Word:

@@ -183,7 +183,7 @@ class TestInvariants:
         long = ",".join(["2,-2"] * (epim.WORD_MAX // 2 + 1))
         code, out, err = run(capsys, "invariants", long)
         assert code == EXIT_RESOURCE and out == ""
-        bound = f"invariants word length {epim.WORD_MAX + 2} exceeds {epim.WORD_MAX}"
+        bound = f"word length {epim.WORD_MAX + 2} exceeds the invariants bound {epim.WORD_MAX}"
         assert err == f"resource bound: {bound}\n"
 
 
@@ -244,7 +244,7 @@ class TestCensus:
                 start = time.perf_counter()
                 code, out, err = run(capsys, "census", crossings, *flags)
                 assert code == EXIT_RESOURCE
-                assert out == "" and err == "resource bound: c=100000 exceeds the census bound 500\n"
+                assert out == "" and err == "resource bound: c 100000 exceeds the census bound 500\n"
                 assert time.perf_counter() - start < 1.0
 
     def test_above_census_bound_is_resource_error(self, capsys):
@@ -252,7 +252,7 @@ class TestCensus:
             start = time.perf_counter()
             code, out, err = run(capsys, "census", "501", *flags)
             assert code == EXIT_RESOURCE
-            assert out == "" and err == "resource bound: c=501 exceeds the census bound 500\n"
+            assert out == "" and err == "resource bound: c 501 exceeds the census bound 500\n"
             assert time.perf_counter() - start < 1.0
 
     def test_bound_past_int_digit_limit_is_resource_error(self, capsys):
@@ -260,16 +260,18 @@ class TestCensus:
         nines = "9" * 4301
         code, out, err = run(capsys, "census", f"3..{nines}")
         assert code == EXIT_RESOURCE and out == ""
-        assert err == f"resource bound: c={nines} exceeds the census bound 500\n"
+        assert err == f"resource bound: c {nines} exceeds the census bound 500\n"
         # leading zeros do not count
         code, out, _ = run(capsys, "--format", "csv", "census", "0" * 5000 + "5")
         assert code == EXIT_OK and "\n5,4,8,5/2,2,4,5/2\n" in out
 
-    @pytest.mark.parametrize("crossings", ["3..", "x", "3..4..5", "..5", "2", "5..3", "-3", "1_0"])
+    @pytest.mark.parametrize(
+        "crossings", ["3..", "x", "3..4..5", "..5", "2", "5..3", "-3", "1_0", "x..9", "2..9", "+5..9"]
+    )
     def test_malformed_range_is_refused(self, capsys, crossings):
         code, out, err = run(capsys, "census", crossings)
         assert code == EXIT_PARSE and out == ""
-        assert err == f"invalid input: bad crossing range {crossings!r}\n"
+        assert err == f"invalid input: bad c {crossings!r}\n"
 
     def test_csv_format(self, capsys):
         _, out, _ = run(capsys, "--format", "csv", "census", "5")
@@ -474,7 +476,7 @@ class TestEpi:
         start = time.perf_counter()
         code, out, err = run(capsys, "epi", *(arg.format(long=long) for arg in command))
         assert code == EXIT_RESOURCE and out == ""
-        bound = f"epi word length {epim.WORD_MAX + 2} exceeds {epim.WORD_MAX}"
+        bound = f"word length {epim.WORD_MAX + 2} exceeds the epi bound {epim.WORD_MAX}"
         assert err == f"resource bound: {bound}\n"
         assert time.perf_counter() - start < 1.0
 
@@ -488,7 +490,7 @@ class TestEpi:
     def test_graph_max_c_below_3_is_refused(self, capsys, max_c):
         code, out, err = run(capsys, "epi", "graph", "--max-c", max_c)
         assert code == EXIT_PARSE and out == ""
-        assert err == f"invalid input: --max-c {max_c} is below 3, the smallest crossing number\n"
+        assert err == f"invalid input: bad --max-c {max_c!r}\n"
 
 
 class TestTable1:
@@ -511,7 +513,7 @@ class TestTable1:
     def test_max_c_below_3_is_refused(self, capsys, max_c):
         code, out, err = run(capsys, "table1", "--max-c", max_c)
         assert code == EXIT_PARSE and out == ""
-        assert err == f"invalid input: --max-c {max_c} is below 3, the smallest crossing number\n"
+        assert err == f"invalid input: bad --max-c {max_c!r}\n"
 
     def test_max_c_above_bound_is_resource_error(self, capsys):
         start = time.perf_counter()
@@ -585,6 +587,57 @@ class TestIdentities:
         assert code == EXIT_RESOURCE
         assert out == "" and "resource bound" in err
         assert time.perf_counter() - start < 1.0
+
+
+# Each bounded number: its command line with {} for the number, its least value and its bound.
+BOUNDED_NUMBERS = {
+    "census c": (["census", "{}"], 3, census.FORMULAS_C_MAX),
+    "census lo..hi": (["census", "3..{}"], 3, census.FORMULAS_C_MAX),
+    "epi graph --max-c": (["epi", "graph", "--max-c", "{}"], 3, epim.EPI_GRAPH_C_MAX),
+    "table1 --max-c": (["table1", "--max-c", "{}"], 3, classify.TABLE1_C_MAX),
+    "identities --n-max": (["identities", "--n-max", "{}"], 1, census.IDENTITIES_N_MAX),
+}
+
+
+@pytest.mark.parametrize("argv, low, high", BOUNDED_NUMBERS.values(), ids=BOUNDED_NUMBERS)
+class TestBoundedNumbers:
+    """One digit rule for every bounded number: exit 4 above the bound,
+    exit 3 when malformed or below, and leading zeros do not count."""
+
+    @staticmethod
+    def refused(capsys, argv, number, code, prefix):
+        got, out, err = in_process(capsys, *(arg.format(number) for arg in argv))
+        assert got == code and out == ""
+        assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
+
+    def test_above_the_bound_is_a_resource_error(self, capsys, argv, low, high):
+        for number in (str(high + 1), "9" * 4301):
+            self.refused(capsys, argv, number, EXIT_RESOURCE, "resource bound: ")
+
+    @pytest.mark.parametrize("number", ["{low_1}", "1_5", "+5", " 5", "", "x", "-5"])
+    def test_malformed_or_below_is_a_parse_error(self, capsys, argv, low, high, number):
+        self.refused(capsys, argv, number.format(low_1=low - 1), EXIT_PARSE, "invalid input: ")
+
+    def test_leading_zeros_do_not_count(self, capsys, argv, low, high):
+        small = str(low + 2)
+        expected = in_process(capsys, *(arg.format(small) for arg in argv))
+        assert expected[0] == EXIT_OK
+        assert in_process(capsys, *(arg.format("0" * 4000 + small) for arg in argv)) == expected
+
+
+@pytest.mark.parametrize(
+    "argv", [["invariants"], ["epi", "targets"], ["epi", "minimal"], ["epi", "check", "2,-2"]]
+)
+def test_word_entries_are_counted_before_any_is_parsed(capsys, argv):
+    # a malformed last entry: one entry more than the bound is refused by its count
+    for entries, code, prefix in (
+        (epim.WORD_MAX + 1, EXIT_RESOURCE, "resource bound: "),
+        (epim.WORD_MAX, EXIT_PARSE, "parse error: "),
+    ):
+        word = ",".join(["2"] * (entries - 1) + ["x"])
+        got, out, err = in_process(capsys, *argv, word)
+        assert got == code and out == ""
+        assert err.startswith(prefix) and err.count("\n") == 1
 
 
 class TestFlagsAfterSubcommand:
@@ -674,6 +727,7 @@ def test_closed_stdout_ends_quietly():
     assert proc.stdout.readline() == b"digraph epimorphisms {\n"
     proc.stdout.close()
     err = proc.stderr.read()
+    proc.stderr.close()
     assert proc.wait(timeout=60) == -signal.SIGPIPE
     assert err == b""
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from bridgekit.census import enumerate_words
-from bridgekit.classify import Table1Row, table1
+from bridgekit.classify import TABLE1_REFERENCE, table1, table1_diff
 from bridgekit.epim import OrsParams
 from bridgekit.knot import KnotClass, knot_from_word
 
@@ -19,13 +19,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_table1_rows_compare_without_matches():
-    row = table1(9)[0]
-    bare = Table1Row(row.braid, row.kind, row.crossing, row.word, row.images)
-    assert row.matches and not bare.matches
-    assert bare == row and not bare != row and hash(bare) == hash(row)
-    assert len({row, bare}) == 1
-    moved = Table1Row(row.braid, row.kind, row.crossing + 1, row.word, row.images, row.matches)
-    assert moved != row and not moved == row
+    # the diff compares the five displayed fields; the rows themselves compare all six
+    rows = table1(15)
+    assert all(row.matches for row in rows) and not any(row.matches for row in TABLE1_REFERENCE)
+    assert table1_diff(rows) == []
+    row = rows[0]
+    bare = row._replace(matches=())
+    assert bare != row and not bare == row and len({row, bare}) == 2
+    assert table1_diff([bare, *rows[1:]]) == []
 
 
 def test_knots_sort_by_their_fields():
