@@ -11,8 +11,17 @@ ends of the census range, --max-c and --n-max) is read by ``_bounded`` as
 digits and compared with its bounds before int() runs: malformed or below
 its least value exits 3, above its bound exits 4.  Words of ``invariants``
 and ``epi`` have at most ``epim.WORD_MAX`` entries, counted before any
-entry is parsed (exit 4 above); that also bounds the epimorphism search.
-Run as a program (``entry``), a closed stdout ends the process by SIGPIPE.
+entry is parsed, and entries of at most ``ENTRY_DIGITS_MAX`` digits,
+counted before any is read by int() (exit 4 above); that also bounds the
+epimorphism search.  Run as a program (``entry``), a closed stdout ends
+the process by SIGPIPE.
+
+Stdout on a nonzero exit: on exits 3 and 4 it is empty, as every input is
+read and every bound checked before anything is printed.  On exit 2 it
+holds what was computed before the check that failed: ``census --verify``
+prints its counted rows and ``table1`` its rows, then names the mismatch
+on stderr; ``identities`` prints every check, failed ones included.  A
+failed audit or a closed form that is not an integer prints nothing.
 
 Each setting comes only from its flag, given before or after the
 subcommand.  ``main`` can be called repeatedly in one process; its
@@ -47,6 +56,12 @@ EXIT_MISMATCH = 2
 EXIT_PARSE = 3
 EXIT_RESOURCE = 4
 
+# The most significant digits an entry of a word may have.  A word of at most
+# epim.WORD_MAX entries then has a crossing number of at most 4,005 digits, so
+# every integer invariants prints stays under the 4,300 digits int converts to
+# str; a value's numerator and denominator are bounded apart.
+ENTRY_DIGITS_MAX = 4_000
+
 FORMATS = ("json", "csv", "md", "dot")
 # The formats each command renders; the others are refused (exit 3).
 RENDERS = {
@@ -73,6 +88,12 @@ def _fraction_formatter(digits: bool):
     return fmt
 
 
+def _significant(digits: str) -> str:
+    """The significant digits of a string of decimal digits, in ASCII: isdecimal
+    also admits other scripts' digits, and int() counts leading zeros."""
+    return "".join(map(str, map(int, digits))).lstrip("0")
+
+
 def _bounded(name: str, ends: list[str], low: int, high: int, command: str) -> range:
     """The whole numbers from the first of ``ends`` to the last, given in digits.
 
@@ -87,8 +108,7 @@ def _bounded(name: str, ends: list[str], low: int, high: int, command: str) -> r
     # digits only: int would also read a sign, spaces and underscores
     if len(ends) > 2 or not all(end.isdecimal() for end in ends):
         raise ValueError(f"bad {name} {text!r}")
-    # the significant digits, in ASCII: isdecimal also admits other scripts' digits
-    lo, hi = ("".join(map(str, map(int, end))).lstrip("0") for end in (ends[0], ends[-1]))
+    lo, hi = _significant(ends[0]), _significant(ends[-1])
     least, first, last, most = ((len(d), d) for d in (str(low), lo, hi, str(high)))
     if not least <= first <= last:
         raise ValueError(f"bad {name} {text!r}")
@@ -156,11 +176,11 @@ def cmd_invariants(args) -> int:
         ("sign changes", knot.signchg),
         ("torus", f"T({torus},2)" if torus else "-"),
     ]
+    # every line is built before any is printed
     if args.format == "json":
         print(format_json(dict(fields)))
     else:
-        for key, value in fields:
-            print(f"{key}: {value}")
+        print("\n".join(f"{key}: {value}" for key, value in fields))
     return EXIT_OK
 
 
@@ -208,12 +228,39 @@ def _print_witnesses(witnesses, header: str) -> None:
 
 
 def _bounded_word(text: str, command: str):
-    """The word argument of ``command``, refused above epim.WORD_MAX entries
-    before any entry is parsed."""
+    """The word argument of ``command``, refused above epim.WORD_MAX entries or
+    with an entry of more than ENTRY_DIGITS_MAX digits before any entry is parsed.
+
+    An entry's digits are counted as ``_bounded`` counts them, after its sign
+    and without its underscores and leading zeros, and an entry of digits
+    only is read without its leading zeros.
+    """
     n = text.count(",") + 1
     if n > epim.WORD_MAX:
         raise census.ResourceBound(f"word length {n} exceeds the {command} bound {epim.WORD_MAX}")
+    entries = text.split(",")
+    if max(map(len, entries)) > ENTRY_DIGITS_MAX:  # only a longer entry has more digits
+        numbered = enumerate(entries, start=1)
+        text = ",".join(_bounded_entry(entry, position, command) for position, entry in numbered)
     return parse_word(text)
+
+
+def _bounded_entry(entry: str, position: int, command: str) -> str:
+    """``entry`` without leading zeros if it is digits after a sign; ResourceBound
+    if it has more than ENTRY_DIGITS_MAX digits, not counting underscores."""
+    body = entry.strip()
+    sign = body[:1] if body[:1] in ("+", "-") else ""
+    digits = body[len(sign):].replace("_", "")
+    if len(entry) <= ENTRY_DIGITS_MAX or not digits.isdecimal():
+        return entry  # short, or not a number, which parse_word reports
+    significant = _significant(digits)
+    if len(significant) > ENTRY_DIGITS_MAX:
+        raise census.ResourceBound(
+            f"word entry {position} has {len(significant)} digits, above the {command}"
+            f" bound {ENTRY_DIGITS_MAX}"
+        )
+    # int() reads underscores only between digits
+    return entry if "_" in body else sign + (significant or "0")
 
 
 def _epi_knot(text: str):
@@ -225,7 +272,7 @@ def cmd_epi(args) -> int:
         knot = _epi_knot(args.word)
         witnesses = epim.epi_targets(knot)
         if args.format == "json":
-            print(format_json([w.to_json() for w in witnesses]))
+            print(epim.witness_writer()(witnesses))
         else:
             names = sorted({display_name(w.small) for w in witnesses})
             summary = " and ".join(names) if names else "none"
@@ -353,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     after = [_shared_flags(argparse.SUPPRESS)]
     sub = parser.add_subparsers(dest="command", required=True)
 
-    bound = f"The word has at most {epim.WORD_MAX} entries (exit 4 above)."
+    digits = f"entries of at most {ENTRY_DIGITS_MAX} digits (exit 4 above)."
+    bound = f"The word has at most {epim.WORD_MAX} {digits}"
     p = sub.add_parser(
         "invariants", help="invariants of one word", description=bound, parents=after
     )
@@ -371,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--up-to-mirror", action="store_true", help="only the mirror-quotient columns")
     p.set_defaults(func=cmd_census)
 
-    bound = f"Words have at most {epim.WORD_MAX} entries (exit 4 above)."
+    bound = f"Words have at most {epim.WORD_MAX} {digits}"
     p = sub.add_parser("epi", help="epimorphism queries", description=bound, parents=after)
     epi_sub = p.add_subparsers(dest="epi_command", required=True)
     q = epi_sub.add_parser("targets", help="all epimorphic images of a knot", parents=after)

@@ -43,13 +43,12 @@ from __future__ import annotations
 
 from itertools import accumulate, chain, groupby, repeat
 from operator import getitem
-from typing import Iterator, NamedTuple, TextIO
+from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 from .census import canonical_slices, enumerate_words
 from .contfrac import (
     Word,
     check_even_word,
-    format_json,
     format_word,
     parse_word,
     rev_neg,
@@ -66,8 +65,8 @@ from .knot import (
 )
 
 # The largest --max-c of epi graph, whose cost grows exponentially in c: at 22
-# it writes 50 MB of dot in 0.7 s, or 124 MB of json in 0.9 s, at 30 MB peak
-# RSS (a fresh process, 2-vCPU host, Python 3.11).
+# it writes 50 MB of dot in 0.64 s, or 124 MB of json in 0.84 s, at 30 MB peak
+# RSS (a fresh process, best of 5, 2-vCPU host, Python 3.11).
 EPI_GRAPH_C_MAX = 22
 # Longest word the CLI reads, and the search's one bound.  On a word of L
 # entries the search checks at most two patterns of each even length
@@ -75,8 +74,9 @@ EPI_GRAPH_C_MAX = 22
 # (L-1)//(n-1) blocks deep: at most 4 * sum(1 + (L-1)//(n-1)) steps, 2,372,080
 # at 100,000 entries.  The most measured there is 1,184,214, on 4 repeated.
 # At that length, with cli.main called in process on a 2-vCPU host, epi
-# targets takes 0.07 s on T(100001,2), 0.7 s on 2,4 repeated and 0.8 s on 4
-# repeated, of which building the knot is 0.01 s.  From a shell, Linux's
+# targets takes 0.06 s on T(100001,2), 0.53 s on 2,4 repeated and 0.68 s on 4
+# repeated, of which reading the word and building the knot is 0.02 s.  Each
+# entry has at most cli.ENTRY_DIGITS_MAX digits.  From a shell, Linux's
 # 131,072-byte limit on one argv string stops a word near 65,000 one-digit
 # entries.
 WORD_MAX = 100_000
@@ -96,15 +96,22 @@ class _OrsFields(NamedTuple):
 class OrsParams(_OrsFields):
     """Parameters of one interleaving: target expansion, r, signs, connectors.
 
-    The constructor makes tuples of the three sequences and validates them;
-    ``_make`` and ``_replace`` would skip both, so nothing calls them.
+    The constructor checks the target, then calls ``_of_even_target``,
+    which makes tuples of the signs and connectors and checks them and r;
+    ``ors_words`` calls ``_of_even_target`` directly, with the target it
+    checked once.  ``_make`` and ``_replace`` would skip every check, so
+    nothing calls them.
     """
 
     __slots__ = ()
 
     def __new__(cls, target, r, eps, cvec):
-        target, eps, cvec = tuple(target), tuple(eps), tuple(cvec)
-        check_even_word(target)
+        return cls._of_even_target(check_even_word(target), r, eps, cvec)
+
+    @classmethod
+    def _of_even_target(cls, target: Word, r, eps, cvec) -> OrsParams:
+        """The parameters onto ``target``, a word ``check_even_word`` returned."""
+        eps, cvec = tuple(eps), tuple(cvec)
         if r < 1:
             raise ValueError(f"r must be >= 1, got {r}")
         if len(eps) != 2 * r + 1:
@@ -120,7 +127,7 @@ class OrsParams(_OrsFields):
                 raise ValueError(
                     f"connector {j + 1} is zero but adjacent signs differ: {eps}"
                 )
-        return super().__new__(cls, target, r, eps, cvec)
+        return tuple.__new__(cls, (target, r, eps, cvec))  # as _OrsFields.__new__ does
 
     def to_json(self) -> dict:
         return {
@@ -167,6 +174,53 @@ class EpiWitness(NamedTuple):
         return {key: value.to_json() for key, value in self._asdict().items()}
 
 
+# One witness as ``json.dumps(witness.to_json(), indent=2)`` writes it, with
+# each knot's object and the entries of eps and cvec left to fill in.
+_WITNESS = (
+    '{{\n  "big": {},\n  "small": {},\n  "params": {{\n    "target": "{}",\n    "r": {},\n'
+    '    "eps": [\n      {}\n    ],\n    "cvec": [\n      {}\n    ]\n  }},\n'
+    '  "audit": {{\n    "term_copies": {},\n    "term_cbudget": {},\n    "term_zero": {},\n'
+    '    "term_signs": {},\n    "slack": {}\n  }}\n}}'
+)
+_KNOT = '{{\n    "word": "{}",\n    "crossing": {},\n    "braid": {},\n    "genus": {}\n  }}'
+
+
+def witness_writer(margin: str = "") -> Callable[[Sequence[EpiWitness]], str]:
+    """A function writing a list of witnesses as ``json.dumps`` writes it.
+
+    It returns ``json.dumps([w.to_json() for w in witnesses], indent=2)``,
+    byte for byte, with ``margin`` after each newline.  Each witness fills
+    one template, and each knot's object text is built once and kept for
+    every later list the same writer writes: one writer serves one
+    document.  Nothing in a witness needs escaping.
+    """
+    newline = "\n" + margin + "  "
+    witness = _WITNESS.replace("\n", newline).format
+    knot_object = _KNOT.replace("\n", newline).format
+    entries = f",{newline}      ".join
+    knots: dict[KnotClass, str] = {}
+
+    def knot(k: KnotClass) -> str:
+        text = knots.get(k)
+        if text is None:
+            text = knots[k] = knot_object(format_word(k.canon), k.crossing, k.braid, k.genus)
+        return text
+
+    def write(witnesses: Sequence[EpiWitness]) -> str:
+        if not witnesses:
+            return "[]"
+        items = [
+            witness(
+                knot(big), knot(small), format_word(params.target), params.r,
+                entries(map(str, params.eps)), entries(map(str, params.cvec)), *audit,
+            )
+            for big, small, params, audit in witnesses
+        ]
+        return f"[{newline}" + f",{newline}".join(items) + f"\n{margin}]"
+
+    return write
+
+
 def ors_compose(params: OrsParams) -> Word:
     """Interleave the blocks and connectors; delete-and-merge zero connectors."""
     forward = params.target
@@ -209,6 +263,7 @@ def ors_words(
         for sign in (1, -1)
     }
 
+    make = OrsParams._of_even_target  # the target is checked above, once
     # a knot word's braid index is at most its crossing number
     braid_cap = c_max if braid_max is None else braid_max
 
@@ -217,7 +272,7 @@ def ors_words(
 
     def walk(word, eps, cvec, total, changes):
         if cvec and len(cvec) % 2 == 0:
-            yield OrsParams(target, len(cvec) // 2, eps, cvec), word
+            yield make(target, len(cvec) // 2, eps, cvec), word
         edge = word[-1]
         grown, inner = total + size, changes + flips
         for sign in (1, -1):
@@ -506,9 +561,11 @@ def write_json(max_crossing: int, out: TextIO) -> None:
     """Write ``epi_graph(max_crossing)`` as ``json.dumps(..., indent=2)`` would, a chunk at a time.
 
     A chunk's nodes share crossing number, braid index (c - ell) / 2 + 1
-    and genus m, so one template writes them all, and each edge is written
-    by ``contfrac.format_json`` at a margin of four spaces; at --max-c 22
-    there are 699,732 nodes, and no general writer writes them as fast.
+    and genus m, so one template writes them all; another writes each edge,
+    and one ``witness_writer`` its witnesses.  At --max-c 22 there are
+    699,732 nodes and 11,824 edges with 15,032 witnesses, and no general
+    writer writes them as fast: the edges take 0.08 s of a 0.84 s command,
+    and ``contfrac.format_json`` would take 0.20 s.
     """
     nodes = epi_graph(max_crossing)
     out.write(f'{{\n  "max_crossing": {max_crossing},\n  "nodes": [')
@@ -524,13 +581,11 @@ def write_json(max_crossing: int, out: TextIO) -> None:
         comma = ",\n"
         edges += node_edges
     out.write('\n  ],\n  "edges": [')
-    comma = "\n    "
+    edge = '\n    {\n      "source": "%s",\n      "target": "%s",\n      "witnesses": %s\n    }'
+    write_witnesses = witness_writer("      ")
+    comma = ""
     for big, small, witnesses in edges:
-        record = {
-            "source": format_word(big.canon),
-            "target": format_word(small.canon),
-            "witnesses": [witness.to_json() for witness in witnesses],
-        }
-        out.write(comma + format_json(record, "    "))
-        comma = ",\n    "
+        text = edge % (format_word(big.canon), format_word(small.canon), write_witnesses(witnesses))
+        out.write(comma + text)
+        comma = ","
     out.write("\n  ]\n}\n" if edges else "]\n}\n")

@@ -1,9 +1,12 @@
 """End-to-end CLI behavior: output, formats, exit codes, determinism."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -11,9 +14,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bridgekit import census, classify, cli, epim
 from bridgekit.cli import (
+    ENTRY_DIGITS_MAX,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_PARSE,
@@ -236,9 +242,20 @@ class TestCensus:
         assert code == EXIT_OK
         assert "\n| 23 | " in out and "\n| 24 | " in out
 
-    def test_formulas_only_above_bound_is_resource_error(self, capsys):
+    @staticmethod
+    def build_no_row(monkeypatch):
+        # a refused range builds no row, so a dropped bound fails at the first
+        # row instead of building rows toward the refused end
+        def refuse(c):
+            raise AssertionError(f"census built the row of c = {c} for a refused range")
+
+        monkeypatch.setattr(census, "closed_row", refuse)
+        monkeypatch.setattr(census, "brute_counts", refuse)
+
+    def test_formulas_only_above_bound_is_resource_error(self, capsys, monkeypatch):
         # plain census prints the closed forms only; far above the bound it is
         # refused before any row is built, as --verify is
+        self.build_no_row(monkeypatch)
         for crossings in ("100000", "3..100000"):
             for flags in ((), ("--verify",)):
                 start = time.perf_counter()
@@ -247,13 +264,15 @@ class TestCensus:
                 assert out == "" and err == "resource bound: c 100000 exceeds the census bound 500\n"
                 assert time.perf_counter() - start < 1.0
 
-    def test_above_census_bound_is_resource_error(self, capsys):
-        for flags in ((), ("--verify",)):
-            start = time.perf_counter()
-            code, out, err = run(capsys, "census", "501", *flags)
-            assert code == EXIT_RESOURCE
-            assert out == "" and err == "resource bound: c 501 exceeds the census bound 500\n"
-            assert time.perf_counter() - start < 1.0
+    def test_above_census_bound_is_resource_error(self, capsys, monkeypatch):
+        self.build_no_row(monkeypatch)
+        for crossings in ("501", "3..501"):
+            for flags in ((), ("--verify",)):
+                start = time.perf_counter()
+                code, out, err = run(capsys, "census", crossings, *flags)
+                assert code == EXIT_RESOURCE
+                assert out == "" and err == "resource bound: c 501 exceeds the census bound 500\n"
+                assert time.perf_counter() - start < 1.0
 
     def test_bound_past_int_digit_limit_is_resource_error(self, capsys):
         # refused from its digit count: int() refuses more than 4,300 digits
@@ -638,6 +657,128 @@ def test_word_entries_are_counted_before_any_is_parsed(capsys, argv):
         got, out, err = in_process(capsys, *argv, word)
         assert got == code and out == ""
         assert err.startswith(prefix) and err.count("\n") == 1
+
+
+# An even entry with as many digits as a word's entry may have.
+AT_DIGIT_BOUND = "2" + "0" * (ENTRY_DIGITS_MAX - 1)
+
+
+@pytest.mark.parametrize("argv", [["invariants"], ["epi", "targets"], ["epi", "minimal"]])
+def test_word_entry_digits_are_bounded(capsys, argv):
+    # at the bound the word is read, and one digit more is refused before int() runs
+    code, out, err = in_process(capsys, *argv, f"2,{AT_DIGIT_BOUND}")
+    assert code == EXIT_OK and out and err == ""
+    above = f"2,{AT_DIGIT_BOUND}0"
+    bound = f"word entry 2 has {ENTRY_DIGITS_MAX + 1} digits, above the {argv[0]} bound"
+    assert in_process(capsys, *argv, above) == (
+        EXIT_RESOURCE, "", f"resource bound: {bound} {ENTRY_DIGITS_MAX}\n"
+    )
+    # a sign, underscores and leading zeros are not digits
+    assert in_process(capsys, *argv, f"2,-{AT_DIGIT_BOUND}0")[0] == EXIT_RESOURCE
+    assert in_process(capsys, *argv, f"2,2_{AT_DIGIT_BOUND[1:]}")[0] == EXIT_OK
+    zeros = in_process(capsys, *argv, f"2,{'0' * 5000}{AT_DIGIT_BOUND}")
+    assert zeros == in_process(capsys, *argv, f"2,{AT_DIGIT_BOUND}")
+
+
+@pytest.mark.parametrize("output_format", ["md", "json"])
+def test_invariants_print_nothing_before_a_refusal(capsys, output_format):
+    # the crossing number of E,E has 4,301 digits; E has 4,300, above the bound
+    eights = "8" * 4300
+    code, out, err = in_process(
+        capsys, "--decimal", "--format", output_format, "invariants", f"{eights},{eights}"
+    )
+    assert code == EXIT_RESOURCE and out == ""
+    bound = f"word entry 1 has 4300 digits, above the invariants bound {ENTRY_DIGITS_MAX}"
+    assert err == f"resource bound: {bound}\n"
+
+
+# The prefix of stderr's last line on each nonzero exit.
+EXIT_PREFIXES = {
+    EXIT_MISMATCH: r"(verify mismatch|table1 diff|verification failed): ",
+    EXIT_PARSE: r"(parse error|invalid input|configuration error|bridgekit( [a-z0-9]+)*: error): ",
+    EXIT_RESOURCE: r"resource bound: ",
+}
+
+
+def _cli_argv():
+    """Command lines drawn from the CLI's grammar, each cheap to run.
+
+    Numbers are at most 12 (census ends at most 20) or above their bound;
+    word entries include zeros, odd and malformed entries, other scripts'
+    digits, and entries at and above the digit bound.
+    """
+    number = st.one_of(
+        st.integers(0, 12).map(str),
+        st.sampled_from(["", "x", "-5", "+5", "1_0", " 5", "0" * 4000 + "5", "\u0665", "\uff17"]),
+        st.sampled_from(["23", "46", "301", "501", "9" * 4301]),
+    )
+    end = st.one_of(st.integers(0, 20).map(str), st.integers(501, 503).map(str), number)
+    crossings = st.one_of(
+        end,
+        st.tuples(end, end).map("..".join),
+        st.sampled_from(["3..", "..5", "3..4..5", "5..3", "3...5", "3..100000"]),
+    )
+    even = st.sampled_from(["2", "-2", "4", "-4", "-6", "8"])
+    entry = st.one_of(
+        even,
+        even,
+        even,
+        st.sampled_from(
+            ["3", "0", "-0", "000", "+2", " 2 ", "2_0", "\u0662", "x", "", "0" * 4400 + "2",
+             AT_DIGIT_BOUND, "-" + AT_DIGIT_BOUND, AT_DIGIT_BOUND + "0", "8" * 4300]
+        ),
+    )
+    # mostly even lengths; a word may start with a minus sign
+    word = st.sampled_from([1, 2, 2, 3, 4, 4, 6, 8]).flatmap(
+        lambda n: st.lists(entry, min_size=n, max_size=n)
+    ).map(",".join)
+    flags = st.sampled_from(
+        [[], [], [], ["--decimal"], ["--format", "json"], ["--format", "md"], ["--format", "csv"],
+         ["--format", "dot"], ["--format", "xml"], ["--decimal", "--format", "json"]]
+    )
+    max_c = st.sampled_from([["--max-c"], ["--max-c"], ["--max-c"], []])
+    optional = lambda *tokens: st.sampled_from([[], list(tokens)])  # noqa: E731
+    listed = lambda strategy: strategy.map(lambda token: [token])  # noqa: E731
+    command = st.one_of(
+        st.tuples(st.just(["invariants"]), listed(word)),
+        st.tuples(
+            st.just(["census"]), listed(crossings), optional("--verify"), optional("--up-to-mirror")
+        ),
+        st.tuples(st.just(["epi"]), listed(st.sampled_from(["targets", "minimal"])), listed(word)),
+        st.tuples(st.just(["epi", "check"]), listed(word), listed(word)),
+        st.tuples(st.just(["epi", "graph"]), max_c, listed(number)),
+        st.tuples(st.just(["table1"]), max_c, listed(number), optional("--chiral")),
+        st.tuples(st.just(["identities"]), optional("--n-max"), listed(number)),
+        st.sampled_from([(["nosuch"],), (["--help"],), (["epi"],), ([],)]),
+    ).map(lambda parts: [token for part in parts for token in part])
+    # the shared flags before the subcommand, after it, or both
+    return st.tuples(flags, command, flags).map(lambda t: t[0] + t[1] + t[2])
+
+
+def _call(argv):
+    """(exit code, stdout, stderr) of cli.main on argv, in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # --help and argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_cli_argv())
+@example(["--decimal", "invariants", ",".join(["8" * 4300] * 2)])  # a crossing of 4,301 digits
+def test_exit_code_contract(argv):
+    # every exception is caught and mapped to one exit code, with its stderr
+    # prefix; on exits 3 and 4 nothing is printed, and a second call repeats
+    code, out, err = _call(argv)
+    assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_PARSE, EXIT_RESOURCE)
+    if code != EXIT_OK:
+        assert re.match(EXIT_PREFIXES[code], err.splitlines()[-1]), (argv, err)
+    if code in (EXIT_PARSE, EXIT_RESOURCE):
+        assert out == ""
+    assert _call(argv) == (code, out, err)
 
 
 class TestFlagsAfterSubcommand:

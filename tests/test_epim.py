@@ -6,6 +6,8 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from bridgekit import epim
 from bridgekit.census import enumerate_words
@@ -356,3 +358,64 @@ class TestGraph:
                 witnesses += len(generated)
             assert not by_source
         assert witnesses == 2064
+
+
+def dumps(witnesses, margin=""):
+    """The witness writer's reference: json.dumps, with ``margin`` after each newline."""
+    return json.dumps([w.to_json() for w in witnesses], indent=2).replace("\n", "\n" + margin)
+
+
+def census_words(low, high):
+    return [w for c in range(low, high + 1) for w in enumerate_words(c)]
+
+
+CENSUS_6_TO_10 = census_words(6, 10)
+# For each r, the targets (in both orientations) whose 2r + 1 blocks fit in
+# about 26 crossings, leaving room for the connectors under 30.
+TARGETS_FOR_R = {
+    r: sorted({o for w in census_words(3, 26 // (2 * r + 1)) for o in (w, rev_neg(w))})
+    for r in (1, 2, 3)
+}
+
+
+@st.composite
+def searched_words(draw):
+    """A word with c from 6 to 30: a census word, or one spelled by drawn ORS parameters."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(CENSUS_6_TO_10))
+    r = draw(st.integers(1, 3))
+    target = draw(st.sampled_from(TARGETS_FOR_R[r]))
+    cvec = draw(st.lists(st.integers(-2, 2), min_size=2 * r, max_size=2 * r))
+    eps = [1]
+    for j, cj in enumerate(cvec):
+        eps.append(eps[j] if cj == 0 else draw(st.sampled_from((1, -1))))
+    word = ors_compose(params(target, r, eps, cvec))
+    assume(crossing_number(word) <= 30)
+    return word
+
+
+class TestWitnessWriter:
+    """The witness writer writes what json.dumps writes, byte for byte."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(searched_words(), st.integers(0, 8).map(" ".__mul__))
+    @example((2, -4, 4, -4, 4, -2), "")  # r = 2, every connector zero
+    @example((2, -2, 2, -2, 2, -2, -2, 4, -2, -4, 2, -2), "      ")  # r = 2, one connector zero
+    def test_targets_are_written_as_json_dumps_writes_them(self, word, margin):
+        witnesses = epi_targets(knot_from_word(word))
+        write = epim.witness_writer(margin)
+        assert write(witnesses) == dumps(witnesses, margin)
+        # the same writer again, from the knot texts it kept
+        assert write(witnesses[::-1]) == dumps(witnesses[::-1], margin)
+
+    def test_graph_edges_are_written_as_json_dumps_writes_them(self):
+        # one writer for every edge, as write_json uses it
+        write = epim.witness_writer("      ")
+        edges = graph_edges(12)
+        assert len(edges) == 72
+        for _, _, witnesses in edges:
+            assert write(witnesses) == dumps(witnesses, "      ")
+
+    def test_empty_list(self):
+        assert epim.witness_writer()([]) == "[]" == dumps([])
+        assert epim.witness_writer("    ")([]) == "[]"
