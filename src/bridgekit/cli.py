@@ -20,8 +20,9 @@ Stdout on a nonzero exit: on exits 3 and 4 it is empty, as every input is
 read and every bound checked before anything is printed.  On exit 2 it
 holds what was computed before the check that failed: ``census --verify``
 prints its counted rows and ``table1`` its rows, then names the mismatch
-on stderr; ``identities`` prints every check, failed ones included.  A
-failed audit or a closed form that is not an integer prints nothing.
+on stderr; ``identities`` prints every check, then names the failed ones
+on stderr.  A failed audit or a closed form that is not an integer prints
+nothing.
 
 Each setting comes only from its flag, given before or after the
 subcommand.  ``main`` can be called repeatedly in one process; its
@@ -336,12 +337,12 @@ def cmd_table1(args) -> int:
 def cmd_identities(args) -> int:
     n_max = _bounded("--n-max", [args.n_max], 1, census.IDENTITIES_N_MAX, "identities")[0]
     checks = census.verify_identities(n_max)
-    failed = False
     for check in checks:
         status = "pass" if check.passed else f"FAIL at {check.counterexample}"
         print(f"{check.name} (params up to {check.max_param}): {status}")
-        if not check.passed:
-            failed = True
+    failed = [check for check in checks if not check.passed]
+    for check in failed:
+        print(f"verify mismatch: {check.name} fails at {check.counterexample}", file=sys.stderr)
     return EXIT_MISMATCH if failed else EXIT_OK
 
 

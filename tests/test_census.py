@@ -129,8 +129,8 @@ class TestBruteCounts:
             assert verify_row(c, brute_counts(c)) == []
 
     def test_counts_meet_the_closed_forms_through_60(self):
-        # no word is built, so the check runs on past 60, through c = 200
-        for c in range(3, 201):
+        # no word is built, so the check runs on past 60, to the census bound
+        for c in range(3, census.FORMULAS_C_MAX + 1):
             assert verify_row(c, brute_counts(c)) == [], c
 
 

@@ -16,19 +16,21 @@ counts and genus total included; ``census.enumerate_words`` emits the
 same words, so this also checks its canonicity test against a count
 that does not use it.
 
-The slice's compositions and their palindromes are counted with
-binomials; a tally over the listed compositions must give the same two
-numbers for every slice.
+``brute_counts`` steps each slice's binomial counts of sign vectors,
+compositions and their palindromes along m by exact ratios.  Burnside
+over a tally of the listed sign vectors and compositions, slice by slice,
+must give the same rows through c = 26, past the reach of the word tally.
 """
 
 import hashlib
+from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
 import pytest
 
 from bridgekit import census
-from bridgekit.census import ResourceBound, _assemble_row
+from bridgekit.census import CensusRow, ResourceBound, SignClassCount
 from bridgekit.epim import EPI_GRAPH_C_MAX
 
 import _oracles
@@ -140,6 +142,24 @@ def test_mirror_representative_matches_on_every_word():
     assert checked == 87380
 
 
+def assemble_row(c, by_ell, by_ell_star, genus_total):
+    tk = sum(by_ell.values())
+    ts = sum(ell * n for ell, n in by_ell.items())
+    tk_star = sum(by_ell_star.values())
+    ts_star = sum(ell * n for ell, n in by_ell_star.items())
+    return CensusRow(
+        c=c,
+        tk=tk,
+        ts=ts,
+        tk_star=tk_star,
+        ts_star=ts_star,
+        avg_braid=Fraction((c + 2) * tk - ts, 2 * tk),
+        avg_braid_star=Fraction((c + 2) * tk_star - ts_star, 2 * tk_star),
+        avg_genus=Fraction(genus_total, tk),
+        by_ell=tuple(SignClassCount(c, ell, by_ell[ell]) for ell in sorted(by_ell)),
+    )
+
+
 def brute_counts(c, *, ceiling=EPI_GRAPH_C_MAX):
     if c < 3:
         raise ValueError(f"crossing number must be >= 3, got {c}")
@@ -157,7 +177,7 @@ def brute_counts(c, *, ceiling=EPI_GRAPH_C_MAX):
                 star += 1
         by_ell[ell] = count
         by_ell_star[ell] = star
-    return _assemble_row(c, by_ell, by_ell_star, genus_total)
+    return assemble_row(c, by_ell, by_ell_star, genus_total)
 
 
 @pytest.mark.parametrize("c", range(3, 21))
@@ -165,13 +185,27 @@ def test_counts_match_word_by_word_tally(c):
     assert census.brute_counts(c) == brute_counts(c)
 
 
-def composition_tally(m, total):
-    parts = census._compositions(total, 2 * m)
-    return len(parts), sum(p == p[::-1] for p in parts)
+def slice_tally(c):
+    """Burnside over each slice's listed sign vectors and compositions.
+
+    A word 2 s_i p_i is fixed by rev_neg or reverse iff p is a palindrome
+    and s reversed is -s or s; negate fixes none.
+    """
+    by_ell, by_ell_star, genus_total = {}, {}, 0
+    for m, ell in _partitions(c):
+        signs = list(_sign_vectors(2 * m, ell))
+        parts = census._compositions((c + ell) // 2, 2 * m)
+        words = len(signs) * len(parts)
+        fixed = sum(s[::-1] in (s, negate(s)) for s in signs) * sum(p == p[::-1] for p in parts)
+        knots, rest = divmod(words + fixed * (ell % 2), 2)
+        star, rest_star = divmod(words + fixed, 4)
+        assert rest == rest_star == 0, (m, ell)
+        by_ell[ell] = by_ell.get(ell, 0) + knots
+        by_ell_star[ell] = by_ell_star.get(ell, 0) + star
+        genus_total += m * knots
+    return assemble_row(c, by_ell, by_ell_star, genus_total)
 
 
 @pytest.mark.parametrize("c", range(3, 27))
 def test_binomial_below_matches_composition_tally(c):
-    for m, ell in _partitions(c):
-        total = (c + ell) // 2
-        assert census._composition_counts(m, total) == composition_tally(m, total), (m, ell)
+    assert census.brute_counts(c) == slice_tally(c)

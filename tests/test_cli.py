@@ -599,6 +599,19 @@ class TestIdentities:
         assert code == EXIT_OK
         assert out.count("pass") == 7
 
+    def test_failed_identity_is_named_on_stderr(self, capsys, monkeypatch):
+        name, statement, params, lhs, rhs = census.IDENTITIES[0]
+        wrong = (name, statement, params, lhs, lambda n: rhs(n) + 1)
+        monkeypatch.setattr(census, "IDENTITIES", (wrong, *census.IDENTITIES[1:]))
+        code, out, err = run(capsys, "identities", "--n-max", "5")
+        assert code == EXIT_MISMATCH
+        # stdout still lists every check, the failed one first
+        assert out.splitlines() == [f"{name} (params up to 5): FAIL at ((1,), 1, 2)"] + [
+            f"{row[0]} (params up to 5): pass" for row in census.IDENTITIES[1:]
+        ]
+        assert err == f"verify mismatch: {name} fails at ((1,), 1, 2)\n"
+        assert re.match(EXIT_PREFIXES[EXIT_MISMATCH], err.splitlines()[-1])
+
     def test_n_max_above_bound_is_resource_error(self, capsys):
         start = time.perf_counter()
         n_max = str(census.IDENTITIES_N_MAX + 1)
