@@ -87,9 +87,7 @@ def exact_div(numerator: int, denominator: int) -> int:
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    """Positive integer compositions of ``total`` into ``parts`` parts."""
-    if parts == 0:
-        return [()] if total == 0 else []
+    """Positive integer compositions of ``total`` into ``parts`` >= 1 parts."""
     ends = (total,)
     return [
         tuple(map(sub, cuts + ends, (0,) + cuts))
@@ -113,26 +111,16 @@ def _sign_vectors(
             yield tuple(out)
 
 
-def _ell_values(c: int, m: int) -> range:
-    """Admissible sign-change counts for crossing number c at half-length m."""
-    low = 0 if c % 2 == 0 else 1
-    low = max(low, 4 * m - c)
-    if low % 2 != c % 2:
-        low += 1
-    return range(low, 2 * m, 2)
-
-
-def _partitions(c: int, ell: int | None = None) -> Iterator[tuple[int, int]]:
-    for m in range(1, (c - 1) // 2 + 1):
-        for ell_value in _ell_values(c, m):
-            if ell is None or ell_value == ell:
-                yield m, ell_value
-
-
 def _slices(c: int, ell: int | None) -> Iterator[tuple[int, int, list[tuple[int, ...]]]]:
-    """Each (m, ell) slice as (m, ell, its compositions)."""
-    for m, ell_value in _partitions(c, ell):
-        yield m, ell_value, _compositions((c + ell_value) // 2, 2 * m)
+    """Each (m, ell) slice as (m, ell, its compositions).
+
+    ell has the parity of c and is below 2m, and 2m positive magnitudes
+    need (c + ell) / 2 >= 2m, so ell >= 4m - c, which has that parity too.
+    """
+    for m in range(1, (c - 1) // 2 + 1):
+        for ell_value in range(max(c % 2, 4 * m - c), 2 * m, 2):
+            if ell is None or ell_value == ell:
+                yield m, ell_value, _compositions((c + ell_value) // 2, 2 * m)
 
 
 def _first_unequal_pair(part: tuple[int, ...], m: int) -> int:

@@ -305,12 +305,11 @@ def cmd_epi(args) -> int:
             names = sorted({display_name(w.small) for w in witnesses})
             print(f"{format_word(knot.canon)}: not minimal (onto {' and '.join(names)})")
         return EXIT_OK
-    if args.epi_command == "graph":
-        max_c = _bounded("--max-c", [args.max_c], 3, epim.EPI_GRAPH_C_MAX, "epi graph")[0]
-        write = epim.write_json if args.format == "json" else epim.write_dot
-        write(max_c, sys.stdout)
-        return EXIT_OK
-    raise AssertionError(f"unhandled epi subcommand {args.epi_command}")
+    # graph: argparse admits no other subcommand
+    max_c = _bounded("--max-c", [args.max_c], 3, epim.EPI_GRAPH_C_MAX, "epi graph")[0]
+    write = epim.write_json if args.format == "json" else epim.write_dot
+    write(max_c, sys.stdout)
+    return EXIT_OK
 
 
 def cmd_table1(args) -> int:

@@ -343,19 +343,14 @@ def _orientations(word: Word) -> tuple[Word, ...]:
     return (word,) if word == other else (word, other)
 
 
-def _pattern(word: Word, n: int, last: int) -> Word:
-    """The length-n target read off ``word``: its first n-1 entries, then ``last``."""
-    return word[: n - 1] + (last,)
-
-
 def _parse(
-    word: Word, n: int, last: int, r_max: int
+    word: Word, pattern: Word, r_max: int
 ) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
-    """``(r, eps, cvec)`` of an interleaving of ``_pattern(word, n, last)`` spelling ``word``.
+    """``(r, eps, cvec)`` of an interleaving of ``pattern`` spelling ``word``.
 
     One state per block, for at most 2 r_max + 1 blocks; None as soon
-    as no (eps, cvec) can fit.  The pattern was read off the word, so
-    the first block's first entry matches (eps_1 = +1); every later
+    as no (eps, cvec) can fit.  The caller read the pattern off the word,
+    so the first block's first entry matches (eps_1 = +1); every later
     block's first entry is read before the block.  A block's last entry
     e = eps_j * block_j[-1] decides the boundary: 2e is a zero connector
     whose merge kept the sign, while e is followed by a connector 2c_j
@@ -363,7 +358,7 @@ def _parse(
     Block 2r may end the word instead, with e.
     """
     # the last entry of each block equals the first entry of the next
-    pattern = _pattern(word, n, last)
+    n = len(pattern)
     shapes = (pattern, reverse(pattern))
     middles: dict[tuple[int, int], Word] = {}
     end = len(word) - 1
@@ -394,14 +389,11 @@ def _parse(
     return None
 
 
-def _search(
-    big: KnotClass,
-    small: KnotClass | None = None,
-    *,
-    stop_at_first: bool = False,
-) -> list[EpiWitness]:
-    """Witnesses onto every proper target, or onto ``small`` only if given."""
-    found: list[EpiWitness] = []
+def _search(big: KnotClass, small: KnotClass | None = None) -> Iterator[EpiWitness]:
+    """Witnesses onto every proper target, or onto ``small`` only if given.
+
+    They come in search order; the callers sort, take the least or stop at one.
+    """
     length = len(big.canon)
     wanted = None if small is None else _orientations(small.canon)
     # 2r+1 blocks of length n take at least (2r+1)(n-1)+1 entries, r >= 1
@@ -415,7 +407,7 @@ def _search(
             # The first block is the target (eps_1 = +1); a zero first
             # connector merges the block's last entry into twice itself,
             # which keeps its sign and halves its crossings.  A target
-            # is spelled out only where it is parsed or compared.
+            # is spelled out only once it passes both bounds.
             edge = word[n - 1]
             lasts = [(edge, prefix[n])]
             if edge % 4 == 0:
@@ -423,27 +415,22 @@ def _search(
             for last, crossing in lasts:
                 # Proper targets only: an image has at most a third of
                 # the big knot's crossings, which also rules out itself.
-                if 3 * crossing > big.crossing or (
-                    wanted is not None
-                    and (n != len(small.canon) or _pattern(word, n, last) not in wanted)
-                ):
+                if 3 * crossing > big.crossing:
                     continue
                 # Largest r the crossings and the length allow; no r fits if
                 # even that r spells fewer than L entries, at most (2r+1)(n+1) - 1.
                 r_max = (min(big.crossing // crossing, (length - 1) // (n - 1)) - 1) // 2
                 if (2 * r_max + 1) * (n + 1) <= length:
                     continue
-                parsed = _parse(word, n, last, r_max)
+                pattern = word[: n - 1] + (last,)
+                if wanted is not None and pattern not in wanted:
+                    continue
+                parsed = _parse(word, pattern, r_max)
                 if parsed is None:
                     continue
-                pattern = _pattern(word, n, last)
                 params = OrsParams(pattern, *parsed)
                 audit = _recompose_and_audit(params, big)
-                target = knot_from_word(pattern) if small is None else small
-                found.append(EpiWitness(big, target, params, audit))
-                if stop_at_first:
-                    return found
-    return sorted(found, key=EpiWitness.sort_key)
+                yield EpiWitness(big, small or knot_from_word(pattern), params, audit)
 
 
 def epi_targets(big: KnotClass) -> list[EpiWitness]:
@@ -453,7 +440,7 @@ def epi_targets(big: KnotClass) -> list[EpiWitness]:
     reproducible output.  Each pattern is read at most once, so the word's
     length bounds the search; the CLI refuses words above ``WORD_MAX``.
     """
-    return _search(big)
+    return sorted(_search(big), key=EpiWitness.sort_key)
 
 
 def admits_epi(big: KnotClass, small: KnotClass) -> EpiWitness | None:
@@ -461,13 +448,12 @@ def admits_epi(big: KnotClass, small: KnotClass) -> EpiWitness | None:
 
     Proper targets only: returns None for small == big.
     """
-    witnesses = _search(big, small)
-    return witnesses[0] if witnesses else None
+    return min(_search(big, small), key=EpiWitness.sort_key, default=None)
 
 
 def is_minimal(big: KnotClass) -> bool:
     """True iff the knot's group surjects onto no smaller knot group."""
-    return not _search(big, stop_at_first=True)
+    return next(_search(big), None) is None
 
 
 # ---------------------------------------------------------------------------

@@ -283,3 +283,23 @@ class TestEmission:
         payload = json.loads(rows_to_json(self.rows))
         assert payload[2]["avg_braid"] == "5/2"
         assert payload[2]["by_ell"] == {"1": 2, "3": 2}
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        *(
+            (lambda f=f: f(2), ValueError, "crossing number must be >= 3, got 2")
+            for f in (brute_counts, closed_tk, closed_tk_star, closed_ts, closed_ts_star)
+        ),
+        (
+            lambda: verify_identities(census.IDENTITIES_N_MAX + 1),
+            ResourceBound,
+            f"n_max={census.IDENTITIES_N_MAX + 1} exceeds the bound",
+        ),
+    ],
+    ids=["brute_counts", "closed_tk", "closed_tk_star", "closed_ts", "closed_ts_star", "bound"],
+)
+def test_guard_refuses_out_of_range_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -541,6 +541,26 @@ class TestTable1:
         assert out == "" and err.count("\n") == 1 and "resource bound" in err
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("output_format", ["md", "json"])
+    def test_reference_mismatch_is_named_on_stderr(self, capsys, monkeypatch, output_format):
+        argv = ("--format", output_format, "table1", "--max-c", "15")
+        _, expected, _ = run(capsys, *argv)
+        # the md table ends with the empty diff, which a mismatch replaces
+        expected = "".join(
+            line for line in expected.splitlines(True) if not line.startswith("diff vs reference")
+        )
+        dropped = classify.TABLE1_REFERENCE[1]
+        reference = tuple(row for row in classify.TABLE1_REFERENCE if row != dropped)
+        monkeypatch.setattr(classify, "TABLE1_REFERENCE", reference)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_MISMATCH
+        assert out == expected
+        assert "diff vs reference" not in out + err
+        lines = err.splitlines()
+        assert lines and all(line.startswith("table1 diff: ") for line in lines)
+        assert any(str(dropped.word) in line for line in lines)
+        assert re.match(EXIT_PREFIXES[EXIT_MISMATCH], lines[-1])
+
 
 class TestFormats:
     @pytest.mark.parametrize(

@@ -68,6 +68,10 @@ class TestEval:
         with pytest.raises(ValueError):
             eval_word((2, 0, 2))
 
+    def test_empty_word_rejected(self):
+        with pytest.raises(ValueError, match="empty word"):
+            eval_word(())
+
     @given(even_words)
     def test_matches_continuant_fold(self, word):
         assert eval_word(word) == continuant_eval(word)

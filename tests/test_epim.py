@@ -419,3 +419,22 @@ class TestWitnessWriter:
     def test_empty_list(self):
         assert epim.witness_writer()([]) == "[]" == dumps([])
         assert epim.witness_writer("    ")([]) == "[]"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: OrsParams((2, -2), 1, (1, 2, 1), (1, 1)), ValueError, "signs must be"),
+        # (1, -1) composes to (2, -2) * 4; this misspelled word keeps every
+        # term non-negative, but they sum to 2 against a slack of 1
+        (
+            lambda: audit_params(params((2, -2), 1, (1, 1, 1), (1, -1)), (2, -2, 2, -2, 2, -4)),
+            AuditFailure,
+            "do not sum to the slack",
+        ),
+    ],
+    ids=["signs", "audit-sum"],
+)
+def test_guard_refuses_inconsistent_parameters(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

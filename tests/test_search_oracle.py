@@ -27,7 +27,6 @@ from bridgekit.epim import (
     EpiWitness,
     OrsParams,
     _orientations,
-    _pattern,
     admits_epi,
     audit_params,
     epi_targets,
@@ -146,6 +145,11 @@ def test_seeded_random_knots(c):
 # ---------------------------------------------------------------------------
 # The r-loop parser, one read of the word per r
 # ---------------------------------------------------------------------------
+
+
+def _pattern(word: Word, n: int, last: int) -> Word:
+    """The length-n target read off ``word``: its first n-1 entries, then ``last``."""
+    return word[: n - 1] + (last,)
 
 
 def _parse(
