@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Subcommands: invariants, census, epi (targets/check/minimal/graph),
-table1, identities.  Words are written as comma-separated signed
-integers (``2,-4,4,-2``), and one may start with a minus sign (``-2,2``);
+table1, identities.  argparse dispatches each leaf subcommand to its
+handler, and the leaf's parser declares the formats it renders, default
+first; ``main`` refuses any other --format (exit 3) before the handler
+runs.  Words are written as comma-separated signed integers
+(``2,-4,4,-2``), and one may start with a minus sign (``-2,2``);
 fractions print as ``p/q`` unless --decimal asks for a 12-digit rendering.
 
 Exit codes: 0 success, 2 verification mismatch, 3 parse or usage error,
@@ -21,8 +24,8 @@ read and every bound checked before anything is printed.  On exit 2 it
 holds what was computed before the check that failed: ``census --verify``
 prints its counted rows and ``table1`` its rows, then names the mismatch
 on stderr; ``identities`` prints every check, then names the failed ones
-on stderr.  A failed audit or a closed form that is not an integer prints
-nothing.
+on stderr.  ``_verdict`` prints each of these three verdicts.  A failed
+audit or a closed form that is not an integer prints nothing.
 
 Each setting comes only from its flag, given before or after the
 subcommand.  ``main`` can be called repeatedly in one process; its
@@ -63,30 +66,15 @@ EXIT_RESOURCE = 4
 # str; a value's numerator and denominator are bounded apart.
 ENTRY_DIGITS_MAX = 4_000
 
+# Every --format; each leaf subcommand's parser declares those it renders.
 FORMATS = ("json", "csv", "md", "dot")
-# The formats each command renders; the others are refused (exit 3).
-RENDERS = {
-    "invariants": ("json", "md"),
-    "census": ("json", "csv", "md"),
-    "epi targets": ("json", "md"),
-    "epi check": ("md",),
-    "epi minimal": ("md",),
-    "epi graph": ("json", "dot"),
-    "table1": ("json", "csv", "md"),
-    "identities": ("md",),
-}
 
 
-def _fraction_formatter(digits: bool):
-    if not digits:
-        return format_fraction
-
-    def fmt(value: Fraction) -> str:
-        with decimal.localcontext() as ctx:
-            ctx.prec = 12
-            return str(decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator))
-
-    return fmt
+def _decimal(value: Fraction) -> str:
+    """``value`` to 12 significant digits, the --decimal rendering."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 12
+        return str(decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator))
 
 
 def _significant(digits: str) -> str:
@@ -148,6 +136,16 @@ def _unprintable(digits: int) -> census.ResourceBound:
     )
 
 
+def _verdict(problems: list[str], prefix: str, agreed: str | None = None, stream=None) -> int:
+    """EXIT_MISMATCH after naming each problem on stderr after ``prefix``; with
+    none, EXIT_OK after printing ``agreed``, if given, on ``stream`` or stdout."""
+    for problem in problems:
+        print(f"{prefix}: {problem}", file=sys.stderr)
+    if agreed and not problems:
+        print(agreed, file=stream)  # print looks sys.stdout up for None at each call
+    return EXIT_MISMATCH if problems else EXIT_OK
+
+
 def cmd_invariants(args) -> int:
     word = _bounded_word(args.word, "invariants")
     knot = knot_from_word(word)
@@ -163,7 +161,7 @@ def cmd_invariants(args) -> int:
         raise _unprintable(digits)
     value = eval_word(word)
     try:
-        text = _fraction_formatter(args.decimal)(value)
+        text = (_decimal if args.decimal else format_fraction)(value)
     except ValueError:  # str() refuses an int of more than this many digits
         raise _unprintable(digits) from None
     fields = [
@@ -191,7 +189,7 @@ def cmd_census(args) -> int:
     make_row = census.brute_counts if args.verify else census.closed_row
     rows = [make_row(c) for c in crossings]
     mirror = args.up_to_mirror
-    fmt = _fraction_formatter(args.decimal)
+    fmt = _decimal if args.decimal else format_fraction
     if args.format == "json":
         print(census.rows_to_json(rows, fmt, up_to_mirror=mirror))
     else:
@@ -202,16 +200,11 @@ def cmd_census(args) -> int:
                 args.format,
             )
         )
-    if args.verify:
-        problems = []
-        for row in rows:
-            problems.extend(census.verify_row(row.c, row))
-        if problems:
-            for problem in problems:
-                print(f"verify mismatch: {problem}", file=sys.stderr)
-            return EXIT_MISMATCH
-        print(f"verify: brute force and closed forms agree for c in {args.range}")
-    return EXIT_OK
+    if not args.verify:
+        return EXIT_OK
+    problems = [problem for row in rows for problem in census.verify_row(row.c, row)]
+    agreed = f"verify: brute force and closed forms agree for c in {args.range}"
+    return _verdict(problems, "verify mismatch", agreed)
 
 
 def _print_witnesses(witnesses, header: str) -> None:
@@ -268,44 +261,52 @@ def _epi_knot(text: str):
     return knot_from_word(_bounded_word(text, "epi"))
 
 
-def cmd_epi(args) -> int:
-    if args.epi_command == "targets":
-        knot = _epi_knot(args.word)
-        witnesses = epim.epi_targets(knot)
-        if args.format == "json":
-            print(epim.witness_writer()(witnesses))
-        else:
-            names = sorted({display_name(w.small) for w in witnesses})
-            summary = " and ".join(names) if names else "none"
-            _print_witnesses(witnesses, f"targets of {format_word(knot.canon)}: {summary}")
+def _images(witnesses) -> str:
+    """The names of the witnesses' images, sorted and joined by "and"."""
+    return " and ".join(sorted({display_name(w.small) for w in witnesses}))
+
+
+def cmd_epi_targets(args) -> int:
+    knot = _epi_knot(args.word)
+    witnesses = epim.epi_targets(knot)
+    if args.format == "json":
+        print(epim.witness_writer()(witnesses))
+    else:
+        summary = _images(witnesses) or "none"
+        _print_witnesses(witnesses, f"targets of {format_word(knot.canon)}: {summary}")
+    return EXIT_OK
+
+
+def cmd_epi_check(args) -> int:
+    big = _epi_knot(args.big)
+    small = _epi_knot(args.small)
+    # a knot's group is isomorphic to its mirror image's, and the search skips both
+    if mirror_canonical_word(big.canon) == mirror_canonical_word(small.canon):
+        relation = "the same knot" if big == small else "mirror images"
+        print(
+            f"{format_word(big.canon)} -> {format_word(small.canon)}: {relation};"
+            " epi check looks for proper images only"
+        )
         return EXIT_OK
-    if args.epi_command == "check":
-        big = _epi_knot(args.big)
-        small = _epi_knot(args.small)
-        # a knot's group is isomorphic to its mirror image's, and the search skips both
-        if mirror_canonical_word(big.canon) == mirror_canonical_word(small.canon):
-            relation = "the same knot" if big == small else "mirror images"
-            print(
-                f"{format_word(big.canon)} -> {format_word(small.canon)}: {relation};"
-                " epi check looks for proper images only"
-            )
-            return EXIT_OK
-        witness = epim.admits_epi(big, small)
-        if witness is None:
-            print(f"no epimorphism {format_word(big.canon)} -> {format_word(small.canon)}")
-        else:
-            _print_witnesses([witness], "epimorphism exists:")
-        return EXIT_OK
-    if args.epi_command == "minimal":
-        knot = _epi_knot(args.word)
-        witnesses = epim.epi_targets(knot)
-        if not witnesses:
-            print(f"{format_word(knot.canon)}: minimal")
-        else:
-            names = sorted({display_name(w.small) for w in witnesses})
-            print(f"{format_word(knot.canon)}: not minimal (onto {' and '.join(names)})")
-        return EXIT_OK
-    # graph: argparse admits no other subcommand
+    witness = epim.admits_epi(big, small)
+    if witness is None:
+        print(f"no epimorphism {format_word(big.canon)} -> {format_word(small.canon)}")
+    else:
+        _print_witnesses([witness], "epimorphism exists:")
+    return EXIT_OK
+
+
+def cmd_epi_minimal(args) -> int:
+    knot = _epi_knot(args.word)
+    witnesses = epim.epi_targets(knot)
+    if not witnesses:
+        print(f"{format_word(knot.canon)}: minimal")
+    else:
+        print(f"{format_word(knot.canon)}: not minimal (onto {_images(witnesses)})")
+    return EXIT_OK
+
+
+def cmd_epi_graph(args) -> int:
     max_c = _bounded("--max-c", [args.max_c], 3, epim.EPI_GRAPH_C_MAX, "epi graph")[0]
     write = epim.write_json if args.format == "json" else epim.write_dot
     write(max_c, sys.stdout)
@@ -323,14 +324,9 @@ def cmd_table1(args) -> int:
     if args.chiral:
         return EXIT_OK
     diff = classify.table1_diff(rows, c_max=max_c)
-    if diff:
-        for line in diff:
-            print(f"table1 diff: {line}", file=sys.stderr)
-        return EXIT_MISMATCH
+    agreed = f"diff vs reference (c <= {min(max_c, 15)}): empty"
     # keep stdout machine-clean for structured formats
-    stream = sys.stdout if args.format == "md" else sys.stderr
-    print(f"diff vs reference (c <= {min(max_c, 15)}): empty", file=stream)
-    return EXIT_OK
+    return _verdict(diff, "table1 diff", agreed, None if args.format == "md" else sys.stderr)
 
 
 def cmd_identities(args) -> int:
@@ -339,10 +335,8 @@ def cmd_identities(args) -> int:
     for check in checks:
         status = "pass" if check.passed else f"FAIL at {check.counterexample}"
         print(f"{check.name} (params up to {check.max_param}): {status}")
-    failed = [check for check in checks if not check.passed]
-    for check in failed:
-        print(f"verify mismatch: {check.name} fails at {check.counterexample}", file=sys.stderr)
-    return EXIT_MISMATCH if failed else EXIT_OK
+    failed = [f"{c.name} fails at {c.counterexample}" for c in checks if not c.passed]
+    return _verdict(failed, "verify mismatch")
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         "invariants", help="invariants of one word", description=bound, parents=after
     )
     p.add_argument("word")
-    p.set_defaults(func=cmd_invariants)
+    p.set_defaults(func=cmd_invariants, formats=("md", "json"))
 
     p = sub.add_parser("census", help="census table for a crossing range", parents=after)
     bound = f"c from 3 to {census.FORMULAS_C_MAX} (exit 3 below, 4 above)"
@@ -417,33 +411,36 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the counted rows and check them against the closed forms",
     )
     p.add_argument("--up-to-mirror", action="store_true", help="only the mirror-quotient columns")
-    p.set_defaults(func=cmd_census)
+    p.set_defaults(func=cmd_census, formats=("md", "json", "csv"))
 
     bound = f"Words have at most {epim.WORD_MAX} {digits}"
     p = sub.add_parser("epi", help="epimorphism queries", description=bound, parents=after)
     epi_sub = p.add_subparsers(dest="epi_command", required=True)
     q = epi_sub.add_parser("targets", help="all epimorphic images of a knot", parents=after)
     q.add_argument("word")
+    q.set_defaults(func=cmd_epi_targets, formats=("md", "json"))
     q = epi_sub.add_parser("check", help="does the first knot map onto the second", parents=after)
     q.add_argument("big")
     q.add_argument("small")
+    q.set_defaults(func=cmd_epi_check, formats=("md",))
     q = epi_sub.add_parser("minimal", help="decide minimality by search", parents=after)
     q.add_argument("word")
+    q.set_defaults(func=cmd_epi_minimal, formats=("md",))
     q = epi_sub.add_parser("graph", help="epimorphism digraph up to a crossing bound", parents=after)
     bound = f"largest crossing number, 3 to {epim.EPI_GRAPH_C_MAX} (exit 3 below, 4 above)"
     q.add_argument("--max-c", required=True, help=bound)
-    p.set_defaults(func=cmd_epi)
+    q.set_defaults(func=cmd_epi_graph, formats=("dot", "json"))
 
     p = sub.add_parser("table1", help="non-minimal knots with braid index <= 4", parents=after)
     bound = f"largest crossing number, 3 to {classify.TABLE1_C_MAX} (exit 3 below, 4 above)"
     p.add_argument("--max-c", default="15", help=bound)
     p.add_argument("--chiral", action="store_true", help="one row per chiral knot, no diff")
-    p.set_defaults(func=cmd_table1)
+    p.set_defaults(func=cmd_table1, formats=("md", "json", "csv"))
 
     p = sub.add_parser("identities", help="verify the binomial-sum identities", parents=after)
     bound = f"largest parameter, 1 to {census.IDENTITIES_N_MAX} (exit 3 below, 4 above)"
     p.add_argument("--n-max", default="200", help=bound)
-    p.set_defaults(func=cmd_identities)
+    p.set_defaults(func=cmd_identities, formats=("md",))
 
     return parser
 
@@ -454,12 +451,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse's usage-error code 2 means a mismatch here
         raise SystemExit(EXIT_PARSE if exc.code == 2 else exc.code) from None
-    command = f"epi {args.epi_command}" if args.command == "epi" else args.command
-    if args.format is None:
-        args.format = "dot" if command == "epi graph" else "md"
-    renders = RENDERS[command]
-    if args.format not in renders:
-        problem = f"{command} cannot render {args.format} (it renders {', '.join(renders)})"
+    args.format = args.format or args.formats[0]
+    if args.format not in args.formats:
+        command = f"epi {args.epi_command}" if args.command == "epi" else args.command
+        renders = ", ".join(f for f in FORMATS if f in args.formats)
+        problem = f"{command} cannot render {args.format} (it renders {renders})"
         print(f"configuration error: {problem}", file=sys.stderr)
         return EXIT_PARSE
     try:

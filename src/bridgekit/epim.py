@@ -414,8 +414,9 @@ def _search(big: KnotClass, small: KnotClass | None = None) -> Iterator[EpiWitne
                 lasts.append((edge // 2, prefix[n] - abs(edge) // 2))
             for last, crossing in lasts:
                 # Proper targets only: an image has at most a third of
-                # the big knot's crossings, which also rules out itself.
-                if 3 * crossing > big.crossing:
+                # the big knot's crossings, which also rules out itself;
+                # a pattern of the wanted target has that target's crossings.
+                if 3 * crossing > big.crossing or wanted and crossing != small.crossing:
                     continue
                 # Largest r the crossings and the length allow; no r fits if
                 # even that r spells fewer than L entries, at most (2r+1)(n+1) - 1.

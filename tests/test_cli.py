@@ -613,6 +613,29 @@ class TestFormats:
         assert hashlib.sha256(out.encode()).hexdigest() == JSON_DIGESTS[command]
 
 
+def _leaves(parser, names=()):
+    """(command words, parser) of each leaf subcommand under ``parser``."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield " ".join(names), parser
+    for action in subparsers:
+        for name, sub in action.choices.items():
+            yield from _leaves(sub, names + (name,))
+
+
+def test_every_leaf_subcommand_declares_its_handler_and_formats():
+    leaves = dict(_leaves(build_parser()))
+    assert sorted(leaves) == [
+        "census", "epi check", "epi graph", "epi minimal", "epi targets",
+        "identities", "invariants", "table1",
+    ]
+    for name, parser in leaves.items():
+        formats = parser.get_default("formats")
+        assert callable(parser.get_default("func")), name
+        assert formats and set(formats) <= set(cli.FORMATS), name
+        assert len(set(formats)) == len(formats), name
+
+
 class TestIdentities:
     def test_pass(self, capsys):
         code, out, _ = run(capsys, "identities", "--n-max", "25")

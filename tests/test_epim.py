@@ -211,6 +211,17 @@ class TestSearch:
         onto_trefoil = [w for w in witnesses if w.small == TREFOIL]
         assert onto_trefoil and admits_epi(big, TREFOIL) == onto_trefoil[0]
 
+    def test_admits_epi_onto_each_torus_image_of_a_long_word(self):
+        # T(6003,2) maps onto T(d,2) for each divisor 3 <= d <= 2001 of
+        # 6003 = 3^2 23 29; the search for one skips the other crossings
+        big = knot_from_word((2, -2) * 3001)
+        witnesses = epi_targets(big)
+        smalls = {w.small for w in witnesses}
+        assert sorted(s.crossing for s in smalls) == [3, 9, 23, 29, 69, 87, 207, 261, 667, 2001]
+        for small in smalls:
+            least = min((w for w in witnesses if w.small == small), key=EpiWitness.sort_key)
+            assert admits_epi(big, small) == least, small.crossing
+
     def test_minimality_examples(self):
         assert is_minimal(TREFOIL)
         assert not is_minimal(TORUS9)
