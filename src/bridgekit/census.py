@@ -352,17 +352,22 @@ def closed_n(c: int, ell: int) -> int:
     return value
 
 
+def _plus(base: Fraction, num: int, den: int) -> Fraction:
+    """base + num / den, normalised once."""
+    return Fraction(base.numerator * den + num * base.denominator, base.denominator * den)
+
+
 def closed_avg_braid(c: int) -> Fraction:
     """Average braid index over all two-bridge knots with c crossings."""
     base = Fraction(3 * c + 11, 9)
     if c % 2 == 0:
-        return base + Fraction(2 * c - 4, 3 * (2 ** (c - 2) - 1))
+        return _plus(base, 2 * c - 4, 3 * (2 ** (c - 2) - 1))
     if c % 4 == 1:
-        return base - Fraction(
-            2 ** ((c + 3) // 2) + 9 * c - 19, 9 * (2 ** (c - 2) + 2 ** ((c - 1) // 2))
+        return _plus(
+            base, -(2 ** ((c + 3) // 2) + 9 * c - 19), 9 * (2 ** (c - 2) + 2 ** ((c - 1) // 2))
         )
-    return base - Fraction(
-        2 ** ((c + 3) // 2) + 3 * c - 5, 9 * (2 ** (c - 2) + 2 ** ((c - 1) // 2) + 2)
+    return _plus(
+        base, -(2 ** ((c + 3) // 2) + 3 * c - 5), 9 * (2 ** (c - 2) + 2 ** ((c - 1) // 2) + 2)
     )
 
 
@@ -370,15 +375,11 @@ def closed_avg_braid_star(c: int) -> Fraction:
     """Average braid index up to mirror image."""
     base = Fraction(3 * c + 11, 9)
     if c % 4 == 0:
-        return base + Fraction(
-            2 ** (c // 2) + 9 * c - 16, 9 * (2 ** (c - 2) + 2 ** ((c - 2) // 2))
-        )
+        return _plus(base, 2 ** (c // 2) + 9 * c - 16, 9 * (2 ** (c - 2) + 2 ** ((c - 2) // 2)))
     if c % 4 == 1:
         return closed_avg_braid(c)
     if c % 4 == 2:
-        return base + Fraction(
-            2 ** (c // 2) + 3 * c - 8, 9 * (2 ** (c - 2) + 2 ** ((c - 2) // 2) - 2)
-        )
+        return _plus(base, 2 ** (c // 2) + 3 * c - 8, 9 * (2 ** (c - 2) + 2 ** ((c - 2) // 2) - 2))
     return closed_avg_braid(c)
 
 
@@ -386,11 +387,11 @@ def closed_avg_genus(c: int) -> Fraction:
     """Average genus over all two-bridge knots with c crossings."""
     base = Fraction(3 * c + 1, 12)
     if c % 2 == 0:
-        return base + Fraction(c - 5, 2 ** c - 4)
+        return _plus(base, c - 5, 2 ** c - 4)
     if c % 4 == 1:
-        return base + Fraction(1, 3 * 2 ** ((c - 3) // 2))
-    return base + Fraction(
-        2 ** ((c + 1) // 2) - 3 * c + 11, 12 * (2 ** (c - 3) + 2 ** ((c - 3) // 2) + 1)
+        return _plus(base, 1, 3 * 2 ** ((c - 3) // 2))
+    return _plus(
+        base, 2 ** ((c + 1) // 2) - 3 * c + 11, 12 * (2 ** (c - 3) + 2 ** ((c - 3) // 2) + 1)
     )
 
 

@@ -43,11 +43,11 @@ from typing import NamedTuple, Sequence
 
 from .contfrac import Word, check_even_word, format_json, format_word, negate, rev_neg, reverse
 from .epim import AuditFailure, OrsParams, audit_params, ors_words
-from .knot import braid_index, display_name, knot_from_word, mirror_orbit
+from .knot import braid_index, display_name, knot_from_word
 
 # table1's rows grow about as c^3 (577 at c_max = 30, 1,902 at 45), and so
-# does its cost: 0.15 s at 30 and 0.4-0.6 s at 45 on a 2-vCPU host, and
-# 0.7-1.2 s at 45 with up_to_mirror=False.
+# does its cost: 0.14 s at 30 and 0.28 s at 45, and 0.37 s at 45 with
+# --chiral (a fresh process, best of 5, 2-vCPU host, Python 3.11).
 TABLE1_C_MAX = 45
 
 # Each Table 1 type as its marks, in the order i0/j0 and i1/j1 name them.
@@ -64,7 +64,7 @@ CLAUSES = {
     "4C2": "ZF",
     "4D": "FF",
 }
-KIND_ORDER = tuple(CLAUSES)
+KIND_RANK = {kind: rank for rank, kind in enumerate(CLAUSES)}
 # the factor a mark puts on its connector; F negates instead
 _SCALE = {"D": 2, "T": 3, "Z": 0}
 # a mark's spot: 0 an entry 4, 1 an entry 6, 2 a repeated sign
@@ -129,7 +129,7 @@ class NonminimalType(NamedTuple):
 
     def sort_key(self):
         return (
-            KIND_ORDER.index(self.kind),
+            KIND_RANK[self.kind],
             self.r,
             self.m,
             self.j0 or 0,
@@ -153,7 +153,13 @@ class NonminimalType(NamedTuple):
 
 
 def _positive_candidates(word: Word) -> tuple[Word, ...]:
-    return tuple(c for c in mirror_orbit(word) if c[0] > 0)
+    """The words of the mirror orbit that lead positive, in order.
+
+    One of w and -w leads positive, and so does one of reverse(w) and rev_neg(w).
+    """
+    head = word if word[0] > 0 else negate(word)
+    tail = reverse(word) if word[-1] > 0 else rev_neg(word)
+    return (head,) if head == tail else (head, tail) if head < tail else (tail, head)
 
 
 def _factorizations(n: int) -> list[tuple[int, int]]:
@@ -278,7 +284,7 @@ class Table1Row(NamedTuple):
 
 
 def _display_word(word: Word) -> Word:
-    return min(_positive_candidates(word))
+    return _positive_candidates(word)[0]
 
 
 def table1(c_max: int, *, up_to_mirror: bool = True) -> list[Table1Row]:

@@ -129,14 +129,6 @@ class OrsParams(_OrsFields):
                 )
         return tuple.__new__(cls, (target, r, eps, cvec))  # as _OrsFields.__new__ does
 
-    def to_json(self) -> dict:
-        return {
-            "target": format_word(self.target),
-            "r": self.r,
-            "eps": list(self.eps),
-            "cvec": list(self.cvec),
-        }
-
 
 class InequalityAudit(NamedTuple):
     """Decomposition of braid(big) - 3 braid(target) + 4 into >= 0 terms."""
@@ -150,9 +142,6 @@ class InequalityAudit(NamedTuple):
     @property
     def terms(self) -> tuple[int, int, int, int]:
         return (self.term_copies, self.term_cbudget, self.term_zero, self.term_signs)
-
-    def to_json(self) -> dict:
-        return self._asdict()
 
 
 class EpiWitness(NamedTuple):
@@ -170,12 +159,9 @@ class EpiWitness(NamedTuple):
             self.params.eps,
         )
 
-    def to_json(self) -> dict:
-        return {key: value.to_json() for key, value in self._asdict().items()}
 
-
-# One witness as ``json.dumps(witness.to_json(), indent=2)`` writes it, with
-# each knot's object and the entries of eps and cvec left to fill in.
+# One witness as ``json.dumps(..., indent=2)`` writes its fields, with each
+# knot's object and the entries of eps and cvec left to fill in.
 _WITNESS = (
     '{{\n  "big": {},\n  "small": {},\n  "params": {{\n    "target": "{}",\n    "r": {},\n'
     '    "eps": [\n      {}\n    ],\n    "cvec": [\n      {}\n    ]\n  }},\n'
@@ -188,11 +174,12 @@ _KNOT = '{{\n    "word": "{}",\n    "crossing": {},\n    "braid": {},\n    "genu
 def witness_writer(margin: str = "") -> Callable[[Sequence[EpiWitness]], str]:
     """A function writing a list of witnesses as ``json.dumps`` writes it.
 
-    It returns ``json.dumps([w.to_json() for w in witnesses], indent=2)``,
-    byte for byte, with ``margin`` after each newline.  Each witness fills
-    one template, and each knot's object text is built once and kept for
-    every later list the same writer writes: one writer serves one
-    document.  Nothing in a witness needs escaping.
+    It returns ``json.dumps(..., indent=2)`` of the witnesses' fields
+    (``witness_json`` in ``tests/_oracles.py``), byte for byte, with
+    ``margin`` after each newline.  Each witness fills one template, and
+    each knot's object text is built once and kept for every later list
+    the same writer writes: one writer serves one document.  Nothing in a
+    witness needs escaping.
     """
     newline = "\n" + margin + "  "
     witness = _WITNESS.replace("\n", newline).format
@@ -253,6 +240,13 @@ def ors_words(
     sign changes more.  As crossing(a) >= 2 and braid(a) >= 2, neither
     crossing number nor braid index ever decreases: a prefix past a bound
     is pruned with its extensions, and with every larger |x| of its signs.
+
+    A prefix of odd many connectors spells no word, and each of its words
+    has at least one more connector and block, which add at least
+    crossing(a) crossings and braid(a) - 2 to the braid index (a connector
+    x adds |x| >= 2 and at most two sign changes).  So such a prefix is
+    walked only if it still fits with those added: one that does not has
+    no word within the bounds, and the words and their order are unchanged.
     """
     target = check_even_word(target)
     size, flips = sum(map(abs, target)), sign_changes(target)
@@ -266,24 +260,31 @@ def ors_words(
     make = OrsParams._of_even_target  # the target is checked above, once
     # a knot word's braid index is at most its crossing number
     braid_cap = c_max if braid_max is None else braid_max
+    # the bounds on a child prefix of odd, then even, many connectors
+    bounds = (
+        (c_max - (size - flips), braid_cap - (size // 2 - flips - 1)),
+        (c_max, braid_cap),
+    )
 
-    def within(total: int, changes: int) -> bool:
-        return total - changes <= c_max and total // 2 - changes + 1 <= braid_cap
+    def within(total: int, changes: int, bound: tuple[int, int]) -> bool:
+        return total - changes <= bound[0] and total // 2 - changes + 1 <= bound[1]
 
     def walk(word, eps, cvec, total, changes):
-        if cvec and len(cvec) % 2 == 0:
+        odd = len(cvec) % 2
+        if cvec and not odd:
             yield make(target, len(cvec) // 2, eps, cvec), word
         edge = word[-1]
         grown, inner = total + size, changes + flips
+        bound = bounds[odd]
         for sign in (1, -1):
-            body = bodies[len(cvec) % 2, sign]
-            if sign == eps[-1] and within(grown, inner):
+            body = bodies[odd, sign]
+            if sign == eps[-1] and within(grown, inner, bound):
                 merged = word[:-1] + (2 * edge,) + body[1:]
                 yield from walk(merged, eps + (sign,), cvec + (0,), grown, inner)
             for direction in (1, -1):
                 x = 2 * direction
                 crossed = inner + (edge * x < 0) + (x * body[0] < 0)
-                while within(grown + abs(x), crossed):
+                while within(grown + abs(x), crossed, bound):
                     yield from walk(
                         word + (x,) + body, eps + (sign,), cvec + (x // 2,),
                         grown + abs(x), crossed,
@@ -303,16 +304,15 @@ def audit_params(params: OrsParams, composed: Word | None = None) -> InequalityA
     braid_small = sum(map(abs, target)) // 2 - t_small + 1
     braid_big = sum(map(abs, composed)) // 2 - t_big + 1
     nonzero = len(cvec) - cvec.count(0)
-    audit = InequalityAudit(
-        term_copies=(2 * r - 2) * (braid_small - 2),
-        term_cbudget=sum(map(abs, cvec)) - nonzero,  # sum over c_j != 0 of |c_j| - 1
-        term_zero=2 * r - nonzero,
-        term_signs=(2 * r + 1) * t_small + 2 * nonzero - t_big,
-        slack=braid_big - 3 * braid_small + 4,
-    )
-    if min(audit.terms) < 0:
+    copies = (2 * r - 2) * (braid_small - 2)
+    cbudget = sum(map(abs, cvec)) - nonzero  # sum over c_j != 0 of |c_j| - 1
+    zero = 2 * r - nonzero
+    signs = (2 * r + 1) * t_small + 2 * nonzero - t_big
+    slack = braid_big - 3 * braid_small + 4
+    audit = InequalityAudit(copies, cbudget, zero, signs, slack)
+    if min(copies, cbudget, zero, signs) < 0:
         raise AuditFailure(f"negative audit term for {params}: {audit}")
-    if sum(audit.terms) != audit.slack:
+    if copies + cbudget + zero + signs != slack:
         raise AuditFailure(f"audit terms do not sum to the slack for {params}: {audit}")
     return audit
 

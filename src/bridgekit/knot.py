@@ -30,10 +30,6 @@ def braid_index(word: Word) -> int:
     return sum(map(abs, word)) // 2 - sign_changes(word) + 1
 
 
-def genus(word: Word) -> int:
-    return len(word) // 2
-
-
 def canonical_word(word: Word) -> Word:
     """Lexicographic minimum of {w, rev_neg(w)}: the class representative."""
     word = tuple(word)
@@ -61,14 +57,6 @@ class KnotClass(NamedTuple):
     braid: int
     genus: int
     signchg: int
-
-    def to_json(self) -> dict:
-        return {
-            "word": format_word(self.canon),
-            "crossing": self.crossing,
-            "braid": self.braid,
-            "genus": self.genus,
-        }
 
 
 def knot_from_word(word: Word) -> KnotClass:

@@ -1,4 +1,4 @@
-"""Census helpers that only the test suite needs.
+"""Helpers that only the test suite needs.
 
 ``raw_words`` lists every reduced even word of a crossing number, not
 only the canonical ones, through the census's own slices; tests use it
@@ -7,12 +7,16 @@ to audit that ``enumerate_words`` emits each class exactly once.
 ``tests/test_census_oracle.py`` checks both against independent copies.
 ``closed_n`` is the census's N(c, ell) as it was before its binomial
 partial sums were collapsed to powers of two; tests compare the closed
-form against it.
+form against it.  ``witness_json`` and the functions it calls give each
+record as the dict that ``json.dumps`` writes; ``epim.witness_writer``
+must write the same bytes.  ``genus`` is a word's genus, its number of
+entry pairs.
 """
 
 from math import comb
 
 from bridgekit.census import _sign_vectors, _slices, _words
+from bridgekit.contfrac import format_word
 
 
 def raw_words(c: int, *, ell: int | None = None):
@@ -59,3 +63,34 @@ def closed_n(c: int, ell: int) -> int:
             comb((k - l - 1) // 2, m - l - 1) for m in range(l + 1, (k + l + 1) // 2 + 1)
         )
     return value
+
+
+def genus(word) -> int:
+    return len(word) // 2
+
+
+def knot_json(knot) -> dict:
+    return {
+        "word": format_word(knot.canon),
+        "crossing": knot.crossing,
+        "braid": knot.braid,
+        "genus": knot.genus,
+    }
+
+
+def params_json(params) -> dict:
+    return {
+        "target": format_word(params.target),
+        "r": params.r,
+        "eps": list(params.eps),
+        "cvec": list(params.cvec),
+    }
+
+
+def witness_json(witness) -> dict:
+    return {
+        "big": knot_json(witness.big),
+        "small": knot_json(witness.small),
+        "params": params_json(witness.params),
+        "audit": witness.audit._asdict(),
+    }

@@ -30,10 +30,10 @@ from bridgekit.census import (
     verify_row,
 )
 from bridgekit.cli import format_table
-from bridgekit.knot import canonical_word, crossing_number, genus
+from bridgekit.knot import canonical_word, crossing_number
 
 from _oracles import closed_n as summed_closed_n
-from _oracles import is_mirror_representative, raw_words
+from _oracles import genus, is_mirror_representative, raw_words
 
 
 class TestEnumeration:
@@ -261,6 +261,10 @@ class TestIdentities:
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):
             verify_identities(0)
+
+    def test_least_bound_passes(self):
+        checks = verify_identities(1)
+        assert len(checks) == 7 and all(check.passed for check in checks)
 
 
 class TestEmission:

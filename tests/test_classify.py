@@ -1,6 +1,7 @@
 """Closed-form minimality clauses, and the reference table."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from bridgekit.classify import (
     COLUMNS,
     TABLE1_REFERENCE,
     Table1Row,
+    _positive_candidates,
     nonminimal_matches,
     reconstruct_params,
     row_cells,
@@ -82,6 +84,18 @@ class TestNonminimalClauses:
         # same shape as a 3B row but the repeat sits at a bad position
         word = (2, 2, -2, 2, -2, 2, -2, 2)
         assert nonminimal_matches(word) == ()
+
+    def test_positive_candidates_are_the_orbit_words_leading_positive(self):
+        rng = random.Random(31)
+        words = [w for c in range(3, 11) for w in enumerate_words(c)]
+        words += [
+            tuple(rng.choice((2, -2, 4, -4, 6)) for _ in range(rng.randrange(2, 13, 2)))
+            for _ in range(300)
+        ]
+        for word in words:
+            for image in mirror_orbit(word):
+                expected = tuple(c for c in mirror_orbit(image) if c[0] > 0)
+                assert _positive_candidates(image) == expected, image
 
     def test_braid_five_rejected(self):
         with pytest.raises(ValueError):

@@ -642,6 +642,11 @@ class TestIdentities:
         assert code == EXIT_OK
         assert out.count("pass") == 7
 
+    def test_least_n_max_passes(self, capsys):
+        code, out, _ = run(capsys, "identities", "--n-max", "1")
+        assert code == EXIT_OK
+        assert out.count("(params up to 1): pass") == 7
+
     def test_failed_identity_is_named_on_stderr(self, capsys, monkeypatch):
         name, statement, params, lhs, rhs = census.IDENTITIES[0]
         wrong = (name, statement, params, lhs, lambda n: rhs(n) + 1)

@@ -22,11 +22,10 @@ from bridgekit.knot import (
     braid_index,
     canonical_word,
     crossing_number,
-    genus,
     sign_changes,
 )
 
-from _oracles import raw_words
+from _oracles import genus, raw_words
 
 
 def eval_word(word):

@@ -36,6 +36,8 @@ from bridgekit.knot import (
     knot_from_word,
 )
 
+from _oracles import witness_json
+
 TREFOIL = knot_from_word((2, -2))
 TORUS9 = knot_from_word((2, -2) * 4)
 TORUS15 = knot_from_word((2, -2) * 7)
@@ -309,6 +311,25 @@ class TestGenerator:
                 assert braid_max is None or braid_index(word) <= braid_max
                 assert ors_compose(params) == word
 
+    @pytest.mark.parametrize(
+        "target, c_max, braid_max, digest",
+        [
+            ((2, -2), 13, 4, "31ae63a364e4eed53fc12368eea78892d3817e0644dc2d4739c321fb97a66425"),
+            ((2, -2), 45, 4, "e064474fd18bf0fea6e39fe9414b9d5cab07675b8dfbb4ea576efbcbf6f125c7"),
+            ((-2, 2), 22, None, "b9482a3663050c05c1dabbb6339b6fac5067c8a9850ec8ec921eb404c8b93963"),
+            (
+                (2, -4, 2, -2), 22, None,
+                "e2e7849c1d1d666ab740536c94217124b47b089391288f22c5ca2471e602dfe2",
+            ),
+        ],
+        ids=["2,-2 at 13", "2,-2 at 45", "-2,2 at 22", "2,-4,2,-2 at 22"],
+    )
+    def test_walk_output_is_pinned(self, target, c_max, braid_max, digest):
+        # every word and its parameters, in walk order, as the walk yielded them
+        # before it looked one block ahead
+        words = repr(list(ors_words(target, c_max, braid_max)))
+        assert hashlib.sha256(words.encode()).hexdigest() == digest
+
 
 def graph_text(write, max_crossing):
     out = io.StringIO()
@@ -373,7 +394,7 @@ class TestGraph:
 
 def dumps(witnesses, margin=""):
     """The witness writer's reference: json.dumps, with ``margin`` after each newline."""
-    return json.dumps([w.to_json() for w in witnesses], indent=2).replace("\n", "\n" + margin)
+    return json.dumps([witness_json(w) for w in witnesses], indent=2).replace("\n", "\n" + margin)
 
 
 def census_words(low, high):

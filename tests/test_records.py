@@ -15,6 +15,8 @@ from bridgekit.classify import TABLE1_REFERENCE, table1, table1_diff
 from bridgekit.epim import OrsParams
 from bridgekit.knot import KnotClass, knot_from_word
 
+from _oracles import params_json
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -45,7 +47,7 @@ def test_ors_params_copy_and_pickle():
     copies += [pickle.loads(pickle.dumps(params, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
     for other in copies:
         assert type(other) is OrsParams and other == params
-        assert other.to_json() == params.to_json()
+        assert params_json(other) == params_json(params)
 
 
 @pytest.mark.parametrize(
