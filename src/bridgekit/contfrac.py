@@ -19,9 +19,10 @@ The text formats the CLI prints live here too: words, fractions and JSON.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import lt, mod, mul, neg
+from operator import lt, mul, neg, or_
 from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
@@ -46,8 +47,10 @@ class NotAKnotFraction(ValueError):
 
 
 def check_word(entries: Iterable[int]) -> Word:
-    """Validate a general continued-fraction word: nonzero ints, length >= 1."""
-    word = tuple(map(int, entries))
+    """Validate a word: length >= 1, no zero entry, and no entry type but int (no conversion)."""
+    word = tuple(entries)
+    if {*map(type, word)} - {int}:
+        raise ValueError(f"word entries must be ints, got {word}")
     if not word:
         raise ValueError("empty word")
     if 0 in word:
@@ -60,9 +63,8 @@ def check_even_word(entries: Iterable[int]) -> Word:
     word = check_word(entries)
     if len(word) % 2:
         raise ValueError(f"even word must have even length, got {word}")
-    if any(map(mod, word, repeat(2))):
-        odd = [e for e in word if e % 2]
-        raise ValueError(f"even word has odd entries {odd}: {word}")
+    if reduce(or_, word) & 1:  # the low bit of any odd entry, of either sign
+        raise ValueError(f"even word has odd entries {[e for e in word if e % 2]}: {word}")
     return word
 
 
@@ -114,33 +116,35 @@ def to_reduced_even(r: Fraction | int | str) -> Word:
 
     Admissible values are exactly the values of reduced even words:
     0 < |r| < 1 in lowest terms with even numerator and odd denominator.
-    Greedy nearest-even expansion: with z = 1/rest, take the even
-    integer closest to z and recurse on the remainder z - 2a.  The
-    remainder's denominator strictly decreases, so the loop terminates,
-    and it always stops after an even number of steps.  rest = n/d stays
-    in lowest terms, so z = d/n needs no gcd; z is never an integer (odd
-    over even), and floor division gives its nearest even integer
-    2*floor((z + 1)/2) for either sign of n.
+    Greedy nearest-even expansion: with z = 1/rest, take the even integer
+    a closest to z and recurse on z - a.  rest = n/d stays in lowest terms,
+    so z = d/n needs no gcd and is never an integer (odd over even), and
+    floor division gives a = 2*floor((z + 1)/2) for either sign of n.  The
+    denominator strictly decreases, and the loop stops after an even number
+    of steps.  The checks run on r = num/den, den > 0, in integers: the range
+    as 0 < |num| < den, and the word by its fold, coprime with a free sign,
+    so (num, den) or (-num, -den).  They raise, so python -O keeps them.
     """
     r = Fraction(r)
-    if not 0 < abs(r) < 1:
+    num, den = r.numerator, r.denominator
+    if not 0 < abs(num) < den:
         raise NotAKnotFraction(f"{r} is out of range: need 0 < |r| < 1")
-    if r.denominator % 2 == 0:
+    if den % 2 == 0:
         raise NotAKnotFraction(
             f"{r} has an even denominator: it describes a two-bridge link, not a knot"
         )
-    if r.numerator % 2:
+    if num % 2:
         raise NotAKnotFraction(
             f"{r} has odd numerator and odd denominator: no even-entry expansion exists"
         )
     entries: list[int] = []
-    n, d = r.numerator, r.denominator
+    n, d = num, den
     while n:
         a = 2 * ((d + n) // (2 * n))
         entries.append(a)
         n, d = d - a * n, n
     word = tuple(entries)
-    if len(word) % 2 or eval_word(word) != r:
+    if len(word) % 2 or 0 in word or _continuant(word) not in ((num, den), (-num, -den)):
         raise ArithmeticError(f"expansion {word} of {r} is not a reduced even word for it")
     return word
 

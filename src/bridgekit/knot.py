@@ -70,13 +70,7 @@ def knot_from_word(word: Word) -> KnotClass:
     canon = min(word, rev_neg(word))
     total = sum(map(abs, canon))
     signchg = sign_changes(canon)
-    return KnotClass(
-        canon=canon,
-        crossing=total - signchg,
-        braid=total // 2 - signchg + 1,
-        genus=len(canon) // 2,
-        signchg=signchg,
-    )
+    return KnotClass(canon, total - signchg, total // 2 - signchg + 1, len(canon) // 2, signchg)
 
 
 def is_torus_two_strand(knot: KnotClass) -> int | None:

@@ -2,6 +2,7 @@
 
 import json
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from bridgekit.contfrac import (
     NotAKnotFraction,
     WordParseError,
     check_even_word,
+    check_word,
     eval_word,
     format_fraction,
     format_json,
@@ -25,6 +27,8 @@ from bridgekit.contfrac import (
     to_reduced_even,
 )
 from bridgekit.census import enumerate_words
+from bridgekit.epim import OrsParams
+from bridgekit.knot import knot_from_word
 
 
 def continuant_eval(word):
@@ -171,9 +175,81 @@ class TestToReducedEven:
 
     def test_bad_expansion_raises(self, monkeypatch):
         # an explicit raise, not an assert, so python -O keeps the check
-        monkeypatch.setattr(contfrac, "eval_word", lambda word: Fraction(0))
+        monkeypatch.setattr(contfrac, "_continuant", lambda word: (0, 1))
         with pytest.raises(ArithmeticError):
             to_reduced_even(Fraction(2, 3))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (Fraction(0), "0 is out of range: need 0 < |r| < 1"),
+            (Fraction(1), "1 is out of range: need 0 < |r| < 1"),
+            (Fraction(-1), "-1 is out of range: need 0 < |r| < 1"),
+            (Fraction(3, 2), "3/2 is out of range: need 0 < |r| < 1"),
+            (
+                Fraction(1, 2),
+                "1/2 has an even denominator: it describes a two-bridge link, not a knot",
+            ),
+            (
+                Fraction(1, 3),
+                "1/3 has odd numerator and odd denominator: no even-entry expansion exists",
+            ),
+        ],
+    )
+    def test_refusal_messages(self, bad, message):
+        with pytest.raises(NotAKnotFraction) as refused:
+            to_reduced_even(bad)
+        assert str(refused.value) == message
+
+
+class _Two(IntEnum):
+    TWO = 2
+
+
+# every entry is checked by the set of entry types, so none is converted
+CHECKS = {
+    "check_word": check_word,
+    "check_even_word": check_even_word,
+    "eval_word": eval_word,
+    "knot_from_word": knot_from_word,
+    "OrsParams": lambda word: OrsParams(word, 1, (1, 1, 1), (1, -1)),
+}
+
+
+class TestEntryRule:
+    @pytest.mark.parametrize("check", CHECKS.values(), ids=CHECKS)
+    @pytest.mark.parametrize(
+        "word",
+        [(2.7, -2.2), ("2", "-2"), (True, 2), (Fraction(2), -2), (_Two.TWO, -2)],
+        ids=["float", "str", "bool", "Fraction", "IntEnum"],
+    )
+    def test_entries_that_are_not_ints_are_refused(self, check, word):
+        with pytest.raises(ValueError, match="word entries must be ints"):
+            check(word)
+
+    @pytest.mark.parametrize("check", CHECKS.values(), ids=CHECKS)
+    def test_any_iterable_of_ints_gives_the_tuple_word(self, check):
+        word = (2, 4, 6, 8)
+        expected = check(word)
+        assert check(list(word)) == check(e for e in word) == check(range(2, 10, 2)) == expected
+
+    @pytest.mark.parametrize("check", [check_word, check_even_word, eval_word])
+    def test_empty_word(self, check):
+        with pytest.raises(ValueError, match="^empty word$"):
+            check(iter(()))
+
+    @pytest.mark.parametrize(
+        "word",
+        [(-3, 2), (2, -(2**70) - 1), (2**70, -2), (-(2**70), 2**71), (2**64 + 1, 2), (-1, -1)],
+    )
+    def test_parity_by_the_low_bit_is_parity_by_remainder(self, word):
+        odd = [e for e in word if e % 2]
+        if odd:
+            with pytest.raises(ValueError) as refused:
+                check_even_word(word)
+            assert str(refused.value) == f"even word has odd entries {odd}: {word}"
+        else:
+            assert check_even_word(word) == word
 
 
 class TestTextFormats:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -174,6 +175,30 @@ class TestAudit:
                         assert audit_params(p, word) == expected, (p, word)
                         checked += 1
         assert checked == 5552
+
+    def test_equality_cases_are_the_stated_parameters(self):
+        # Slack 0 iff all four terms are 0.  copies: r = 1 or braid(a) = 2.
+        # cbudget and zero: every connector c_j is +-1.  signs: every connector
+        # changes sign on both sides, so eps_{j+1} = eps_j, all +1 from eps_1,
+        # and c_j is opposite in sign to the target entry at its boundary:
+        # a[-1] after a block a (even j here) and a[0] after a block a^rev.
+        slack_zero = Counter()
+        checked = 0
+        for c in range(3, 9):
+            for canon in enumerate_words(c):
+                for target in {canon, rev_neg(canon)}:
+                    boundary = (-1 if target[-1] > 0 else 1, -1 if target[0] > 0 else 1)
+                    for p, word in ors_words(target, 24):
+                        stated = (
+                            set(p.eps) == {1}
+                            and (p.r == 1 or braid_index(target) == 2)
+                            and all(x == boundary[j % 2] for j, x in enumerate(p.cvec))
+                        )
+                        assert (audit_params(p, word).slack == 0) == stated, p
+                        slack_zero[crossing_number(word)] += stated
+                        checked += 1
+        assert checked == 41_176
+        assert +slack_zero == {9: 2, 12: 2, 15: 8, 18: 10, 21: 24, 24: 42}
 
     def test_composed_word_with_a_flipped_sign_rejected(self):
         # (-2,4,-4,-2) has two sign changes more than (-2,-4,-4,-2), which the
