@@ -40,7 +40,8 @@ means a transcription bug, never a rounding choice.
 The counting and formula sides are developed independently and must
 agree exactly; the test suite treats the counts as the oracle for the
 formulas.  ``census`` prints ``closed_row``, and ``census --verify`` prints
-``brute_counts`` and checks each row with ``verify_row``.
+``brute_counts`` and checks each row with ``verify_row``; the CLI renders
+the rows, and this module only computes them.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ from fractions import Fraction
 from itertools import combinations, compress, repeat
 from math import comb
 from operator import add, mul, sub
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
-from .contfrac import Word, format_fraction, format_json
+from .contfrac import Word
 
 # verify_identities takes 0.3 s at n_max = 200 and 0.5 s at 300, where its
 # Pascal rows 0..600 raise a fresh process's peak RSS from 20 MB to 34 MB
@@ -552,50 +553,3 @@ def verify_identities(n_max: int) -> list[IdentityCheck]:
         counterexample = next((case for case in cases if case[1] != case[2]), None)
         checks.append(IdentityCheck(name, statement, n_max, counterexample is None, counterexample))
     return checks
-
-
-# ---------------------------------------------------------------------------
-# Emission
-# ---------------------------------------------------------------------------
-
-COLUMNS = ("c", "TK", "TS", "avg braid", "TK*", "TS*", "avg braid*")
-# The up-to-mirror table keeps c and the three starred columns.
-MIRROR_COLUMNS = COLUMNS[:1] + COLUMNS[4:]
-
-
-def row_cells(
-    row: CensusRow, fmt=format_fraction, *, up_to_mirror: bool = False
-) -> tuple[str, ...]:
-    cells = (
-        str(row.c),
-        str(row.tk),
-        str(row.ts),
-        fmt(row.avg_braid),
-        str(row.tk_star),
-        str(row.ts_star),
-        fmt(row.avg_braid_star),
-    )
-    return cells[:1] + cells[4:] if up_to_mirror else cells
-
-
-def rows_to_json(
-    rows: Sequence[CensusRow], fmt=format_fraction, *, up_to_mirror: bool = False
-) -> str:
-    payload = [
-        {
-            "c": row.c,
-            "tk": row.tk,
-            "ts": row.ts,
-            "tk_star": row.tk_star,
-            "ts_star": row.ts_star,
-            "avg_braid": fmt(row.avg_braid),
-            "avg_braid_star": fmt(row.avg_braid_star),
-            "avg_genus": fmt(row.avg_genus),
-            "by_ell": {str(entry.ell): entry.count for entry in row.by_ell},
-        }
-        for row in rows
-    ]
-    if up_to_mirror:  # the keys of MIRROR_COLUMNS
-        keys = ("c", "tk_star", "ts_star", "avg_braid_star")
-        payload = [{key: record[key] for key in keys} for record in payload]
-    return format_json(payload)

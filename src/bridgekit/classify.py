@@ -33,7 +33,8 @@ Table 1 lists the non-minimal knots with braid index <= 4.  By the same
 inequality they are exactly the knots spelled by ORS words onto the
 torus knots T(2m+1, 2), so `table1` takes its rows from
 `epim.ors_words` on (2, -2, ..., 2, -2) with braid index <= 4, rather
-than classifying every knot of braid index <= 4; no search runs.
+than classifying every knot of braid index <= 4; no search runs.  The CLI
+renders the rows, and this module only computes them.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from typing import NamedTuple, Sequence
 
-from .contfrac import Word, check_even_word, format_json, format_word, negate, rev_neg, reverse
+from .contfrac import Word, check_even_word, format_word, negate, rev_neg, reverse
 from .epim import AuditFailure, OrsParams, audit_params, ors_words
 from .knot import braid_index, display_name, knot_from_word
 
 # table1's rows grow about as c^3 (577 at c_max = 30, 1,902 at 45), and so
-# does its cost: 0.14 s at 30 and 0.28 s at 45, and 0.37 s at 45 with
+# does its cost: 0.11 s at 30 and 0.23-0.25 s at 45, and 0.31 s at 45 with
 # --chiral (a fresh process, best of 5, 2-vCPU host, Python 3.11).
 TABLE1_C_MAX = 45
 
@@ -138,18 +139,6 @@ class NonminimalType(NamedTuple):
             self.i1 or 0,
             self.word,
         )
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.label,
-            "word": format_word(self.word),
-            "r": self.r,
-            "m": self.m,
-            "i0": self.i0,
-            "i1": self.i1,
-            "j0": self.j0,
-            "j1": self.j1,
-        }
 
 
 def _positive_candidates(word: Word) -> tuple[Word, ...]:
@@ -376,39 +365,3 @@ def table1_diff(rows: Sequence[Table1Row], *, c_max: int = 15) -> list[str]:
     diffs = [f"missing: {row}" for row in expected if row[:5] not in shown]
     diffs += [f"unexpected: {row}" for row in got if row[:5] not in wanted]
     return diffs or ["rows agree as sets but are ordered differently"]
-
-
-# ---------------------------------------------------------------------------
-# Emission
-# ---------------------------------------------------------------------------
-
-COLUMNS = ("braid", "type", "c", "even continued fraction", "onto")
-
-
-def _bracketed(word: Word) -> str:
-    return "[" + ", ".join(str(e) for e in word) + "]"
-
-
-def row_cells(row: Table1Row) -> tuple[str, ...]:
-    return (
-        str(row.braid),
-        row.kind,
-        str(row.crossing),
-        _bracketed(row.word),
-        " and ".join(row.images),
-    )
-
-
-def rows_to_json(rows: Sequence[Table1Row]) -> str:
-    payload = [
-        {
-            "braid": row.braid,
-            "type": row.kind,
-            "c": row.crossing,
-            "word": format_word(row.word),
-            "onto": list(row.images),
-            "matches": [match.to_json() for match in row.matches],
-        }
-        for row in rows
-    ]
-    return format_json(payload)

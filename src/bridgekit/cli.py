@@ -7,6 +7,9 @@ first; ``main`` refuses any other --format (exit 3) before the handler
 runs.  Words are written as comma-separated signed integers
 (``2,-4,4,-2``), and one may start with a minus sign (``-2,2``);
 fractions print as ``p/q`` unless --decimal asks for a 12-digit rendering.
+The census and Table 1 rows are rendered here alone, from the fields of
+``census.CensusRow`` and ``classify.Table1Row``: md and csv cells through
+``format_table``, json records through ``format_json``.
 
 Exit codes: 0 success, 2 verification mismatch, 3 parse or usage error,
 4 resource bound (``census.ResourceBound``).  Every bounded number (the
@@ -188,18 +191,40 @@ def cmd_census(args) -> int:
     # the closed forms; --verify prints the counts instead and checks them
     make_row = census.brute_counts if args.verify else census.closed_row
     rows = [make_row(c) for c in crossings]
-    mirror = args.up_to_mirror
     fmt = _decimal if args.decimal else format_fraction
+    mirror = args.up_to_mirror  # only c and the three starred columns
     if args.format == "json":
-        print(census.rows_to_json(rows, fmt, up_to_mirror=mirror))
+        records = [
+            {
+                "c": r.c,
+                "tk_star": r.tk_star,
+                "ts_star": r.ts_star,
+                "avg_braid_star": fmt(r.avg_braid_star),
+            }
+            if mirror
+            else {  # CensusRow's fields, in order
+                **r._asdict(),
+                "avg_braid": fmt(r.avg_braid),
+                "avg_braid_star": fmt(r.avg_braid_star),
+                "avg_genus": fmt(r.avg_genus),
+                "by_ell": {str(ell): count for _, ell, count in r.by_ell},
+            }
+            for r in rows
+        ]
+        print(format_json(records))
     else:
-        print(
-            format_table(
-                census.MIRROR_COLUMNS if mirror else census.COLUMNS,
-                [census.row_cells(row, fmt, up_to_mirror=mirror) for row in rows],
-                args.format,
+        starred = ("TK*", "TS*", "avg braid*")
+        columns = ("c", *starred) if mirror else ("c", "TK", "TS", "avg braid", *starred)
+        cells = [
+            (str(r.c), str(r.tk_star), str(r.ts_star), fmt(r.avg_braid_star))
+            if mirror
+            else (
+                str(r.c), str(r.tk), str(r.ts), fmt(r.avg_braid),
+                str(r.tk_star), str(r.ts_star), fmt(r.avg_braid_star),
             )
-        )
+            for r in rows
+        ]
+        print(format_table(columns, cells, args.format))
     if not args.verify:
         return EXIT_OK
     problems = [problem for row in rows for problem in census.verify_row(row.c, row)]
@@ -317,10 +342,28 @@ def cmd_table1(args) -> int:
     max_c = _bounded("--max-c", [args.max_c], 3, classify.TABLE1_C_MAX, "table1")[0]
     rows = classify.table1(max_c, up_to_mirror=not args.chiral)
     if args.format == "json":
-        print(classify.rows_to_json(rows))
+        records = [
+            {
+                "braid": row.braid,
+                "type": row.kind,
+                "c": row.crossing,
+                "word": format_word(row.word),
+                "onto": list(row.images),
+                "matches": [  # NonminimalType's fields, in order
+                    {**m._asdict(), "kind": m.label, "word": format_word(m.word)}
+                    for m in row.matches
+                ],
+            }
+            for row in rows
+        ]
+        print(format_json(records))
     else:
-        cells = [classify.row_cells(row) for row in rows]
-        print(format_table(classify.COLUMNS, cells, args.format))
+        columns = ("braid", "type", "c", "even continued fraction", "onto")
+        cells = [
+            (str(braid), kind, str(c), str(list(word)), " and ".join(images))
+            for braid, kind, c, word, images, _ in rows
+        ]
+        print(format_table(columns, cells, args.format))
     if args.chiral:
         return EXIT_OK
     diff = classify.table1_diff(rows, c_max=max_c)

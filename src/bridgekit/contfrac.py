@@ -111,9 +111,11 @@ def rev_neg(word: Sequence[int]) -> Word:
     return tuple(map(neg, reversed(word)))
 
 
-def to_reduced_even(r: Fraction | int | str) -> Word:
+def to_reduced_even(r: Fraction) -> Word:
     """Expand an admissible fraction into a reduced even word, exactly.
 
+    ``r`` is a Fraction, of that type exactly: a float, bool, int or str is
+    refused with ValueError, not converted, as Fraction(2/3) is not 2/3.
     Admissible values are exactly the values of reduced even words:
     0 < |r| < 1 in lowest terms with even numerator and odd denominator.
     Greedy nearest-even expansion: with z = 1/rest, take the even integer
@@ -125,7 +127,8 @@ def to_reduced_even(r: Fraction | int | str) -> Word:
     as 0 < |num| < den, and the word by its fold, coprime with a free sign,
     so (num, den) or (-num, -den).  They raise, so python -O keeps them.
     """
-    r = Fraction(r)
+    if type(r) is not Fraction:
+        raise ValueError(f"to_reduced_even takes a Fraction, got {type(r).__name__} {r!r}")
     num, den = r.numerator, r.denominator
     if not 0 < abs(num) < den:
         raise NotAKnotFraction(f"{r} is out of range: need 0 < |r| < 1")

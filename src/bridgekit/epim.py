@@ -50,7 +50,6 @@ from .contfrac import (
     Word,
     check_even_word,
     format_word,
-    parse_word,
     rev_neg,
     reverse,
     sign_changes,
@@ -60,7 +59,6 @@ from .knot import (
     KnotClass,
     canonical_word,
     crossing_number,
-    display_name,
     knot_from_word,
 )
 
@@ -461,7 +459,9 @@ def is_minimal(big: KnotClass) -> bool:
 # Digraph export
 # ---------------------------------------------------------------------------
 
-# the largest crossing number in KNOT_NAMES; no larger node has a name
+# the display name of each named node, by its text, and the largest crossing
+# number in KNOT_NAMES; no larger node has a name
+_NAMES_BY_TEXT = {format_word(word): name for word, name in KNOT_NAMES.items()}
 _NAMED_C_MAX = max(map(crossing_number, KNOT_NAMES))
 # epi_graph yields a slice's nodes in chunks, each closed after the sign vector
 # that brings it to this many nodes: about 150 kB of json text.
@@ -519,11 +519,6 @@ def _leaving(texts: list[str], edges: dict[str, tuple]) -> list[tuple]:
     return list(chain.from_iterable(filter(None, map(edges.get, texts))))
 
 
-def _names(texts: list[str]) -> list[str]:
-    """The display name of the knot of each node text."""
-    return [display_name(knot_from_word(parse_word(text))) for text in texts]
-
-
 def write_dot(max_crossing: int, out: TextIO) -> None:
     """Write ``epi_graph(max_crossing)`` as dot: the nodes a chunk at a time, then the edges."""
     nodes = epi_graph(max_crossing)
@@ -531,7 +526,7 @@ def write_dot(max_crossing: int, out: TextIO) -> None:
     edges = []
     for c, _, _, texts, node_edges in nodes:
         labels = texts if c > _NAMED_C_MAX else [
-            name if name == text else f"{name}\\n{text}" for text, name in zip(texts, _names(texts))
+            f"{_NAMES_BY_TEXT[text]}\\n{text}" if text in _NAMES_BY_TEXT else text for text in texts
         ]
         out.write("".join(map('  "{}" [label="{}"];\n'.format, texts, labels)))
         edges += node_edges
@@ -563,7 +558,7 @@ def write_json(max_crossing: int, out: TextIO) -> None:
             '    {{\n      "word": "{}",\n      "crossing": %d,\n      "braid": %d,\n'
             '      "genus": %d,\n      "name": "{}"\n    }}' % (c, (c - ell) // 2 + 1, m)
         )
-        names = texts if c > _NAMED_C_MAX else _names(texts)
+        names = texts if c > _NAMED_C_MAX else [_NAMES_BY_TEXT.get(t, t) for t in texts]
         out.write(comma + ",\n".join(map(node.format, texts, names)))
         comma = ",\n"
         edges += node_edges

@@ -86,14 +86,17 @@ def is_torus_two_strand(knot: KnotClass) -> int | None:
     return len(knot.canon) + 1
 
 
-# Rolfsen-style labels for the knots that show up by name in reports.
-# Keys are mirror-canonical words; everything else is shown as its word.
+# Rolfsen-style labels for the knots that show up by name in reports, keyed
+# by canonical word, so each chirality of 3_1 and 5_1 has its own entry;
+# everything else is shown as its word.
 KNOT_NAMES = {
     (-2, 2): "3_1",
+    (2, -2): "3_1",
     (-2, -2): "4_1",
     (-2, 2, -2, 2): "5_1",
+    (2, -2, 2, -2): "5_1",
 }
 
 
 def display_name(knot: KnotClass) -> str:
-    return KNOT_NAMES.get(mirror_canonical_word(knot.canon), format_word(knot.canon))
+    return KNOT_NAMES.get(knot.canon) or format_word(knot.canon)

@@ -7,7 +7,6 @@ import pytest
 
 from bridgekit import census
 from bridgekit.census import (
-    COLUMNS,
     TABLE2_REFERENCE,
     CensusRow,
     NonIntegralFormula,
@@ -24,12 +23,10 @@ from bridgekit.census import (
     closed_ts_star,
     enumerate_words,
     exact_div,
-    row_cells,
-    rows_to_json,
     verify_identities,
     verify_row,
 )
-from bridgekit.cli import format_table
+from bridgekit.cli import EXIT_OK, main
 from bridgekit.knot import canonical_word, crossing_number
 
 from _oracles import closed_n as summed_closed_n
@@ -268,23 +265,24 @@ class TestIdentities:
 
 
 class TestEmission:
-    def setup_method(self):
-        self.rows = [brute_counts(c) for c in (3, 4, 5)]
+    @staticmethod
+    def stdout(argv, capsys):
+        assert main([*argv, "census", "3..5"]) == EXIT_OK
+        return capsys.readouterr().out
 
-    def test_markdown_layout(self):
-        text = format_table(COLUMNS, [row_cells(row) for row in self.rows], "md")
-        lines = text.splitlines()
+    def test_markdown_layout(self, capsys):
+        lines = self.stdout([], capsys).splitlines()
         assert lines[0].startswith("| c | TK | TS | avg braid | TK* | TS* | avg braid* |")
         assert "| 5 | 4 | 8 | 5/2 | 2 | 4 | 5/2 |" in lines
 
-    def test_csv(self):
-        text = format_table(COLUMNS, [row_cells(row) for row in self.rows], "csv")
+    def test_csv(self, capsys):
+        text = self.stdout(["--format", "csv"], capsys)
         assert text.splitlines()[1] == "3,2,2,2,1,1,2"
 
-    def test_json(self):
+    def test_json(self, capsys):
         import json
 
-        payload = json.loads(rows_to_json(self.rows))
+        payload = json.loads(self.stdout(["--format", "json"], capsys))
         assert payload[2]["avg_braid"] == "5/2"
         assert payload[2]["by_ell"] == {"1": 2, "3": 2}
 

@@ -7,7 +7,10 @@ orbits.  ``census`` prints the closed forms, and ``census --verify`` the
 counts and then its verdict line, so both are checked against these.
 ``census 3..500`` prints, in md, json, csv with ``--decimal`` and up to
 mirror, the stdout recorded while ``closed_n`` still summed its binomial
-slice sums term by term; CI checks its counts with ``--verify``."""
+slice sums term by term; CI checks its counts with ``--verify``.  Three
+more variants of ``census 3..22`` (csv up to mirror, and --decimal in md
+and in json up to mirror) print the stdout recorded while ``census`` still
+wrote its own table cells and json records."""
 
 import hashlib
 
@@ -22,6 +25,16 @@ CENSUS_3_22 = {
     "census 3..22 --up-to-mirror": "169d373a61837d3f4a77f1e4d19cf042fa3c44522620942bda866e35a892b9ca",
     "--format json census 3..22 --up-to-mirror": (
         "3ca3a06d2fca5f37c6bcff5cbc3d468e007690241ed03737514282881bf77e5b"
+    ),
+}
+
+RENDERED_3_22 = {
+    "--format csv census 3..22 --up-to-mirror": (
+        "dbb036c54db6f06e782e2888cae060f667e39372b0f39b9761baeb4b0d19194a"
+    ),
+    "--decimal census 3..22": "bd2179ac954b88201ea925e818231b765141be4ad9048ff7669e6592ed6dd1ee",
+    "--decimal --format json census 3..22 --up-to-mirror": (
+        "e7bba6bd34251474eceb754e07e6db1dc48774a0e3ec7e140036cfa41523e068"
     ),
 }
 
@@ -64,11 +77,14 @@ def counted_digest(argv, capsys):
     return hashlib.sha256(f"{rows}\n".encode()).hexdigest()
 
 
-@pytest.mark.parametrize("command", list(CENSUS_3_22))
+NARROW_CENSUS = {**CENSUS_3_22, **RENDERED_3_22}
+
+
+@pytest.mark.parametrize("command", list(NARROW_CENSUS))
 def test_census_stdout_matches_recorded_digest(command, capsys):
     argv = command.split(" ")
-    assert stdout_digest(argv, capsys) == CENSUS_3_22[command]
-    assert counted_digest(argv, capsys) == CENSUS_3_22[command]
+    assert stdout_digest(argv, capsys) == NARROW_CENSUS[command]
+    assert counted_digest(argv, capsys) == NARROW_CENSUS[command]
 
 
 WIDE_CENSUS = {**CENSUS_3_60, **FORMULAS_3_500}

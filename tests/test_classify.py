@@ -8,18 +8,15 @@ import pytest
 from bridgekit import classify
 from bridgekit.census import enumerate_words
 from bridgekit.classify import (
-    COLUMNS,
     TABLE1_REFERENCE,
     Table1Row,
     _positive_candidates,
     nonminimal_matches,
     reconstruct_params,
-    row_cells,
-    rows_to_json,
     table1,
     table1_diff,
 )
-from bridgekit.cli import EXIT_MISMATCH, EXIT_OK, format_table, main
+from bridgekit.cli import EXIT_MISMATCH, EXIT_OK, main
 from bridgekit.epim import AuditFailure, epi_targets, is_minimal, ors_compose
 from bridgekit.knot import (
     canonical_word,
@@ -43,6 +40,17 @@ TABLE1_BEYOND_GOLDEN = {
     ),
     "--format json table1 --max-c 45 --chiral": (
         "cf237947e1fa4e008c0d8d354e5205a4caa7fd90e20b36e5bb55f178ca2ddcc1"
+    ),
+    # md and csv with --chiral, and csv past c = 13, recorded while classify
+    # still wrote its own table cells
+    "table1 --max-c 20 --chiral": (
+        "74fab9aae3de80621d9553055074159b994116fe13b52b1f305e73cf864bc221"
+    ),
+    "--format csv table1 --max-c 20 --chiral": (
+        "ecaf9dd7478196f76a5a0e22bcc48ebec1459467ee13c09355578302c93c3973"
+    ),
+    "--format csv table1 --max-c 30": (
+        "d3aa3e199b94941f13fd41dc012f7d128460881bb15f1c5a881bdc0323cd6ee4"
     ),
 }
 ORACLE_C_MAX = 24
@@ -243,22 +251,24 @@ class TestGeneratedTable:
 
 
 class TestEmission:
-    def setup_method(self):
-        self.rows = table1(9)
+    @staticmethod
+    def stdout(argv, capsys):
+        assert main([*argv, "table1", "--max-c", "9"]) == EXIT_OK
+        return capsys.readouterr().out
 
-    def test_markdown(self):
-        text = format_table(COLUMNS, [row_cells(row) for row in self.rows], "md")
+    def test_markdown(self, capsys):
+        text = self.stdout([], capsys)
         assert "| 4 | 4B3 | 9 | [2, -4, 4, -2] | 3_1 |" in text
 
-    def test_csv(self):
-        text = format_table(COLUMNS, [row_cells(row) for row in self.rows], "csv")
+    def test_csv(self, capsys):
+        text = self.stdout(["--format", "csv"], capsys)
         assert text.splitlines()[0] == "braid,type,c,even continued fraction,onto"
         assert '4,4B3,9,"[2, -4, 4, -2]",3_1' in text
 
-    def test_json(self):
+    def test_json(self, capsys):
         import json
 
-        payload = json.loads(rows_to_json(self.rows))
+        payload = json.loads(self.stdout(["--format", "json"], capsys))
         row = next(r for r in payload if r["type"] == "4B3")
         assert row["word"] == "2,-4,4,-2"
         assert row["matches"][0]["kind"] == "4B3"

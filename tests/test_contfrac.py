@@ -201,6 +201,17 @@ class TestToReducedEven:
             to_reduced_even(bad)
         assert str(refused.value) == message
 
+    @pytest.mark.parametrize(
+        "bad, kind",
+        [(2 / 3, "float"), (0.5, "float"), (True, "bool"), ("2/3", "str"), (1, "int")],
+    )
+    def test_refuses_all_but_a_fraction(self, bad, kind):
+        # Fraction(2 / 3) would be 6004799503160661/9007199254740992, not 2/3
+        with pytest.raises(ValueError) as refused:
+            to_reduced_even(bad)
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == f"to_reduced_even takes a Fraction, got {kind} {bad!r}"
+
 
 class _Two(IntEnum):
     TWO = 2

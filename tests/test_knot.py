@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bridgekit.census import closed_tk, closed_tk_star, enumerate_words
-from bridgekit.contfrac import negate, rev_neg, reverse, sign_changes
+from bridgekit.contfrac import format_word, negate, rev_neg, reverse, sign_changes
 from bridgekit.knot import (
+    KNOT_NAMES,
     braid_index,
     canonical_word,
     crossing_number,
@@ -125,6 +126,16 @@ class TestNamesAndJson:
         assert display_name(knot_from_word((2, 2))) == "4_1"
         assert display_name(knot_from_word((2, -2, 2, -2))) == "5_1"
         assert display_name(knot_from_word((2, -4, 4, -2))) == "2,-4,4,-2"
+
+    def test_a_knot_and_its_mirror_image_share_a_name(self):
+        # KNOT_NAMES names each chirality, so a name is one of a mirror class
+        by_class = {mirror_canonical_word(word): name for word, name in KNOT_NAMES.items()}
+        assert len(KNOT_NAMES) == 5 and sorted(set(by_class.values())) == ["3_1", "4_1", "5_1"]
+        for c in range(3, 13):
+            for word in enumerate_words(c):
+                knot = knot_from_word(word)
+                name = by_class.get(mirror_canonical_word(word), format_word(word))
+                assert display_name(knot) == name, word
 
     def test_json_schema(self):
         payload = knot_json(knot_from_word((2, -4, 4, -2)))
