@@ -160,15 +160,14 @@ def _kept(
         prefix = signs[: agree + 1]
         kept = decided.get(prefix)
         if kept is None:
-            tail = agree == m or signs[agree] < 0
-            if agree == 0:
-                kept = parts if tail else []
+            if agree == 0:  # only s_0 < 0 is listed for i* = 0
+                kept = parts
             else:
                 pairs = pairs or [_first_unequal_pair(part, m) for part in parts]
                 # keep[2d + g]: kept when the first unequal pair d < i* has
                 # s_d (p_d - p_{n-1-d}) < 0; from 2 i* on, s_{i*} decides
                 keep = [g == (s < 0) for s in signs[:agree] for g in (0, 1)]
-                keep += [tail] * (2 * (m - agree) + 1)
+                keep += [agree == m or signs[agree] < 0] * (2 * (m - agree) + 1)
                 kept = list(compress(parts, map(keep.__getitem__, pairs)))
             decided[prefix] = kept
         if kept:

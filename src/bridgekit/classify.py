@@ -272,10 +272,6 @@ class Table1Row(NamedTuple):
     matches: tuple[NonminimalType, ...] = ()
 
 
-def _display_word(word: Word) -> Word:
-    return _positive_candidates(word)[0]
-
-
 def table1(c_max: int, *, up_to_mirror: bool = True) -> list[Table1Row]:
     """All non-minimal knots with braid index <= 4 and crossing <= c_max.
 
@@ -307,7 +303,7 @@ def table1(c_max: int, *, up_to_mirror: bool = True) -> list[Table1Row]:
             raise AuditFailure(f"ORS word {format_word(rep)} matches no clause")
         knot = knot_from_word(rep)
         names = tuple(sorted(images))
-        display = _display_word(rep) if up_to_mirror else rep
+        display = _positive_candidates(rep)[0] if up_to_mirror else rep
         rows.append(Table1Row(knot.braid, matches[0].label, knot.crossing, display, names, matches))
     rows.sort(key=lambda row: (row.braid, row.kind, row.crossing, row.images, row.word))
     return rows

@@ -7,9 +7,14 @@ first; ``main`` refuses any other --format (exit 3) before the handler
 runs.  Words are written as comma-separated signed integers
 (``2,-4,4,-2``), and one may start with a minus sign (``-2,2``);
 fractions print as ``p/q`` unless --decimal asks for a 12-digit rendering.
-The census and Table 1 rows are rendered here alone, from the fields of
-``census.CensusRow`` and ``classify.Table1Row``: md and csv cells through
-``format_table``, json records through ``format_json``.
+The library modules take and return values; this module alone reads words
+from argv and writes text to stdout.  The census and Table 1 rows are
+rendered from the fields of ``census.CensusRow`` and ``classify.Table1Row``:
+md and csv cells through ``format_table``, json records through
+``format_json``.  ``witness_writer`` writes the ORS witnesses of ``epi
+targets``, and ``write_dot`` and ``write_json`` stream ``epim.epi_graph`` as
+it is enumerated.  Every json document is ``json.dumps(..., indent=2)``,
+byte for byte.
 
 Exit codes: 0 success, 2 verification mismatch, 3 parse or usage error,
 4 resource bound (``census.ResourceBound``).  Every bounded number (the
@@ -46,17 +51,20 @@ import re
 import signal
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Sequence, TextIO
 
 from . import census, classify, epim
-from .contfrac import (
-    WordParseError,
-    eval_word,
-    format_fraction,
-    format_json,
-    format_word,
-    parse_word,
+from .contfrac import Word, eval_word, format_word
+from .knot import (
+    KNOT_NAMES,
+    KnotClass,
+    crossing_number,
+    display_name,
+    is_torus_two_strand,
+    knot_from_word,
+    mirror_canonical_word,
 )
-from .knot import display_name, is_torus_two_strand, knot_from_word, mirror_canonical_word
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -78,6 +86,38 @@ def _decimal(value: Fraction) -> str:
     with decimal.localcontext() as ctx:
         ctx.prec = 12
         return str(decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator))
+
+
+def format_json(value, margin: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, with ``margin`` after each newline.
+
+    Writes dicts with str keys, lists, str, int and None, the types the CLI
+    prints; any other type raises TypeError, bool, float and tuple included,
+    where json.dumps would write them.  json.dumps with an indent runs json's
+    pure-Python encoder before Python 3.13, and takes about twice as long.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    inner = margin + "  "
+    if kind is list:
+        items = [format_json(item, inner) for item in value]
+        brackets = "[]"
+    elif kind is dict:  # encode_basestring_ascii raises TypeError on a key that is not a str
+        items = [
+            f"{encode_basestring_ascii(key)}: {format_json(item, inner)}"
+            for key, item in value.items()
+        ]
+        brackets = "{}"
+    else:
+        raise TypeError(f"cannot write {kind.__name__} as JSON")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{margin}{brackets[1]}"
 
 
 def _significant(digits: str) -> str:
@@ -127,6 +167,116 @@ def format_table(
     return "\n".join(lines)
 
 
+# One witness as ``json.dumps(..., indent=2)`` writes its fields, with each
+# knot's object and the entries of eps and cvec left to fill in.
+_WITNESS = (
+    '{{\n  "big": {},\n  "small": {},\n  "params": {{\n    "target": "{}",\n    "r": {},\n'
+    '    "eps": [\n      {}\n    ],\n    "cvec": [\n      {}\n    ]\n  }},\n'
+    '  "audit": {{\n    "term_copies": {},\n    "term_cbudget": {},\n    "term_zero": {},\n'
+    '    "term_signs": {},\n    "slack": {}\n  }}\n}}'
+)
+_KNOT = '{{\n    "word": "{}",\n    "crossing": {},\n    "braid": {},\n    "genus": {}\n  }}'
+
+
+def witness_writer(margin: str = "") -> Callable[[Sequence[epim.EpiWitness]], str]:
+    """A function writing a list of witnesses as ``json.dumps`` writes it.
+
+    It returns ``json.dumps(..., indent=2)`` of the witnesses' fields
+    (``witness_json`` in ``tests/_oracles.py``), byte for byte, with
+    ``margin`` after each newline.  Each witness fills one template, and
+    each knot's object text is built once and kept for every later list
+    the same writer writes: one writer serves one document.  Nothing in a
+    witness needs escaping.
+    """
+    newline = "\n" + margin + "  "
+    witness = _WITNESS.replace("\n", newline).format
+    knot_object = _KNOT.replace("\n", newline).format
+    entries = f",{newline}      ".join
+    knots: dict[KnotClass, str] = {}
+
+    def knot(k: KnotClass) -> str:
+        text = knots.get(k)
+        if text is None:
+            text = knots[k] = knot_object(format_word(k.canon), k.crossing, k.braid, k.genus)
+        return text
+
+    def write(witnesses: Sequence[epim.EpiWitness]) -> str:
+        if not witnesses:
+            return "[]"
+        items = [
+            witness(
+                knot(big), knot(small), format_word(params.target), params.r,
+                entries(map(str, params.eps)), entries(map(str, params.cvec)), *audit,
+            )
+            for big, small, params, audit in witnesses
+        ]
+        return f"[{newline}" + f",{newline}".join(items) + f"\n{margin}]"
+
+    return write
+
+
+# the display name of each named node, by its text, and the largest crossing
+# number in KNOT_NAMES; no larger node has a name
+_NAMES_BY_TEXT = {format_word(word): name for word, name in KNOT_NAMES.items()}
+_NAMED_C_MAX = max(map(crossing_number, KNOT_NAMES))
+
+
+def write_dot(max_crossing: int, out: TextIO) -> None:
+    """Write ``epim.epi_graph(max_crossing)`` as dot: the nodes a chunk at a time,
+    then the edges."""
+    nodes = epim.epi_graph(max_crossing)
+    out.write("digraph epimorphisms {\n")
+    edges = []
+    for c, _, _, texts, node_edges in nodes:
+        labels = texts if c > _NAMED_C_MAX else [
+            f"{_NAMES_BY_TEXT[text]}\\n{text}" if text in _NAMES_BY_TEXT else text for text in texts
+        ]
+        out.write("".join(map('  "{}" [label="{}"];\n'.format, texts, labels)))
+        edges += node_edges
+    for big, small, witnesses in edges:
+        first = witnesses[0].params
+        label = f"r={first.r} c={list(first.cvec)} x{len(witnesses)}"
+        out.write(
+            f'  "{format_word(big.canon)}" -> "{format_word(small.canon)}" [label="{label}"];\n'
+        )
+    out.write("}\n")
+
+
+def write_json(max_crossing: int, out: TextIO) -> None:
+    """Write ``epim.epi_graph(max_crossing)`` as ``json.dumps(..., indent=2)`` would,
+    a chunk at a time.
+
+    A chunk's nodes share crossing number, braid index (c - ell) / 2 + 1
+    and genus m, so one template writes them all; another writes each edge,
+    and one ``witness_writer`` its witnesses.  At --max-c 22 there are
+    699,732 nodes and 11,824 edges with 15,032 witnesses, and no general
+    writer writes them as fast: the edges take 0.08 s of a 0.84 s command,
+    and ``format_json`` would take 0.20 s.
+    """
+    nodes = epim.epi_graph(max_crossing)
+    out.write(f'{{\n  "max_crossing": {max_crossing},\n  "nodes": [')
+    edges = []
+    comma = "\n"
+    for c, m, ell, texts, node_edges in nodes:
+        node = (  # nothing in a node needs escaping
+            '    {{\n      "word": "{}",\n      "crossing": %d,\n      "braid": %d,\n'
+            '      "genus": %d,\n      "name": "{}"\n    }}' % (c, (c - ell) // 2 + 1, m)
+        )
+        names = texts if c > _NAMED_C_MAX else [_NAMES_BY_TEXT.get(t, t) for t in texts]
+        out.write(comma + ",\n".join(map(node.format, texts, names)))
+        comma = ",\n"
+        edges += node_edges
+    out.write('\n  ],\n  "edges": [')
+    edge = '\n    {\n      "source": "%s",\n      "target": "%s",\n      "witnesses": %s\n    }'
+    write_witnesses = witness_writer("      ")
+    comma = ""
+    for big, small, witnesses in edges:
+        text = edge % (format_word(big.canon), format_word(small.canon), write_witnesses(witnesses))
+        out.write(comma + text)
+        comma = ","
+    out.write("\n  ]\n}\n" if edges else "]\n}\n")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -164,7 +314,7 @@ def cmd_invariants(args) -> int:
         raise _unprintable(digits)
     value = eval_word(word)
     try:
-        text = (_decimal if args.decimal else format_fraction)(value)
+        text = (_decimal if args.decimal else str)(value)  # str: p/q, or p for an integer
     except ValueError:  # str() refuses an int of more than this many digits
         raise _unprintable(digits) from None
     fields = [
@@ -191,7 +341,7 @@ def cmd_census(args) -> int:
     # the closed forms; --verify prints the counts instead and checks them
     make_row = census.brute_counts if args.verify else census.closed_row
     rows = [make_row(c) for c in crossings]
-    fmt = _decimal if args.decimal else format_fraction
+    fmt = _decimal if args.decimal else str
     mirror = args.up_to_mirror  # only c and the three starred columns
     if args.format == "json":
         records = [
@@ -246,40 +396,67 @@ def _print_witnesses(witnesses, header: str) -> None:
         )
 
 
-def _bounded_word(text: str, command: str):
-    """The word argument of ``command``, refused above epim.WORD_MAX entries or
-    with an entry of more than ENTRY_DIGITS_MAX digits before any entry is parsed.
+class WordParseError(ValueError):
+    """A word argument has an empty, malformed or zero entry."""
 
-    An entry's digits are counted as ``_bounded`` counts them, after its sign
-    and without its underscores and leading zeros, and an entry of digits
-    only is read without its leading zeros.
+    def __init__(self, message: str, token: str, position: int):
+        super().__init__(f"{message}: token {token!r} at position {position}")
+
+
+def _bounded_word(text: str, command: str) -> Word:
+    """The word argument of ``command``, ``n1,n2,...`` with whitespace around
+    commas ignored, split once and read entry by entry.
+
+    It is refused above epim.WORD_MAX entries, and with an entry of more than
+    ENTRY_DIGITS_MAX digits, before any entry is read (ResourceBound).  An
+    entry's digits are counted as ``_bounded`` counts them, after its sign and
+    without its underscores and leading zeros.  An empty, malformed or zero
+    entry raises WordParseError.
     """
     n = text.count(",") + 1
     if n > epim.WORD_MAX:
         raise census.ResourceBound(f"word length {n} exceeds the {command} bound {epim.WORD_MAX}")
     entries = text.split(",")
     if max(map(len, entries)) > ENTRY_DIGITS_MAX:  # only a longer entry has more digits
-        numbered = enumerate(entries, start=1)
-        text = ",".join(_bounded_entry(entry, position, command) for position, entry in numbered)
-    return parse_word(text)
+        entries = [_bounded_entry(e, position, command) for position, e in enumerate(entries, 1)]
+    word = []
+    for position, raw in enumerate(entries, start=1):
+        token = raw.strip()
+        if not token:
+            raise WordParseError("empty entry", raw, position)
+        try:
+            value = int(token)
+        except ValueError:
+            raise WordParseError("not an integer", token, position) from None
+        if value == 0:
+            raise WordParseError("zero entry not allowed", token, position)
+        word.append(value)
+    return tuple(word)
 
 
 def _bounded_entry(entry: str, position: int, command: str) -> str:
-    """``entry`` without leading zeros if it is digits after a sign; ResourceBound
-    if it has more than ENTRY_DIGITS_MAX digits, not counting underscores."""
+    """``entry`` as its sign and significant digits if int() reads it as a number
+    and it is longer than ENTRY_DIGITS_MAX; ResourceBound if it has more than
+    ENTRY_DIGITS_MAX digits, not counting underscores and leading zeros."""
     body = entry.strip()
     sign = body[:1] if body[:1] in ("+", "-") else ""
-    digits = body[len(sign):].replace("_", "")
-    if len(entry) <= ENTRY_DIGITS_MAX or not digits.isdecimal():
-        return entry  # short, or not a number, which parse_word reports
+    number = body[len(sign):]
+    digits = number.replace("_", "")
+    # int() reads underscores only between digits: not leading, trailing or doubled
+    if (
+        len(entry) <= ENTRY_DIGITS_MAX
+        or not digits.isdecimal()
+        or "_" in (number[0], number[-1])
+        or "__" in number
+    ):
+        return entry  # short, or not a number, which _bounded_word reports
     significant = _significant(digits)
     if len(significant) > ENTRY_DIGITS_MAX:
         raise census.ResourceBound(
             f"word entry {position} has {len(significant)} digits, above the {command}"
             f" bound {ENTRY_DIGITS_MAX}"
         )
-    # int() reads underscores only between digits
-    return entry if "_" in body else sign + (significant or "0")
+    return sign + (significant or "0")
 
 
 def _epi_knot(text: str):
@@ -295,7 +472,7 @@ def cmd_epi_targets(args) -> int:
     knot = _epi_knot(args.word)
     witnesses = epim.epi_targets(knot)
     if args.format == "json":
-        print(epim.witness_writer()(witnesses))
+        print(witness_writer()(witnesses))
     else:
         summary = _images(witnesses) or "none"
         _print_witnesses(witnesses, f"targets of {format_word(knot.canon)}: {summary}")
@@ -333,7 +510,7 @@ def cmd_epi_minimal(args) -> int:
 
 def cmd_epi_graph(args) -> int:
     max_c = _bounded("--max-c", [args.max_c], 3, epim.EPI_GRAPH_C_MAX, "epi graph")[0]
-    write = epim.write_json if args.format == "json" else epim.write_dot
+    write = write_json if args.format == "json" else write_dot
     write(max_c, sys.stdout)
     return EXIT_OK
 

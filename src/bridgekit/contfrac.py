@@ -12,8 +12,6 @@ every word is folded by :func:`_continuant`.
 Words are plain tuples of ints, immutable and freely shareable.  Words
 fold through integer continuants; `fractions.Fraction` is only the type
 of the values returned.  No floating point appears anywhere in the package.
-
-The text formats the CLI prints live here too: words, fractions and JSON.
 """
 
 from __future__ import annotations
@@ -21,20 +19,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from json.encoder import encode_basestring_ascii
 from operator import lt, mul, neg, or_
 from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
-
-
-class WordParseError(ValueError):
-    """A word string contains a malformed or forbidden token."""
-
-    def __init__(self, message: str, token: str, position: int):
-        super().__init__(f"{message}: token {token!r} at position {position}")
-        self.token = token
-        self.position = position
 
 
 class NotAKnotFraction(ValueError):
@@ -152,63 +140,6 @@ def to_reduced_even(r: Fraction) -> Word:
     return word
 
 
-def parse_word(text: str) -> Word:
-    """Parse ``n1,n2,...`` (whitespace around commas ignored) into a word."""
-    tokens = text.split(",")
-    entries = []
-    for position, raw in enumerate(tokens, start=1):
-        token = raw.strip()
-        if not token:
-            raise WordParseError("empty entry", raw, position)
-        try:
-            value = int(token)
-        except ValueError:
-            raise WordParseError("not an integer", token, position) from None
-        if value == 0:
-            raise WordParseError("zero entry not allowed", token, position)
-        entries.append(value)
-    return tuple(entries)
-
-
 def format_word(word: Sequence[int]) -> str:
     return ",".join(str(e) for e in word)
 
-
-def format_fraction(value: Fraction) -> str:
-    """Render in lowest terms as ``p/q``, or plain ``p`` for integers."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def format_json(value, margin: str = "") -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, with ``margin`` after each newline.
-
-    Writes dicts with str keys, lists, str, int and None, the types the CLI
-    prints; any other type raises TypeError, bool, float and tuple included,
-    where json.dumps would write them.  json.dumps with an indent runs json's
-    pure-Python encoder before Python 3.13, and takes about twice as long.
-    """
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    inner = margin + "  "
-    if kind is list:
-        items = [format_json(item, inner) for item in value]
-        brackets = "[]"
-    elif kind is dict:  # encode_basestring_ascii raises TypeError on a key that is not a str
-        items = [
-            f"{encode_basestring_ascii(key)}: {format_json(item, inner)}"
-            for key, item in value.items()
-        ]
-        brackets = "{}"
-    else:
-        raise TypeError(f"cannot write {kind.__name__} as JSON")
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{margin}{brackets[1]}"

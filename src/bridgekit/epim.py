@@ -15,7 +15,8 @@ Generation spells these words onto a given target, pruned by crossing
 number and braid index (``ors_words``).  ``epi_graph`` takes every edge
 from the words onto the knots with at most a third of its crossing
 bound, and ``classify.table1`` its rows from the words onto the
-2-strand torus knots; neither searches.
+2-strand torus knots; neither searches.  ``epi_graph`` streams the
+digraph as values, and ``cli`` writes it as dot or json.
 
 Detection, the search behind ``epi_targets``, ``admits_epi`` and
 ``is_minimal``, reads the targets off the big word.  In each orientation
@@ -34,33 +35,17 @@ Every returned witness carries an audit splitting the braid-index gap
 braid(big) - 3 braid(target) + 4 into four non-negative terms; the
 audit recomputes everything from the parameters and the composed word,
 trusting nothing from the search or the walk.
-
-``write_dot`` and ``write_json`` stream the graph as it is enumerated; the
-JSON is that of ``json.dumps(..., indent=2)``, byte for byte.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, chain, groupby, repeat
 from operator import getitem
-from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterator, NamedTuple
 
 from .census import canonical_slices, enumerate_words
-from .contfrac import (
-    Word,
-    check_even_word,
-    format_word,
-    rev_neg,
-    reverse,
-    sign_changes,
-)
-from .knot import (
-    KNOT_NAMES,
-    KnotClass,
-    canonical_word,
-    crossing_number,
-    knot_from_word,
-)
+from .contfrac import Word, check_even_word, format_word, rev_neg, reverse, sign_changes
+from .knot import KnotClass, canonical_word, knot_from_word
 
 # The largest --max-c of epi graph, whose cost grows exponentially in c: at 22
 # it writes 50 MB of dot in 0.64 s, or 124 MB of json in 0.84 s, at 30 MB peak
@@ -137,10 +122,6 @@ class InequalityAudit(NamedTuple):
     term_signs: int      # (2r+1) t(target) + 2 #{c_j != 0} - t(big)
     slack: int           # braid(big) - 3 braid(target) + 4
 
-    @property
-    def terms(self) -> tuple[int, int, int, int]:
-        return (self.term_copies, self.term_cbudget, self.term_zero, self.term_signs)
-
 
 class EpiWitness(NamedTuple):
     big: KnotClass
@@ -156,54 +137,6 @@ class EpiWitness(NamedTuple):
             self.params.cvec,
             self.params.eps,
         )
-
-
-# One witness as ``json.dumps(..., indent=2)`` writes its fields, with each
-# knot's object and the entries of eps and cvec left to fill in.
-_WITNESS = (
-    '{{\n  "big": {},\n  "small": {},\n  "params": {{\n    "target": "{}",\n    "r": {},\n'
-    '    "eps": [\n      {}\n    ],\n    "cvec": [\n      {}\n    ]\n  }},\n'
-    '  "audit": {{\n    "term_copies": {},\n    "term_cbudget": {},\n    "term_zero": {},\n'
-    '    "term_signs": {},\n    "slack": {}\n  }}\n}}'
-)
-_KNOT = '{{\n    "word": "{}",\n    "crossing": {},\n    "braid": {},\n    "genus": {}\n  }}'
-
-
-def witness_writer(margin: str = "") -> Callable[[Sequence[EpiWitness]], str]:
-    """A function writing a list of witnesses as ``json.dumps`` writes it.
-
-    It returns ``json.dumps(..., indent=2)`` of the witnesses' fields
-    (``witness_json`` in ``tests/_oracles.py``), byte for byte, with
-    ``margin`` after each newline.  Each witness fills one template, and
-    each knot's object text is built once and kept for every later list
-    the same writer writes: one writer serves one document.  Nothing in a
-    witness needs escaping.
-    """
-    newline = "\n" + margin + "  "
-    witness = _WITNESS.replace("\n", newline).format
-    knot_object = _KNOT.replace("\n", newline).format
-    entries = f",{newline}      ".join
-    knots: dict[KnotClass, str] = {}
-
-    def knot(k: KnotClass) -> str:
-        text = knots.get(k)
-        if text is None:
-            text = knots[k] = knot_object(format_word(k.canon), k.crossing, k.braid, k.genus)
-        return text
-
-    def write(witnesses: Sequence[EpiWitness]) -> str:
-        if not witnesses:
-            return "[]"
-        items = [
-            witness(
-                knot(big), knot(small), format_word(params.target), params.r,
-                entries(map(str, params.eps)), entries(map(str, params.cvec)), *audit,
-            )
-            for big, small, params, audit in witnesses
-        ]
-        return f"[{newline}" + f",{newline}".join(items) + f"\n{margin}]"
-
-    return write
 
 
 def ors_compose(params: OrsParams) -> Word:
@@ -292,10 +225,8 @@ def ors_words(
     yield from walk(target, (1,), (), size, flips)
 
 
-def audit_params(params: OrsParams, composed: Word | None = None) -> InequalityAudit:
-    """Compute and check the four-term decomposition for one composition."""
-    if composed is None:
-        composed = ors_compose(params)
+def audit_params(params: OrsParams, composed: Word) -> InequalityAudit:
+    """Compute and check the four-term decomposition for ``composed``, spelled by ``params``."""
     target, r, cvec = params.target, params.r, params.cvec
     t_small, t_big = sign_changes(target), sign_changes(composed)
     # braid = sum|e| / 2 - t + 1, from the one count of each word's sign changes
@@ -459,10 +390,6 @@ def is_minimal(big: KnotClass) -> bool:
 # Digraph export
 # ---------------------------------------------------------------------------
 
-# the display name of each named node, by its text, and the largest crossing
-# number in KNOT_NAMES; no larger node has a name
-_NAMES_BY_TEXT = {format_word(word): name for word, name in KNOT_NAMES.items()}
-_NAMED_C_MAX = max(map(crossing_number, KNOT_NAMES))
 # epi_graph yields a slice's nodes in chunks, each closed after the sign vector
 # that brings it to this many nodes: about 150 kB of json text.
 _NODE_CHUNK = 1024
@@ -518,56 +445,3 @@ def _leaving(texts: list[str], edges: dict[str, tuple]) -> list[tuple]:
     """The edges out of the nodes with these texts, in node order."""
     return list(chain.from_iterable(filter(None, map(edges.get, texts))))
 
-
-def write_dot(max_crossing: int, out: TextIO) -> None:
-    """Write ``epi_graph(max_crossing)`` as dot: the nodes a chunk at a time, then the edges."""
-    nodes = epi_graph(max_crossing)
-    out.write("digraph epimorphisms {\n")
-    edges = []
-    for c, _, _, texts, node_edges in nodes:
-        labels = texts if c > _NAMED_C_MAX else [
-            f"{_NAMES_BY_TEXT[text]}\\n{text}" if text in _NAMES_BY_TEXT else text for text in texts
-        ]
-        out.write("".join(map('  "{}" [label="{}"];\n'.format, texts, labels)))
-        edges += node_edges
-    for big, small, witnesses in edges:
-        first = witnesses[0].params
-        label = f"r={first.r} c={list(first.cvec)} x{len(witnesses)}"
-        out.write(
-            f'  "{format_word(big.canon)}" -> "{format_word(small.canon)}" [label="{label}"];\n'
-        )
-    out.write("}\n")
-
-
-def write_json(max_crossing: int, out: TextIO) -> None:
-    """Write ``epi_graph(max_crossing)`` as ``json.dumps(..., indent=2)`` would, a chunk at a time.
-
-    A chunk's nodes share crossing number, braid index (c - ell) / 2 + 1
-    and genus m, so one template writes them all; another writes each edge,
-    and one ``witness_writer`` its witnesses.  At --max-c 22 there are
-    699,732 nodes and 11,824 edges with 15,032 witnesses, and no general
-    writer writes them as fast: the edges take 0.08 s of a 0.84 s command,
-    and ``contfrac.format_json`` would take 0.20 s.
-    """
-    nodes = epi_graph(max_crossing)
-    out.write(f'{{\n  "max_crossing": {max_crossing},\n  "nodes": [')
-    edges = []
-    comma = "\n"
-    for c, m, ell, texts, node_edges in nodes:
-        node = (  # nothing in a node needs escaping
-            '    {{\n      "word": "{}",\n      "crossing": %d,\n      "braid": %d,\n'
-            '      "genus": %d,\n      "name": "{}"\n    }}' % (c, (c - ell) // 2 + 1, m)
-        )
-        names = texts if c > _NAMED_C_MAX else [_NAMES_BY_TEXT.get(t, t) for t in texts]
-        out.write(comma + ",\n".join(map(node.format, texts, names)))
-        comma = ",\n"
-        edges += node_edges
-    out.write('\n  ],\n  "edges": [')
-    edge = '\n    {\n      "source": "%s",\n      "target": "%s",\n      "witnesses": %s\n    }'
-    write_witnesses = witness_writer("      ")
-    comma = ""
-    for big, small, witnesses in edges:
-        text = edge % (format_word(big.canon), format_word(small.canon), write_witnesses(witnesses))
-        out.write(comma + text)
-        comma = ","
-    out.write("\n  ]\n}\n" if edges else "]\n}\n")

@@ -8,7 +8,7 @@ to audit that ``enumerate_words`` emits each class exactly once.
 ``closed_n`` is the census's N(c, ell) as it was before its binomial
 partial sums were collapsed to powers of two; tests compare the closed
 form against it.  ``witness_json`` and the functions it calls give each
-record as the dict that ``json.dumps`` writes; ``epim.witness_writer``
+record as the dict that ``json.dumps`` writes; ``cli.witness_writer``
 must write the same bytes.  ``genus`` is a word's genus, its number of
 entry pairs.
 """

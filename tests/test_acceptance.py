@@ -129,7 +129,7 @@ def test_criterion_4_inequality_property_suite():
             violations += 1
         if crossing_number(composed) < 3 * crossing_number(target):
             violations += 1
-        if min(audit.terms) < 0 or sum(audit.terms) != audit.slack:
+        if min(audit[:4]) < 0 or sum(audit[:4]) != audit.slack:
             violations += 1
     report(4, "braid inequality and audit decomposition over 10^4 samples", violations == 0)
 

@@ -739,6 +739,15 @@ def test_word_entry_digits_are_bounded(capsys, argv):
     assert in_process(capsys, *argv, f"2,2_{AT_DIGIT_BOUND[1:]}")[0] == EXIT_OK
     zeros = in_process(capsys, *argv, f"2,{'0' * 5000}{AT_DIGIT_BOUND}")
     assert zeros == in_process(capsys, *argv, f"2,{AT_DIGIT_BOUND}")
+    # underscores between leading zeros, past the 4,300 digits int() reads
+    assert in_process(capsys, *argv, f"2,{'0_' * 5000}{AT_DIGIT_BOUND}") == zeros
+    assert in_process(capsys, *argv, f"{'0_' * 5000}2,-2") == in_process(capsys, *argv, "2,-2")
+    # and where int() refuses them, leading, trailing or doubled, whatever the digits
+    for entry in (f"_{'0' * 5000}2", f"{'0' * 5000}2_", f"{'0__' * 2000}2", f"_{AT_DIGIT_BOUND}0"):
+        code, out, err = in_process(capsys, *argv, f"2,{entry}")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("parse error: not an integer: token ")
+        assert err.endswith(" at position 2\n")
 
 
 @pytest.mark.parametrize("output_format", ["md", "json"])

@@ -9,18 +9,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bridgekit import contfrac
+from bridgekit import cli, contfrac
+from bridgekit.cli import WordParseError, _bounded_word, format_json
 from bridgekit.contfrac import (
     NotAKnotFraction,
-    WordParseError,
     check_even_word,
     check_word,
     eval_word,
-    format_fraction,
-    format_json,
     format_word,
     negate,
-    parse_word,
     rev_neg,
     reverse,
     sign_changes,
@@ -263,26 +260,35 @@ class TestEntryRule:
             assert check_even_word(word) == word
 
 
+def parse_word(text):
+    return _bounded_word(text, "invariants")
+
+
 class TestTextFormats:
+    """Words and fractions as the CLI reads and writes them."""
+
     def test_parse_word(self):
         assert parse_word("2,-4, 4 , -2") == (2, -4, 4, -2)
 
     def test_parse_word_errors(self):
-        with pytest.raises(WordParseError) as info:
+        zero = r"^zero entry not allowed: token '0' at position 2$"
+        with pytest.raises(WordParseError, match=zero):
             parse_word("2,0,2")
-        assert info.value.token == "0" and info.value.position == 2
-        with pytest.raises(WordParseError):
+        with pytest.raises(WordParseError, match=r"^empty entry: token '' at position 2$"):
             parse_word("2,,2")
-        with pytest.raises(WordParseError):
-            parse_word("2,x")
+        with pytest.raises(WordParseError, match=r"^not an integer: token 'x' at position 2$"):
+            parse_word("2, x")
 
     def test_word_round_trip(self):
         for word in ((2, -2), (2, -4, 4, -2)):
             assert parse_word(format_word(word)) == word
 
-    def test_fractions(self):
-        assert format_fraction(Fraction(26, 45)) == "26/45"
-        assert format_fraction(Fraction(3)) == "3"
+    def test_fractions(self, capsys):
+        # a Fraction prints as str() writes it: p/q, or p for an integer
+        assert cli.main(["invariants", "2,-4,4,-2"]) == 0
+        assert "\nvalue: 26/45\n" in capsys.readouterr().out
+        assert cli.main(["census", "3"]) == 0
+        assert capsys.readouterr().out.endswith("\n| 3 | 2 | 2 | 2 | 1 | 1 | 2 |\n")
 
 
 # Text with what JSON escapes: quotes, backslashes, control characters,
@@ -303,6 +309,8 @@ json_values = st.recursive(
 
 
 class TestFormatJson:
+    """The CLI's json writer."""
+
     @given(json_values)
     def test_is_json_dumps(self, value):
         text = json.dumps(value, indent=2)

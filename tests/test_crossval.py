@@ -17,7 +17,7 @@ from itertools import zip_longest
 
 from bridgekit.census import enumerate_words
 from bridgekit.classify import nonminimal_matches, table1
-from bridgekit.contfrac import eval_word, parse_word, rev_neg
+from bridgekit.contfrac import eval_word, rev_neg
 from bridgekit.epim import epi_graph, is_minimal, ors_words
 from bridgekit.knot import KNOT_NAMES, canonical_word, crossing_number, knot_from_word
 
@@ -70,7 +70,7 @@ NAMED_WORDS = {label: word for word, label in KNOT_NAMES.items()}
 
 def torus_conway(name):
     """Conway polynomial of a 2-strand torus knot given by its display name."""
-    return conway(NAMED_WORDS[name] if name in NAMED_WORDS else parse_word(name))
+    return conway(NAMED_WORDS[name] if name in NAMED_WORDS else tuple(map(int, name.split(","))))
 
 
 def test_classifier_agrees_with_search_up_to_30_crossings():

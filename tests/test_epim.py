@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from bridgekit import epim
 from bridgekit.census import enumerate_words
-from bridgekit.contfrac import format_word, negate, parse_word, rev_neg, reverse, sign_changes
+from bridgekit.cli import witness_writer, write_dot, write_json
+from bridgekit.contfrac import format_word, negate, rev_neg, reverse, sign_changes
 from bridgekit.epim import (
     AuditFailure,
     EpiWitness,
@@ -26,8 +27,6 @@ from bridgekit.epim import (
     is_minimal,
     ors_compose,
     ors_words,
-    write_dot,
-    write_json,
 )
 from bridgekit.knot import (
     braid_index,
@@ -46,6 +45,11 @@ TORUS15 = knot_from_word((2, -2) * 7)
 
 def params(target, r, eps, cvec):
     return OrsParams(target=tuple(target), r=r, eps=tuple(eps), cvec=tuple(cvec))
+
+
+def audited(p):
+    """The audit of the word that ``p`` spells."""
+    return audit_params(p, ors_compose(p))
 
 
 def random_params(rng, target):
@@ -108,23 +112,23 @@ class TestCompose:
 class TestAudit:
     def test_equality_case_all_terms_zero(self):
         p = params((2, -2), 1, (1, 1, 1), (1, -1))
-        audit = audit_params(p)
-        assert audit.terms == (0, 0, 0, 0) and audit.slack == 0
+        audit = audited(p)
+        assert audit[:4] == (0, 0, 0, 0) and audit.slack == 0
 
     def test_enlarged_connector_charges_cbudget(self):
-        audit = audit_params(params((2, -2), 1, (1, 1, 1), (1, -2)))
+        audit = audited(params((2, -2), 1, (1, 1, 1), (1, -2)))
         assert audit.slack == 1
-        assert audit.terms == (0, 1, 0, 0)
+        assert audit[:4] == (0, 1, 0, 0)
 
     def test_deleted_connector_charges_zero_term(self):
-        audit = audit_params(params((2, -2), 1, (1, 1, 1), (0, -1)))
+        audit = audited(params((2, -2), 1, (1, 1, 1), (0, -1)))
         assert audit.slack == 1
-        assert audit.terms == (0, 0, 1, 0)
+        assert audit[:4] == (0, 0, 1, 0)
 
     def test_sign_flip_charges_signs_term(self):
-        audit = audit_params(params((2, -2), 1, (1, -1, -1), (-1, 1)))
+        audit = audited(params((2, -2), 1, (1, -1, -1), (-1, 1)))
         assert audit.slack == 1
-        assert audit.terms == (0, 0, 0, 1)
+        assert audit[:4] == (0, 0, 0, 1)
 
     def test_witness_audit_recomputes(self):
         witness = admits_epi(TORUS9, TREFOIL)
@@ -148,7 +152,7 @@ class TestAudit:
             audit = audit_params(p, composed)  # raises on any violation
             assert braid_index(composed) >= 3 * braid_index(target) - 4
             assert crossing_number(composed) >= 3 * crossing_number(target)
-            assert sum(audit.terms) == audit.slack
+            assert sum(audit[:4]) == audit.slack
 
     def test_one_count_audit_matches_a_count_from_scratch(self):
         # every word generated onto each target with c <= 5 at c_max 20
@@ -204,7 +208,7 @@ class TestAudit:
         # (-2,4,-4,-2) has two sign changes more than (-2,-4,-4,-2), which the
         # zero connectors onto (-2,-2) leave no room for in the signs term
         p = params((-2, -2), 1, (1, 1, 1), (0, 0))
-        assert audit_params(p, (-2, -4, -4, -2)).terms == (0, 0, 2, 0)
+        assert audit_params(p, (-2, -4, -4, -2))[:4] == (0, 0, 2, 0)
         with pytest.raises(AuditFailure):
             audit_params(p, (-2, 4, -4, -2))
 
@@ -356,6 +360,11 @@ class TestGenerator:
         assert hashlib.sha256(words.encode()).hexdigest() == digest
 
 
+def word_of(text):
+    """The word a node's text spells."""
+    return tuple(map(int, text.split(",")))
+
+
 def graph_text(write, max_crossing):
     out = io.StringIO()
     write(max_crossing, out)
@@ -369,10 +378,10 @@ def graph_edges(max_crossing):
 class TestGraph:
     def test_graph_smoke(self):
         slices = list(epi_graph(9))
-        words = [parse_word(text) for *_, texts, _ in slices for text in texts]
+        words = [word_of(text) for *_, texts, _ in slices for text in texts]
         assert (2, -2) in words and len(words) == 2 + 1 + 4 + 5 + 14 + 21 + 48
         for c, m, ell, texts, _ in slices:
-            for word in map(parse_word, texts):
+            for word in map(word_of, texts):
                 assert (crossing_number(word), len(word), sign_changes(word)) == (c, 2 * m, ell)
         edges = {(big.canon, small.canon) for big, small, _ in graph_edges(9)}
         assert ((2, -2, 2, -2, 2, -2, 2, -2), (2, -2)) in edges
@@ -411,7 +420,7 @@ class TestGraph:
                 by_source.setdefault(format_word(big.canon), []).extend(group)
             for text in texts:
                 generated = by_source.pop(text, [])
-                assert generated == epi_targets(knot_from_word(parse_word(text))), text
+                assert generated == epi_targets(knot_from_word(word_of(text))), text
                 witnesses += len(generated)
             assert not by_source
         assert witnesses == 2064
@@ -460,22 +469,22 @@ class TestWitnessWriter:
     @example((2, -2, 2, -2, 2, -2, -2, 4, -2, -4, 2, -2), "      ")  # r = 2, one connector zero
     def test_targets_are_written_as_json_dumps_writes_them(self, word, margin):
         witnesses = epi_targets(knot_from_word(word))
-        write = epim.witness_writer(margin)
+        write = witness_writer(margin)
         assert write(witnesses) == dumps(witnesses, margin)
         # the same writer again, from the knot texts it kept
         assert write(witnesses[::-1]) == dumps(witnesses[::-1], margin)
 
     def test_graph_edges_are_written_as_json_dumps_writes_them(self):
         # one writer for every edge, as write_json uses it
-        write = epim.witness_writer("      ")
+        write = witness_writer("      ")
         edges = graph_edges(12)
         assert len(edges) == 72
         for _, _, witnesses in edges:
             assert write(witnesses) == dumps(witnesses, "      ")
 
     def test_empty_list(self):
-        assert epim.witness_writer()([]) == "[]" == dumps([])
-        assert epim.witness_writer("    ")([]) == "[]"
+        assert witness_writer()([]) == "[]" == dumps([])
+        assert witness_writer("    ")([]) == "[]"
 
 
 @pytest.mark.parametrize(
