@@ -18,7 +18,7 @@ compositions once and decides them once per sign prefix s_0 .. s_{i*},
 from each composition's first unequal pair, so no word is built to be
 dropped.  For even ell, i* = 0: the sign vectors with s_0 < 0 keep the
 whole slice, and the others are not listed.  ``enumerate_words`` lists
-c = 21 in 0.07 s and c = 22 in 0.11 s (2-vCPU host, Python 3.11).
+c = 21 in 0.14 s and c = 22 in 0.22 s (2-vCPU host, Python 3.11).
 
 Counting side: ``brute_counts`` enumerates nothing and compares no
 words.  A slice holds 2 C(n-1, ell) C(total-1, n-1) words (sign vectors
@@ -27,7 +27,7 @@ negate and rev_neg, so Burnside's lemma counts its knots, the orbits of
 {id, rev_neg}, and its mirror classes, the orbits of all four, from the
 words each symmetry fixes (Ernst and Sumners, 1987).  Along each ell it
 steps these binomials from slice to slice by exact ratios of small
-integers: 11 us at c = 17, 7.5 ms at c = 500 (2-vCPU host, Python 3.11).
+integers: 17 us at c = 17, 12 ms at c = 500 (2-vCPU host, Python 3.11).
 The test suite checks ``enumerate_words`` against it word by word.
 
 Formula side: closed forms for the number of knots TK(c) (and TK*(c)
@@ -59,9 +59,9 @@ from .contfrac import Word
 # (2-vCPU host, Python 3.11).
 IDENTITIES_N_MAX = 300
 # The largest c of a census row, from the closed forms or counted.  closed_row
-# costs about c^2.5: 0.3 ms at c = 400, 0.5 ms at 500 and 2.8 ms at 1000;
-# 3..500 takes 0.11 s and 3..1000 1.1 s.  brute_counts, which `census --verify`
-# prints, takes 4.4 ms at c = 400 and 7.5 ms at 500, and 1.2 s over 3..500
+# costs about c^2.5: 0.43 ms at c = 400, 0.72 ms at 500 and 4.4 ms at 1000;
+# 3..500 takes 0.15 s and 3..1000 1.5 s.  brute_counts, which `census --verify`
+# prints, takes 7.3 ms at c = 400 and 12 ms at 500, and 1.9 s over 3..500
 # (2-vCPU host, Python 3.11).
 FORMULAS_C_MAX = 500
 
@@ -142,34 +142,33 @@ def canonical_slices(
     order), decided by the pair rule of the module docstring.
     """
     for m, ell_value, parts in _slices(c, ell):
-        # for even ell, s_0 = s_{n-1}, so a positive lead keeps no word
-        leads = (-1,) if ell_value % 2 == 0 else (1, -1)
-        yield m, ell_value, _kept(m, parts, _sign_vectors(2 * m, ell_value, leads))
+        if ell_value % 2 == 0:
+            # s_0 = s_{n-1}, so i* = 0: a negative lead keeps every word, a positive none
+            kept = zip(_sign_vectors(2 * m, ell_value, (-1,)), repeat(parts))
+        else:
+            kept = _kept(m, parts, _sign_vectors(2 * m, ell_value))
+        yield m, ell_value, kept
 
 
 def _kept(
     m: int, parts: list[tuple[int, ...]], sign_vectors: Iterator[tuple[int, ...]]
 ) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
-    """(s, its canonical compositions) for each sign vector s that keeps any."""
+    """(s, its canonical compositions) for each sign vector s, of odd many
+    changes, that keeps any."""
+    pairs = [_first_unequal_pair(part, m) for part in parts]
     # the compositions kept, by sign prefix s_0 .. s_{i*}
     decided: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    pairs = None
     for signs in sign_vectors:
-        # i*, the first pair whose signs agree, or m
-        agree = 0 if signs[0] == signs[-1] else [*map(mul, signs[:m], reversed(signs)), 1].index(1)
+        # i*, the first pair whose signs agree, or m; s_0 != s_{n-1}, so i* >= 1
+        agree = [*map(mul, signs[:m], reversed(signs)), 1].index(1)
         prefix = signs[: agree + 1]
         kept = decided.get(prefix)
         if kept is None:
-            if agree == 0:  # only s_0 < 0 is listed for i* = 0
-                kept = parts
-            else:
-                pairs = pairs or [_first_unequal_pair(part, m) for part in parts]
-                # keep[2d + g]: kept when the first unequal pair d < i* has
-                # s_d (p_d - p_{n-1-d}) < 0; from 2 i* on, s_{i*} decides
-                keep = [g == (s < 0) for s in signs[:agree] for g in (0, 1)]
-                keep += [agree == m or signs[agree] < 0] * (2 * (m - agree) + 1)
-                kept = list(compress(parts, map(keep.__getitem__, pairs)))
-            decided[prefix] = kept
+            # keep[2d + g]: kept when the first unequal pair d < i* has
+            # s_d (p_d - p_{n-1-d}) < 0; from 2 i* on, s_{i*} decides
+            keep = [g == (s < 0) for s in signs[:agree] for g in (0, 1)]
+            keep += [agree == m or signs[agree] < 0] * (2 * (m - agree) + 1)
+            kept = decided[prefix] = list(compress(parts, map(keep.__getitem__, pairs)))
         if kept:
             yield signs, kept
 
@@ -248,26 +247,25 @@ def brute_counts(c: int) -> CensusRow:
         for m in range(h + 1, half + 1):
             knots = words + fixed * (ell % 2)
             count += knots
-            star += exact_div(words + fixed, 2)
+            mirrors, odd = divmod(words + fixed, 2)
+            star += mirrors
             genus_total += m * knots
             gap = total - 2 * m
-            words = exact_div(words * (gap * (gap - 1)), (2 * m - ell) * (2 * m + 1 - ell))
-            fixed = exact_div(fixed * (half - m), m - h)
+            words, left = divmod(words * (gap * (gap - 1)), (2 * m - ell) * (2 * m + 1 - ell))
+            fixed, rest = divmod(fixed * (half - m), m - h)
+            if odd or left or rest:
+                raise NonIntegralFormula(f"c={c} ell={ell} m={m}: a slice ratio left a remainder")
         tk += count
         ts += ell * count
         tk_star += star
         ts_star += ell * star
         by_ell.append(SignClassCount(c, ell, count))
     return CensusRow(
-        c=c,
-        tk=tk,
-        ts=ts,
-        tk_star=tk_star,
-        ts_star=ts_star,
-        avg_braid=Fraction((c + 2) * tk - ts, 2 * tk),
-        avg_braid_star=Fraction((c + 2) * tk_star - ts_star, 2 * tk_star),
-        avg_genus=Fraction(genus_total, tk),
-        by_ell=tuple(by_ell),
+        c, tk, ts, tk_star, ts_star,
+        Fraction((c + 2) * tk - ts, 2 * tk),
+        Fraction((c + 2) * tk_star - ts_star, 2 * tk_star),
+        Fraction(genus_total, tk),
+        tuple(by_ell),
     )
 
 
@@ -352,66 +350,56 @@ def closed_n(c: int, ell: int) -> int:
     return value
 
 
-def _plus(base: Fraction, num: int, den: int) -> Fraction:
-    """base + num / den, normalised once."""
-    return Fraction(base.numerator * den + num * base.denominator, base.denominator * den)
+def _plus(a: int, b: int, num: int, den: int) -> Fraction:
+    """a / b + num / den as one Fraction, normalised once."""
+    return Fraction(a * den + num * b, b * den)
 
 
 def closed_avg_braid(c: int) -> Fraction:
     """Average braid index over all two-bridge knots with c crossings."""
-    base = Fraction(3 * c + 11, 9)
+    base = (3 * c + 11, 9)
     if c % 2 == 0:
-        return _plus(base, 2 * c - 4, 3 * (2 ** (c - 2) - 1))
+        return _plus(*base, 2 * c - 4, 3 * (2 ** (c - 2) - 1))
     if c % 4 == 1:
         return _plus(
-            base, -(2 ** ((c + 3) // 2) + 9 * c - 19), 9 * (2 ** (c - 2) + 2 ** ((c - 1) // 2))
+            *base, -(2 ** ((c + 3) // 2) + 9 * c - 19), 9 * (2 ** (c - 2) + 2 ** ((c - 1) // 2))
         )
     return _plus(
-        base, -(2 ** ((c + 3) // 2) + 3 * c - 5), 9 * (2 ** (c - 2) + 2 ** ((c - 1) // 2) + 2)
+        *base, -(2 ** ((c + 3) // 2) + 3 * c - 5), 9 * (2 ** (c - 2) + 2 ** ((c - 1) // 2) + 2)
     )
 
 
 def closed_avg_braid_star(c: int) -> Fraction:
     """Average braid index up to mirror image."""
-    base = Fraction(3 * c + 11, 9)
+    base = (3 * c + 11, 9)
     if c % 4 == 0:
-        return _plus(base, 2 ** (c // 2) + 9 * c - 16, 9 * (2 ** (c - 2) + 2 ** ((c - 2) // 2)))
-    if c % 4 == 1:
-        return closed_avg_braid(c)
+        return _plus(*base, 2 ** (c // 2) + 9 * c - 16, 9 * (2 ** (c - 2) + 2 ** ((c - 2) // 2)))
     if c % 4 == 2:
-        return _plus(base, 2 ** (c // 2) + 3 * c - 8, 9 * (2 ** (c - 2) + 2 ** ((c - 2) // 2) - 2))
+        return _plus(
+            *base, 2 ** (c // 2) + 3 * c - 8, 9 * (2 ** (c - 2) + 2 ** ((c - 2) // 2) - 2)
+        )
     return closed_avg_braid(c)
 
 
 def closed_avg_genus(c: int) -> Fraction:
     """Average genus over all two-bridge knots with c crossings."""
-    base = Fraction(3 * c + 1, 12)
+    base = (3 * c + 1, 12)
     if c % 2 == 0:
-        return _plus(base, c - 5, 2 ** c - 4)
+        return _plus(*base, c - 5, 2 ** c - 4)
     if c % 4 == 1:
-        return _plus(base, 1, 3 * 2 ** ((c - 3) // 2))
+        return _plus(*base, 1, 3 * 2 ** ((c - 3) // 2))
     return _plus(
-        base, 2 ** ((c + 1) // 2) - 3 * c + 11, 12 * (2 ** (c - 3) + 2 ** ((c - 3) // 2) + 1)
+        *base, 2 ** ((c + 1) // 2) - 3 * c + 11, 12 * (2 ** (c - 3) + 2 ** ((c - 3) // 2) + 1)
     )
 
 
 def closed_row(c: int) -> CensusRow:
     """CensusRow assembled purely from the closed forms (no enumeration)."""
     ell_max = c - 4 if c % 2 == 0 else c - 2
-    by_ell = tuple(
-        SignClassCount(c, ell, closed_n(c, ell))
-        for ell in range(0 if c % 2 == 0 else 1, ell_max + 1, 2)
-    )
     return CensusRow(
-        c=c,
-        tk=closed_tk(c),
-        ts=closed_ts(c),
-        tk_star=closed_tk_star(c),
-        ts_star=closed_ts_star(c),
-        avg_braid=closed_avg_braid(c),
-        avg_braid_star=closed_avg_braid_star(c),
-        avg_genus=closed_avg_genus(c),
-        by_ell=by_ell,
+        c, closed_tk(c), closed_ts(c), closed_tk_star(c), closed_ts_star(c),
+        closed_avg_braid(c), closed_avg_braid_star(c), closed_avg_genus(c),
+        tuple(SignClassCount(c, ell, closed_n(c, ell)) for ell in range(c % 2, ell_max + 1, 2)),
     )
 
 

@@ -40,6 +40,7 @@ renders the rows, and this module only computes them.
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .contfrac import Word, check_even_word, format_word, negate, rev_neg, reverse
@@ -48,7 +49,7 @@ from .knot import braid_index, display_name, knot_from_word
 
 # table1's rows grow about as c^3 (577 at c_max = 30, 1,902 at 45), and so
 # does its cost: 0.11 s at 30 and 0.23-0.25 s at 45, and 0.31 s at 45 with
-# --chiral (a fresh process, best of 5, 2-vCPU host, Python 3.11).
+# --chiral (a fresh process, best of 7, 2-vCPU host, Python 3.11).
 TABLE1_C_MAX = 45
 
 # Each Table 1 type as its marks, in the order i0/j0 and i1/j1 name them.
@@ -196,9 +197,13 @@ def _slots(
 
 def _matches_for_candidate(word: Word, braid: int) -> list[NonminimalType]:
     # braid - 2 counts the spots, a 6 twice: read only the spots it admits
-    bigs = [i for i, e in enumerate(word, 1) if e != 2 and e != -2] if braid > 2 else []
-    sixes = [i for i in bigs if word[i - 1] in (6, -6)]
-    fours = [i for i in bigs if word[i - 1] in (4, -4)]
+    fours, sixes = [], []
+    for i, e in enumerate(word, 1) if braid > 2 else ():
+        if e != 2 and e != -2:
+            if e == 4 or e == -4:
+                fours.append(i)
+            elif e == 6 or e == -6:
+                sixes.append(i)
     repeats = []
     if braid > 2 + len(fours) + 2 * len(sixes):
         repeats = [i for i in range(1, len(word)) if word[i - 1] * word[i] > 0]
@@ -207,8 +212,8 @@ def _matches_for_candidate(word: Word, braid: int) -> list[NonminimalType]:
     clauses = _BY_SPOTS.get((len(fours), len(sixes), len(repeats)), ())
     for kind, marks, lost, picks, reach in clauses:
         factors = _factorizations(len(word) + 1 + lost)
-        for pick in picks:
-            at = [spots[k] for k in pick]
+        for pick in picks if factors else ():
+            at = list(map(spots.__getitem__, pick))
             i0, i1 = at + [None] * (2 - len(at))
             for r, m in factors:
                 for slots in _slots(marks, reach, at, 2 * m + 1):
@@ -226,6 +231,8 @@ def nonminimal_matches(word: Word) -> tuple[NonminimalType, ...]:
     matches: list[NonminimalType] = []
     for candidate in _positive_candidates(word):
         matches.extend(_matches_for_candidate(candidate, braid))
+    if len(matches) < 2:
+        return tuple(matches)
     return tuple(sorted(set(matches), key=NonminimalType.sort_key))
 
 
@@ -305,7 +312,7 @@ def table1(c_max: int, *, up_to_mirror: bool = True) -> list[Table1Row]:
         names = tuple(sorted(images))
         display = _positive_candidates(rep)[0] if up_to_mirror else rep
         rows.append(Table1Row(knot.braid, matches[0].label, knot.crossing, display, names, matches))
-    rows.sort(key=lambda row: (row.braid, row.kind, row.crossing, row.images, row.word))
+    rows.sort(key=itemgetter(0, 1, 2, 4, 3))  # braid, kind, crossing, images, word
     return rows
 
 

@@ -77,6 +77,9 @@ EXIT_RESOURCE = 4
 # str; a value's numerator and denominator are bounded apart.
 ENTRY_DIGITS_MAX = 4_000
 
+# The most characters of a malformed word entry that a parse error repeats.
+TOKEN_SHOWN = 40
+
 # Every --format; each leaf subcommand's parser declares those it renders.
 FORMATS = ("json", "csv", "md", "dot")
 
@@ -104,12 +107,20 @@ def format_json(value, margin: str = "") -> str:
     if value is None:
         return "null"
     inner = margin + "  "
+    # str and int items are written here, every other item by a call
     if kind is list:
-        items = [format_json(item, inner) for item in value]
+        items = [
+            encode_basestring_ascii(item) if type(item) is str
+            else int.__repr__(item) if type(item) is int
+            else format_json(item, inner)
+            for item in value
+        ]
         brackets = "[]"
     elif kind is dict:  # encode_basestring_ascii raises TypeError on a key that is not a str
         items = [
-            f"{encode_basestring_ascii(key)}: {format_json(item, inner)}"
+            f"{encode_basestring_ascii(key)}: {encode_basestring_ascii(item)}" if type(item) is str
+            else f"{encode_basestring_ascii(key)}: {int.__repr__(item)}" if type(item) is int
+            else f"{encode_basestring_ascii(key)}: {format_json(item, inner)}"
             for key, item in value.items()
         ]
         brackets = "{}"
@@ -250,7 +261,7 @@ def write_json(max_crossing: int, out: TextIO) -> None:
     and genus m, so one template writes them all; another writes each edge,
     and one ``witness_writer`` its witnesses.  At --max-c 22 there are
     699,732 nodes and 11,824 edges with 15,032 witnesses, and no general
-    writer writes them as fast: the edges take 0.08 s of a 0.84 s command,
+    writer writes them as fast: the edges take 0.09 s of a 1.34 s command,
     and ``format_json`` would take 0.20 s.
     """
     nodes = epim.epi_graph(max_crossing)
@@ -339,42 +350,43 @@ def cmd_invariants(args) -> int:
 def cmd_census(args) -> int:
     crossings = _bounded("c", args.range.split(".."), 3, census.FORMULAS_C_MAX, "census")
     # the closed forms; --verify prints the counts instead and checks them
-    make_row = census.brute_counts if args.verify else census.closed_row
-    rows = [make_row(c) for c in crossings]
+    rows = [census.brute_counts(c) for c in crossings] if args.verify else None
     fmt = _decimal if args.decimal else str
-    mirror = args.up_to_mirror  # only c and the three starred columns
-    if args.format == "json":
-        records = [
-            {
-                "c": r.c,
-                "tk_star": r.tk_star,
-                "ts_star": r.ts_star,
-                "avg_braid_star": fmt(r.avg_braid_star),
-            }
-            if mirror
-            else {  # CensusRow's fields, in order
-                **r._asdict(),
-                "avg_braid": fmt(r.avg_braid),
-                "avg_braid_star": fmt(r.avg_braid_star),
-                "avg_genus": fmt(r.avg_genus),
-                "by_ell": {str(ell): count for _, ell, count in r.by_ell},
-            }
-            for r in rows
+    if args.up_to_mirror:  # only c and the three starred columns, and only they are computed
+        stars = [(r.c, r.tk_star, r.ts_star, r.avg_braid_star) for r in rows] if args.verify else [
+            (c, census.closed_tk_star(c), census.closed_ts_star(c), census.closed_avg_braid_star(c))
+            for c in crossings
         ]
-        print(format_json(records))
+        if args.format == "json":
+            keys = ("c", "tk_star", "ts_star", "avg_braid_star")
+            print(format_json([dict(zip(keys, (c, tk, ts, fmt(avg)))) for c, tk, ts, avg in stars]))
+        else:
+            cells = [(str(c), str(tk), str(ts), fmt(avg)) for c, tk, ts, avg in stars]
+            print(format_table(("c", "TK*", "TS*", "avg braid*"), cells, args.format))
     else:
-        starred = ("TK*", "TS*", "avg braid*")
-        columns = ("c", *starred) if mirror else ("c", "TK", "TS", "avg braid", *starred)
-        cells = [
-            (str(r.c), str(r.tk_star), str(r.ts_star), fmt(r.avg_braid_star))
-            if mirror
-            else (
-                str(r.c), str(r.tk), str(r.ts), fmt(r.avg_braid),
-                str(r.tk_star), str(r.ts_star), fmt(r.avg_braid_star),
-            )
-            for r in rows
-        ]
-        print(format_table(columns, cells, args.format))
+        rows = rows or [census.closed_row(c) for c in crossings]
+        if args.format == "json":
+            records = [
+                {  # CensusRow's fields, in order
+                    **r._asdict(),
+                    "avg_braid": fmt(r.avg_braid),
+                    "avg_braid_star": fmt(r.avg_braid_star),
+                    "avg_genus": fmt(r.avg_genus),
+                    "by_ell": {str(ell): count for _, ell, count in r.by_ell},
+                }
+                for r in rows
+            ]
+            print(format_json(records))
+        else:
+            columns = ("c", "TK", "TS", "avg braid", "TK*", "TS*", "avg braid*")
+            cells = [
+                (
+                    str(r.c), str(r.tk), str(r.ts), fmt(r.avg_braid),
+                    str(r.tk_star), str(r.ts_star), fmt(r.avg_braid_star),
+                )
+                for r in rows
+            ]
+            print(format_table(columns, cells, args.format))
     if not args.verify:
         return EXIT_OK
     problems = [problem for row in rows for problem in census.verify_row(row.c, row)]
@@ -397,10 +409,12 @@ def _print_witnesses(witnesses, header: str) -> None:
 
 
 class WordParseError(ValueError):
-    """A word argument has an empty, malformed or zero entry."""
+    """A word argument has an empty, malformed or zero entry; an entry of more
+    than TOKEN_SHOWN characters is named by its first TOKEN_SHOWN and its length."""
 
     def __init__(self, message: str, token: str, position: int):
-        super().__init__(f"{message}: token {token!r} at position {position}")
+        more = f"... ({len(token)} characters)" if len(token) > TOKEN_SHOWN else ""
+        super().__init__(f"{message}: token {token[:TOKEN_SHOWN]!r}{more} at position {position}")
 
 
 def _bounded_word(text: str, command: str) -> Word:

@@ -141,5 +141,5 @@ def to_reduced_even(r: Fraction) -> Word:
 
 
 def format_word(word: Sequence[int]) -> str:
-    return ",".join(str(e) for e in word)
+    return ",".join(map(str, word))
 

@@ -40,7 +40,7 @@ trusting nothing from the search or the walk.
 from __future__ import annotations
 
 from itertools import accumulate, chain, groupby, repeat
-from operator import getitem
+from operator import attrgetter, getitem
 from typing import Iterator, NamedTuple
 
 from .census import canonical_slices, enumerate_words
@@ -48,8 +48,8 @@ from .contfrac import Word, check_even_word, format_word, rev_neg, reverse, sign
 from .knot import KnotClass, canonical_word, knot_from_word
 
 # The largest --max-c of epi graph, whose cost grows exponentially in c: at 22
-# it writes 50 MB of dot in 0.64 s, or 124 MB of json in 0.84 s, at 30 MB peak
-# RSS (a fresh process, best of 5, 2-vCPU host, Python 3.11).
+# it writes 50 MB of dot in 1.10 s, or 124 MB of json in 1.34 s, at 29 MB peak
+# RSS (a fresh process, best of 7, 2-vCPU host, Python 3.11).
 EPI_GRAPH_C_MAX = 22
 # Longest word the CLI reads, and the search's one bound.  On a word of L
 # entries the search checks at most two patterns of each even length
@@ -99,13 +99,13 @@ class OrsParams(_OrsFields):
             raise ValueError(f"r must be >= 1, got {r}")
         if len(eps) != 2 * r + 1:
             raise ValueError(f"need {2 * r + 1} signs, got {len(eps)}")
-        if any(e not in (1, -1) for e in eps):
+        if eps.count(1) + eps.count(-1) != len(eps):
             raise ValueError(f"signs must be +-1, got {eps}")
         if eps[0] != 1:
             raise ValueError("leading sign must be +1")
         if len(cvec) != 2 * r:
             raise ValueError(f"need {2 * r} connectors, got {len(cvec)}")
-        for j, cj in enumerate(cvec):
+        for j, cj in enumerate(cvec) if 0 in cvec else ():
             if cj == 0 and eps[j + 1] != eps[j]:
                 raise ValueError(
                     f"connector {j + 1} is zero but adjacent signs differ: {eps}"
@@ -191,38 +191,43 @@ def ors_words(
     make = OrsParams._of_even_target  # the target is checked above, once
     # a knot word's braid index is at most its crossing number
     braid_cap = c_max if braid_max is None else braid_max
-    # the bounds on a child prefix of odd, then even, many connectors
+    # the bounds on a child prefix of odd, then even, many connectors: on
+    # crossings, sum - changes, and on the braid index, sum // 2 - changes + 1
     bounds = (
         (c_max - (size - flips), braid_cap - (size // 2 - flips - 1)),
         (c_max, braid_cap),
     )
-
-    def within(total: int, changes: int, bound: tuple[int, int]) -> bool:
-        return total - changes <= bound[0] and total // 2 - changes + 1 <= bound[1]
-
-    def walk(word, eps, cvec, total, changes):
+    # each prefix as (word, eps, cvec, sum of magnitudes, sign changes); its
+    # children are pushed last to first, so they are popped in walk order
+    stack = [(target, (1,), (), size, flips)]
+    push = stack.append
+    while stack:
+        word, eps, cvec, total, changes = stack.pop()
         odd = len(cvec) % 2
         if cvec and not odd:
             yield make(target, len(cvec) // 2, eps, cvec), word
         edge = word[-1]
         grown, inner = total + size, changes + flips
-        bound = bounds[odd]
-        for sign in (1, -1):
+        # a child adding s to the sum and t sign changes fits both bounds iff
+        # s - t <= room and s // 2 - t <= braid_room; a zero connector adds
+        # s = t = 0, and a connector x adds s = |x| >= 2 and t <= 2
+        crossing_bound, braid_bound = bounds[odd]
+        room, braid_room = crossing_bound - grown + inner, braid_bound - grown // 2 - 1 + inner
+        if room < 0 or braid_room < -1:
+            continue  # no child fits
+        for sign in (-1, 1):
             body = bodies[odd, sign]
-            if sign == eps[-1] and within(grown, inner, bound):
-                merged = word[:-1] + (2 * edge,) + body[1:]
-                yield from walk(merged, eps + (sign,), cvec + (0,), grown, inner)
-            for direction in (1, -1):
-                x = 2 * direction
-                crossed = inner + (edge * x < 0) + (x * body[0] < 0)
-                while within(grown + abs(x), crossed, bound):
-                    yield from walk(
-                        word + (x,) + body, eps + (sign,), cvec + (x // 2,),
-                        grown + abs(x), crossed,
-                    )
-                    x += 2 * direction
-
-    yield from walk(target, (1,), (), size, flips)
+            signs = eps + (sign,)
+            for direction in (-1, 1):
+                turns = (edge * direction < 0) + (direction * body[0] < 0)
+                # |x| from the largest that fits down to 2
+                top = min(room + turns, 2 * (braid_room + turns))
+                crossed = inner + turns
+                for x in range(direction * (top - top % 2), 0, -2 * direction):
+                    push((word + (x,) + body, signs, cvec + (x // 2,), grown + abs(x), crossed))
+            # a zero connector merges the boundary entries, keeping their sign
+            if sign == eps[-1] and braid_room >= 0:
+                push((word[:-1] + (2 * edge,) + body[1:], signs, cvec + (0,), grown, inner))
 
 
 def audit_params(params: OrsParams, composed: Word) -> InequalityAudit:
@@ -419,8 +424,8 @@ def epi_graph(max_crossing: int) -> Iterator[tuple[int, int, int, list[str], lis
     while found:  # each knot's spelled words are dropped once grouped
         canon, spelled = found.popitem()
         big = knot_from_word(canon)
-        witnesses = sorted((EpiWitness(big, *w) for w in spelled), key=EpiWitness.sort_key)
-        groups = groupby(witnesses, lambda witness: witness.small)
+        witnesses = sorted([EpiWitness(big, *w) for w in spelled], key=EpiWitness.sort_key)
+        groups = groupby(witnesses, attrgetter("small"))
         edges[format_word(canon)] = tuple((big, small, tuple(group)) for small, group in groups)
     # the text of each entry 2 s p, by sign s and halved magnitude p <= max_crossing
     entry = {sign: [str(2 * sign * p) for p in range(max_crossing + 1)] for sign in (1, -1)}

@@ -1,5 +1,6 @@
 """Enumeration vs closed forms: the census must agree both ways."""
 
+import math
 from fractions import Fraction
 from operator import neg
 
@@ -88,6 +89,14 @@ class TestEnumeration:
 
 
 class TestBruteCounts:
+    @pytest.mark.parametrize("c", [8, 9, 12, 21, 60])
+    def test_a_slice_ratio_with_a_remainder_raises(self, monkeypatch, c):
+        # binomials one too large step some slice's counts by a ratio that leaves
+        # a remainder: brute_counts raises instead of rounding it away
+        monkeypatch.setattr(census, "comb", lambda n, k: math.comb(n, k) + 1)
+        with pytest.raises(NonIntegralFormula):
+            brute_counts(c)
+
     def test_reference_rows(self):
         for c, expected in TABLE2_REFERENCE.items():
             if c > 12:

@@ -24,6 +24,7 @@ from bridgekit.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_RESOURCE,
+    TOKEN_SHOWN,
     build_parser,
     main,
 )
@@ -748,6 +749,20 @@ def test_word_entry_digits_are_bounded(capsys, argv):
         assert (code, out) == (EXIT_PARSE, "")
         assert err.startswith("parse error: not an integer: token ")
         assert err.endswith(" at position 2\n")
+
+
+@pytest.mark.parametrize("argv", [["invariants"], ["epi", "targets"], ["epi", "check", "2,-2"]])
+def test_a_long_malformed_entry_is_named_briefly(capsys, argv):
+    # a parse error repeats the first TOKEN_SHOWN characters of an entry and
+    # gives its length, where it used to echo all 4,002 of them
+    code, out, err = in_process(capsys, *argv, "2,x" + "2" * 4001)
+    assert (code, out) == (EXIT_PARSE, "")
+    token = "x" + "2" * (TOKEN_SHOWN - 1)
+    shown = f"{token!r}... (4002 characters)"
+    assert err == f"parse error: not an integer: token {shown} at position 2\n"
+    # one of TOKEN_SHOWN characters is still repeated whole
+    code, out, err = in_process(capsys, *argv, "2," + token)
+    assert err == f"parse error: not an integer: token {token!r} at position 2\n"
 
 
 @pytest.mark.parametrize("output_format", ["md", "json"])

@@ -1,6 +1,9 @@
 """Rules the package's source keeps, read off its syntax trees."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bridgekit"
@@ -44,3 +47,23 @@ def test_only_the_cli_reads_and_writes_text():
                 if module.split(".")[0] in TEXT_MODULES or module == "typing.TextIO"
             ]
     assert imports == []
+
+
+def test_the_bench_tracer_finds_every_function_it_wraps():
+    # bench/tracing.py wraps package functions by name: a rename or an inlined
+    # function would break the traced bench runs, so tier-1 reads its names too
+    path = PACKAGE.parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrapped = [f"{module}.{name}" for module, names in tracing.SPANNED.items() for name in names]
+    wrapped += [f"epim.{name}" for name in tracing.HOT] + [tracing.WORDS]
+
+    def function(key):
+        module, name = key.split(".")
+        return getattr(importlib.import_module(f"{tracing.PACKAGE}.{module}"), name, None)
+
+    assert [key for key in wrapped if not inspect.isfunction(function(key))] == []
+    assert set(tracing.SEARCHES) <= set(wrapped)
+    # its self-check compares the words counted with the yields a profiler sees
+    assert function(tracing.WORDS).__code__.co_flags & inspect.CO_GENERATOR
