@@ -45,7 +45,7 @@ from typing import NamedTuple, Sequence
 
 from .contfrac import Word, check_even_word, format_word, negate, rev_neg, reverse
 from .epim import AuditFailure, OrsParams, audit_params, ors_words
-from .knot import braid_index, display_name, knot_from_word
+from .knot import braid_index, crossing_number, display_name, knot_from_word
 
 # table1's rows grow about as c^3 (577 at c_max = 30, 1,902 at 45), and so
 # does its cost: 0.11 s at 30 and 0.23-0.25 s at 45, and 0.31 s at 45 with
@@ -228,8 +228,13 @@ def nonminimal_matches(word: Word) -> tuple[NonminimalType, ...]:
     braid = braid_index(word)
     if braid not in (2, 3, 4):
         raise ValueError(f"classification covers braid index 2..4 only: {word}")
+    return _matches(_positive_candidates(word), braid)
+
+
+def _matches(candidates: tuple[Word, ...], braid: int) -> tuple[NonminimalType, ...]:
+    """The clauses a checked word of braid index 2..4 satisfies, by its positive-lead words."""
     matches: list[NonminimalType] = []
-    for candidate in _positive_candidates(word):
+    for candidate in candidates:
         matches.extend(_matches_for_candidate(candidate, braid))
     if len(matches) < 2:
         return tuple(matches)
@@ -305,13 +310,16 @@ def table1(c_max: int, *, up_to_mirror: bool = True) -> list[Table1Row]:
                     targets.setdefault(rep, set()).add(name)
     rows = []
     for rep, images in targets.items():
-        matches = nonminimal_matches(rep)
+        # a generated word: even, nonzero, and of braid index 2..4 by the walk's bound
+        braid = braid_index(rep)
+        candidates = _positive_candidates(rep)
+        matches = _matches(candidates, braid)
         if not matches:
             raise AuditFailure(f"ORS word {format_word(rep)} matches no clause")
-        knot = knot_from_word(rep)
         names = tuple(sorted(images))
-        display = _positive_candidates(rep)[0] if up_to_mirror else rep
-        rows.append(Table1Row(knot.braid, matches[0].label, knot.crossing, display, names, matches))
+        display = candidates[0] if up_to_mirror else rep
+        crossing = crossing_number(rep)
+        rows.append(Table1Row(braid, matches[0].label, crossing, display, names, matches))
     rows.sort(key=itemgetter(0, 1, 2, 4, 3))  # braid, kind, crossing, images, word
     return rows
 

@@ -24,7 +24,11 @@ w of the big word (w and its reverse-negation) the first block is the
 target itself, so a target of length n is w[:n] or, after a zero first
 connector, w[:n-1] followed by w[n-1]/2 if even; a pattern a is kept if 3
 crossing(a) <= crossing(big), and no census of targets is enumerated.
-``_parse`` reads w once per pattern, block by block.  Each block
+The crossing number of w[:n] is stepped with n, and the read stops at
+the first n where even the smaller pattern has too many crossings;
+``admits_epi`` reads only the length of the wanted target.  ``_parse``
+reads w once per pattern, block by block, from the first block's
+boundary, as the pattern was read off the first block.  Each block
 boundary admits one reading only, whatever r is, so one read without
 backtracking finds the only parse in O(L).  A composition spells one
 word, so no witness is found twice, and it canonicalises to the big
@@ -39,12 +43,12 @@ trusting nothing from the search or the walk.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, groupby, repeat
+from itertools import chain, groupby, repeat
 from operator import attrgetter, getitem
 from typing import Iterator, NamedTuple
 
 from .census import canonical_slices, enumerate_words
-from .contfrac import Word, check_even_word, format_word, rev_neg, reverse, sign_changes
+from .contfrac import Word, check_even_word, format_word, negate, rev_neg, reverse, sign_changes
 from .knot import KnotClass, canonical_word, knot_from_word
 
 # The largest --max-c of epi graph, whose cost grows exponentially in c: at 22
@@ -56,12 +60,12 @@ EPI_GRAPH_C_MAX = 22
 # n <= (L-1)//3 + 1 in each of two orientations, and reads each at most
 # (L-1)//(n-1) blocks deep: at most 4 * sum(1 + (L-1)//(n-1)) steps, 2,372,080
 # at 100,000 entries.  The most measured there is 1,184,214, on 4 repeated.
-# At that length, with cli.main called in process on a 2-vCPU host, epi
-# targets takes 0.06 s on T(100001,2), 0.53 s on 2,4 repeated and 0.68 s on 4
-# repeated, of which reading the word and building the knot is 0.02 s.  Each
-# entry has at most cli.ENTRY_DIGITS_MAX digits.  From a shell, Linux's
-# 131,072-byte limit on one argv string stops a word near 65,000 one-digit
-# entries.
+# At that length, with cli.main called in process (best of 5, 2-vCPU host,
+# Python 3.11), epi targets takes 0.11 s on T(100001,2), 1.0 s on 2,4 repeated
+# and 1.4 s on 4 repeated, of which reading the word and building the knot is
+# 0.03 s.  Each entry has at most cli.ENTRY_DIGITS_MAX digits.  From a
+# shell, Linux's 131,072-byte limit on one argv string stops a word near
+# 65,000 one-digit entries.
 WORD_MAX = 100_000
 
 
@@ -143,19 +147,19 @@ def ors_compose(params: OrsParams) -> Word:
     """Interleave the blocks and connectors; delete-and-merge zero connectors."""
     forward = params.target
     backward = reverse(forward)
-    out = [params.eps[0] * e for e in forward]
-    for j in range(2 * params.r):
-        block = backward if j % 2 == 0 else forward
-        sign = params.eps[j + 1]
-        cj = params.cvec[j]
+    # by sign (+1, then -1), block j + 1: the reversal after connector j for even j
+    blocks = ((backward, forward), (negate(backward), negate(forward)))
+    out = list(forward)  # eps_1 = +1
+    for j, (cj, sign) in enumerate(zip(params.cvec, params.eps[1:])):
+        block = blocks[sign < 0][j % 2]
         if cj != 0:
             out.append(2 * cj)
-            out.extend(sign * e for e in block)
+            out += block
         else:
             # eps_{j+1} = eps_j and block j ends with block j+1's first entry,
             # so the merged entry is twice a nonzero one
-            out[-1] += sign * block[0]
-            out.extend(sign * e for e in block[1:])
+            out[-1] += block[0]
+            out += block[1:]
     return tuple(out)
 
 
@@ -282,90 +286,123 @@ def _parse(
 ) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
     """``(r, eps, cvec)`` of an interleaving of ``pattern`` spelling ``word``.
 
-    One state per block, for at most 2 r_max + 1 blocks; None as soon
-    as no (eps, cvec) can fit.  The caller read the pattern off the word,
-    so the first block's first entry matches (eps_1 = +1); every later
-    block's first entry is read before the block.  A block's last entry
-    e = eps_j * block_j[-1] decides the boundary: 2e is a zero connector
-    whose merge kept the sign, while e is followed by a connector 2c_j
-    and then by +-e, the next block's first entry, which gives its sign.
-    Block 2r may end the word instead, with e.
+    One state per block boundary, for at most 2 r_max + 1 blocks; None as
+    soon as no (eps, cvec) can fit.  The caller read the pattern off the
+    word: its first n - 1 entries are block 0 (eps_1 = +1), so the read
+    starts at block 0's boundary, word[n - 1].  A block's last entry
+    e = eps_j * block_j[-1] decides its boundary: 2e is a zero connector
+    whose merge kept the sign, while e is followed by a connector 2c_j and
+    then by +-e, the next block's first entry, which gives its sign.  The
+    next block's other entries are then compared, and block 2r may end
+    the word with e.
     """
-    # the last entry of each block equals the first entry of the next
     n = len(pattern)
-    shapes = (pattern, reverse(pattern))
+    # the last entry of a block and of its reversal; each is the other's first
+    lasts = (pattern[-1], pattern[0])
     middles: dict[tuple[int, int], Word] = {}
     end = len(word) - 1
     eps, cvec = [1], []
-    start = 1
-    for j in range(2 * r_max + 1):
-        sign, block = eps[j], shapes[j % 2]
-        middle = middles.get((j % 2, sign))
-        if middle is None:
-            middle = middles[j % 2, sign] = tuple(sign * e for e in block[1:-1])
-        stop = start + n - 2
-        if stop > end or word[start:stop] != middle:
-            return None
-        edge = sign * block[-1]
-        if stop == end and word[stop] == edge:
-            # j = 2r > 0: knot words have even length, longer than 3(n-1)
-            return j // 2, tuple(eps), tuple(cvec)
+    stop, edge = n - 1, pattern[-1]
+    for j in range(1, 2 * r_max + 1):
+        sign = eps[-1]
         if word[stop] == 2 * edge:
-            eps.append(sign)
             cvec.append(0)
             start = stop + 1
         elif word[stop] == edge and stop + 2 <= end and word[stop + 2] in (edge, -edge):
-            eps.append(sign if word[stop + 2] == edge else -sign)
+            if word[stop + 2] != edge:
+                sign = -sign
             cvec.append(word[stop + 1] // 2)
             start = stop + 3
         else:
             return None
+        eps.append(sign)
+        # block j is the pattern for even j and its reversal for odd j
+        middle = middles.get((j % 2, sign))
+        if middle is None:
+            inner = pattern[-2:0:-1] if j % 2 else pattern[1:-1]
+            middle = middles[j % 2, sign] = inner if sign == 1 else negate(inner)
+        stop = start + n - 2
+        if stop > end or word[start:stop] != middle:
+            return None
+        edge = sign * lasts[j % 2]
+        if stop == end and word[stop] == edge:
+            # j = 2r > 0: knot words have even length, longer than 3(n-1)
+            return j // 2, tuple(eps), tuple(cvec)
     return None
+
+
+def _r_max(length: int, crossing: int, n: int, big_crossing: int) -> int:
+    """Largest r a target of n entries and ``crossing`` crossings may take, or 0.
+
+    r is bounded by the crossings and by the length, so it is 0 for a
+    target with over a third of the big knot's crossings, which rules out
+    the big knot itself, or with n > (L-1)//3 + 1.  It is 0 as well if
+    even that r spells fewer than the word's L entries, at most
+    (2r+1)(n+1) - 1.
+    """
+    r_max = (min(big_crossing // crossing, (length - 1) // (n - 1)) - 1) // 2
+    return r_max if (2 * r_max + 1) * (n + 1) > length else 0
+
+
+def _readings(big: KnotClass, small: KnotClass | None) -> Iterator[tuple[Word, Word, int]]:
+    """(orientation, pattern, r_max) of each target worth parsing, in search order.
+
+    The patterns are read off each orientation's first block, w[:n] or
+    w[:n-1] followed by w[n-1]/2, and spelled out only once ``_r_max``
+    leaves them an r.  Given ``small``, only n = len(small) is read, as
+    each of its orientations has that length.  Otherwise the crossing
+    number of w[:n] is stepped two entries at a time, and the read stops
+    at the first n where even the smaller reading, the halved one if
+    any, has over a third of the big knot's crossings: both readings grow
+    strictly with n.
+    """
+    length, bound = len(big.canon), big.crossing
+    if small is not None:
+        n = len(small.canon)
+        r_max = _r_max(length, small.crossing, n, bound)
+        if not r_max:
+            return
+        wanted = _orientations(small.canon)
+        for word in _orientations(big.canon):
+            edge = word[n - 1]
+            for last in (edge, edge // 2) if edge % 4 == 0 else (edge,):
+                pattern = word[: n - 1] + (last,)
+                if pattern in wanted:
+                    yield word, pattern, r_max
+        return
+    # 2r+1 blocks of length n take at least (2r+1)(n-1)+1 entries, r >= 1
+    top = (length - 1) // 3 + 1
+    for word in _orientations(big.canon):
+        crossing = before = 0
+        for n in range(2, top + 1, 2):
+            entry, edge = word[n - 2], word[n - 1]
+            crossing += abs(entry) + abs(edge) - (before * entry < 0) - (entry * edge < 0)
+            before = edge
+            readings = [(edge, crossing)]
+            if edge % 4 == 0:
+                readings.append((edge // 2, crossing - abs(edge) // 2))
+            if 3 * readings[-1][1] > bound:
+                break  # the smaller reading is the last
+            for last, count in readings:
+                r_max = _r_max(length, count, n, bound)
+                if r_max:
+                    yield word, word[: n - 1] + (last,), r_max
 
 
 def _search(big: KnotClass, small: KnotClass | None = None) -> Iterator[EpiWitness]:
     """Witnesses onto every proper target, or onto ``small`` only if given.
 
-    They come in search order; the callers sort, take the least or stop at one.
+    Each pattern ``_readings`` gives is parsed once; a parse becomes a
+    witness only after ``OrsParams`` checks it and it is composed again,
+    compared with the big knot and audited.  The witnesses come in search
+    order; the callers sort, take the least or stop at one.
     """
-    length = len(big.canon)
-    wanted = None if small is None else _orientations(small.canon)
-    # 2r+1 blocks of length n take at least (2r+1)(n-1)+1 entries, r >= 1
-    top = (length - 1) // 3 + 1
-    for word in _orientations(big.canon):
-        # crossing number of word[:k] for every k <= top, in one pass
-        prefix = list(
-            accumulate((abs(b) - (a * b < 0) for a, b in zip((0,) + word, word[:top])), initial=0)
-        )
-        for n in range(2, top + 1, 2):
-            # The first block is the target (eps_1 = +1); a zero first
-            # connector merges the block's last entry into twice itself,
-            # which keeps its sign and halves its crossings.  A target
-            # is spelled out only once it passes both bounds.
-            edge = word[n - 1]
-            lasts = [(edge, prefix[n])]
-            if edge % 4 == 0:
-                lasts.append((edge // 2, prefix[n] - abs(edge) // 2))
-            for last, crossing in lasts:
-                # Proper targets only: an image has at most a third of
-                # the big knot's crossings, which also rules out itself;
-                # a pattern of the wanted target has that target's crossings.
-                if 3 * crossing > big.crossing or wanted and crossing != small.crossing:
-                    continue
-                # Largest r the crossings and the length allow; no r fits if
-                # even that r spells fewer than L entries, at most (2r+1)(n+1) - 1.
-                r_max = (min(big.crossing // crossing, (length - 1) // (n - 1)) - 1) // 2
-                if (2 * r_max + 1) * (n + 1) <= length:
-                    continue
-                pattern = word[: n - 1] + (last,)
-                if wanted is not None and pattern not in wanted:
-                    continue
-                parsed = _parse(word, pattern, r_max)
-                if parsed is None:
-                    continue
-                params = OrsParams(pattern, *parsed)
-                audit = _recompose_and_audit(params, big)
-                yield EpiWitness(big, small or knot_from_word(pattern), params, audit)
+    for word, pattern, r_max in _readings(big, small):
+        parsed = _parse(word, pattern, r_max)
+        if parsed is not None:
+            params = OrsParams(pattern, *parsed)
+            audit = _recompose_and_audit(params, big)
+            yield EpiWitness(big, small or knot_from_word(pattern), params, audit)
 
 
 def epi_targets(big: KnotClass) -> list[EpiWitness]:

@@ -303,6 +303,60 @@ class TestSearch:
         monkeypatch.setattr(epim, "_parse", unread)
         assert epi_targets(knot_from_word((2, -2) * 6)) == []
 
+    def test_admits_epi_is_the_least_target_witness_through_13(self):
+        # every pair (big, small) with c(big) <= 13 and 3 c(small) <= c(big), both
+        # chiralities of each: the one target length that admits_epi reads must
+        # give the least witness epi_targets finds onto small, and None as often
+        knots = {
+            knot_from_word(chiral)
+            for c in range(3, 14)
+            for word in enumerate_words(c)
+            for chiral in (word, negate(word))
+        }
+        found = onto = 0
+        for big in sorted(knots):
+            witnesses = epi_targets(big)
+            for small in (k for k in knots if 3 * k.crossing <= big.crossing):
+                least = next((w for w in witnesses if w.small == small), None)
+                assert admits_epi(big, small) == least, (big.canon, small.canon)
+                found += 1
+                onto += least is not None
+        assert (found, onto) == (3765, 102)
+
+    @pytest.mark.parametrize(
+        "big, small, lengths",
+        [
+            ((2, -2) * 13, (2, -2), {2}),  # T(27,2) onto T(3,2) and T(9,2)
+            ((2, -2) * 13, (2, -2) * 4, {8}),
+            ((2, -2) * 12, (2, -2, 2, -2), {4}),  # T(25,2) onto T(5,2)
+            ((4,) * 30, (4, 2), {2}),  # read as (4, 4) too, which is another knot
+            ((4,) * 30, (4, 4, 4, 4), {4}),
+            ((2, -4, 4, -2, 2, -4, 4, -2), (2, -2), {2}),
+            ((2, -40, 2, -40), (2, -2, 2, -2), set()),  # 3 * 5 <= 81, but 4 > (4-1)//3 + 1
+            ((2, -40, 2, -40), (2, -2, 2, -2, 2, -2), set()),  # longer than the word
+            ((2, -40, 2, -40), (2, -2), set()),  # 3 blocks of length 2 take 4 entries, not 3
+            ((2, -2) * 6, (2, -2), set()),  # T(13,2): r <= 1 by crossings spells 8 < 12 entries
+        ],
+        ids=[
+            "T27-3_1", "T27-T9", "T25-5_1", "4x30-(4,2)", "4x30-(4,4,4,4)", "4B3x2-3_1",
+            "entries40-5_1", "entries40-longer", "entries40-3_1", "T13-3_1",
+        ],
+    )
+    def test_admits_epi_reads_only_the_target_length(self, monkeypatch, big, small, lengths):
+        read = []
+
+        def recording(word, pattern, r_max):
+            read.append(len(pattern))
+            return parse(word, pattern, r_max)
+
+        parse = epim._parse
+        monkeypatch.setattr(epim, "_parse", recording)
+        big, small = knot_from_word(big), knot_from_word(small)
+        witness = admits_epi(big, small)
+        assert set(read) == lengths
+        monkeypatch.setattr(epim, "_parse", parse)
+        assert witness == next((w for w in epi_targets(big) if w.small == small), None)
+
     @pytest.mark.parametrize("word", [(2, 4) * 3000, (4,) * 6000], ids=["2,4", "4"])
     def test_periodic_word_is_searched(self, word):
         # every small pattern of a word of one sign reads far into it;
