@@ -27,7 +27,7 @@ negate and rev_neg, so Burnside's lemma counts its knots, the orbits of
 {id, rev_neg}, and its mirror classes, the orbits of all four, from the
 words each symmetry fixes (Ernst and Sumners, 1987).  Along each ell it
 steps these binomials from slice to slice by exact ratios of small
-integers: 17 us at c = 17, 12 ms at c = 500 (2-vCPU host, Python 3.11).
+integers: 16 us at c = 17, 10 ms at c = 500 (2-vCPU host, Python 3.11).
 The test suite checks ``enumerate_words`` against it word by word.
 
 Formula side: closed forms for the number of knots TK(c) (and TK*(c)
@@ -59,9 +59,9 @@ from .contfrac import Word
 # (2-vCPU host, Python 3.11).
 IDENTITIES_N_MAX = 300
 # The largest c of a census row, from the closed forms or counted.  closed_row
-# costs about c^2.5: 0.43 ms at c = 400, 0.72 ms at 500 and 4.4 ms at 1000;
-# 3..500 takes 0.15 s and 3..1000 1.5 s.  brute_counts, which `census --verify`
-# prints, takes 7.3 ms at c = 400 and 12 ms at 500, and 1.9 s over 3..500
+# costs about c^2.5: 0.40 ms at c = 400, 0.69 ms at 500 and 4.2 ms at 1000;
+# 3..500 takes 0.13 s and 3..1000 1.4 s.  brute_counts, which `census --verify`
+# prints, takes 6.0 ms at c = 400 and 10 ms at 500, and 1.7 s over 3..500
 # (2-vCPU host, Python 3.11).
 FORMULAS_C_MAX = 500
 
@@ -234,32 +234,35 @@ def brute_counts(c: int) -> CensusRow:
     if c > FORMULAS_C_MAX:
         raise ResourceBound(f"c={c} exceeds the census bound {FORMULAS_C_MAX}")
     tk = ts = tk_star = ts_star = genus_total = 0
+    odd_ell = c & 1  # ell has the parity of c
     by_ell: list[SignClassCount] = []
-    for ell in range(c % 2, c, 2):
+    for ell in range(odd_ell, c, 2):
         total, h = (c + ell) // 2, ell // 2
         half = total // 2
         if h >= half:  # no slice, for this ell or any larger
             break
         # P and F at m = h+1, half the slice's words and half its fixed words
         words = comb(2 * h + 1, ell) * comb(total - 1, 2 * h + 1)
-        fixed = 0 if total % 2 else comb(half - 1, h)
-        count = star = 0
+        fixed = 0 if total & 1 else comb(half - 1, h)
+        count = star = rest = 0
         for m in range(h + 1, half + 1):
-            knots = words + fixed * (ell % 2)
+            both = words + fixed
+            knots = both if odd_ell else words
             count += knots
-            mirrors, odd = divmod(words + fixed, 2)
-            star += mirrors
+            star += both >> 1
             genus_total += m * knots
             gap = total - 2 * m
             words, left = divmod(words * (gap * (gap - 1)), (2 * m - ell) * (2 * m + 1 - ell))
-            fixed, rest = divmod(fixed * (half - m), m - h)
-            if odd or left or rest:
+            if fixed:  # F is 0 throughout a slice of odd total
+                fixed, rest = divmod(fixed * (half - m), m - h)
+            if both & 1 or left or rest:
                 raise NonIntegralFormula(f"c={c} ell={ell} m={m}: a slice ratio left a remainder")
         tk += count
         ts += ell * count
         tk_star += star
         ts_star += ell * star
-        by_ell.append(SignClassCount(c, ell, count))
+        # tuple.__new__ skips the NamedTuple's Python-level __new__, as OrsParams does
+        by_ell.append(tuple.__new__(SignClassCount, (c, ell, count)))
     return CensusRow(
         c, tk, ts, tk_star, ts_star,
         Fraction((c + 2) * tk - ts, 2 * tk),
@@ -396,10 +399,13 @@ def closed_avg_genus(c: int) -> Fraction:
 def closed_row(c: int) -> CensusRow:
     """CensusRow assembled purely from the closed forms (no enumeration)."""
     ell_max = c - 4 if c % 2 == 0 else c - 2
+    ells = range(c % 2, ell_max + 1, 2)
+    counts = zip(repeat(c), ells, map(closed_n, repeat(c), ells))
+    avg_braid = closed_avg_braid(c)  # for odd c, also the average up to mirror image
     return CensusRow(
         c, closed_tk(c), closed_ts(c), closed_tk_star(c), closed_ts_star(c),
-        closed_avg_braid(c), closed_avg_braid_star(c), closed_avg_genus(c),
-        tuple(SignClassCount(c, ell, closed_n(c, ell)) for ell in range(c % 2, ell_max + 1, 2)),
+        avg_braid, avg_braid if c % 2 else closed_avg_braid_star(c), closed_avg_genus(c),
+        tuple(map(tuple.__new__, repeat(SignClassCount), counts)),  # as in brute_counts
     )
 
 
@@ -433,9 +439,10 @@ def verify_row(c: int, row: CensusRow) -> list[str]:
 
     Empty list = everything agrees exactly.
     """
-    problems = [
+    expected = closed_row(c)
+    problems = [] if row == expected else [
         f"c={c} {field}: counted {got} != expected {want}"
-        for field, got, want in zip(CensusRow._fields, row, closed_row(c))
+        for field, got, want in zip(CensusRow._fields, row, expected)
         if got != want
     ]
     reference = TABLE2_REFERENCE.get(c)

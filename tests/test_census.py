@@ -12,6 +12,7 @@ from bridgekit.census import (
     CensusRow,
     NonIntegralFormula,
     ResourceBound,
+    SignClassCount,
     brute_counts,
     closed_avg_braid,
     closed_avg_braid_star,
@@ -214,9 +215,18 @@ class TestClosedForms:
         assert gap < Fraction(1, 10**6)
 
     def test_closed_row_matches_brute(self):
-        brute = brute_counts(9)
-        formula = closed_row(9)
-        assert formula == brute
+        # both build their by_ell entries with tuple.__new__, which runs no
+        # NamedTuple constructor: each must still be a SignClassCount whose
+        # fields read back by name
+        for c in range(3, 61):
+            brute = brute_counts(c)
+            formula = closed_row(c)
+            ells = range(c % 2, c - 3 if c % 2 == 0 else c - 1, 2)
+            expected = [{"c": c, "ell": ell, "count": closed_n(c, ell)} for ell in ells]
+            for row in (brute, formula):
+                assert all(type(entry) is SignClassCount for entry in row.by_ell), c
+                assert [entry._asdict() for entry in row.by_ell] == expected, c
+            assert formula == brute, c
 
     def test_verify_row_names_each_mismatched_field(self):
         # a by_ell entry missing from the counts is a mismatch too
@@ -227,6 +237,26 @@ class TestClosedForms:
             "c=16 avg_genus",
             "c=16 by_ell",
         ]
+
+    @pytest.mark.parametrize("field", [None, *CensusRow._fields])
+    @pytest.mark.parametrize("c", [15, 16])
+    def test_verify_row_names_one_perturbed_field(self, c, field):
+        # verify_row compares an agreeing row in one step: a row off in any one
+        # field still gets that field named, and at c = 15 also the reference
+        # row when the field is one of its six; the untouched row gets nothing
+        row = brute_counts(c)
+        expected = []
+        if field is not None:
+            value = getattr(row, field)
+            if field == "by_ell":
+                value = value[:-1] + (value[-1]._replace(count=value[-1].count + 1),)
+            else:
+                value += 1
+            row = row._replace(**{field: value})
+            expected = [f"c={c} {field}"]
+            if c in TABLE2_REFERENCE and field not in ("c", "avg_genus", "by_ell"):
+                expected.append(f"c={c} reference row mismatch")
+        assert [problem.split(":")[0] for problem in verify_row(c, row)] == expected
 
 
 class TestMirrorQuotient:

@@ -67,3 +67,34 @@ def test_the_bench_tracer_finds_every_function_it_wraps():
     assert set(tracing.SEARCHES) <= set(wrapped)
     # its self-check compares the words counted with the yields a profiler sees
     assert function(tracing.WORDS).__code__.co_flags & inspect.CO_GENERATOR
+
+
+def test_brute_counts_checks_every_remainder_it_takes():
+    # brute_counts steps its word and fixed-word counts by exact ratios, each a
+    # divmod whose remainder must reach the NonIntegralFormula raise.  The
+    # fixed-word ratio is exact for any integer start, so no input makes its
+    # remainder nonzero, and only the source shows that it is still checked
+    tree = modules()["census.py"]
+    function = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "brute_counts"
+    )
+    remainders = [
+        node.targets[0].elts[1].id
+        for node in ast.walk(function)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "id", None) == "divmod"
+    ]
+    raises = [
+        node for node in ast.walk(function)
+        if isinstance(node, ast.If)
+        and any(
+            isinstance(statement, ast.Raise)
+            and getattr(getattr(statement.exc, "func", None), "id", None) == "NonIntegralFormula"
+            for statement in node.body
+        )
+    ]
+    assert len(remainders) >= 2 and len(raises) == 1
+    checked = {node.id for node in ast.walk(raises[0].test) if isinstance(node, ast.Name)}
+    assert set(remainders) <= checked
