@@ -19,11 +19,12 @@ position rule places the marks: connector j sits at j(2m+1), two places
 further left for each zeroed connector before it; a zero's 4 sits one
 place before its connector, a repeat at it or one place before, and a
 zeroed slot takes no other mark.  The matcher reads a word's spots (4s,
-6s and repeats) once, hands them to the clauses with that many spots,
-and keeps each factorization of the length whose slots put every mark
-on its spot.  No search runs; the search-based decision in `epim` must
-agree with it exactly, and the pair of independent implementations
-cross-validate each other.
+6s and repeats) once per word, mirrored for the other positive-lead
+word, hands them to the clauses with that many spots, and keeps each
+factorization of the length whose slots put every mark on its spot.  No
+search runs; the search-based decision in `epim` must agree with it
+exactly, and the pair of independent implementations cross-validate
+each other.
 
 Positions are stated for a positive leading entry and up to mirror
 image, so words are first normalized within their four-word mirror
@@ -48,8 +49,8 @@ from .epim import AuditFailure, OrsParams, audit_params, ors_words
 from .knot import braid_index, crossing_number, display_name, knot_from_word
 
 # table1's rows grow about as c^3 (577 at c_max = 30, 1,902 at 45), and so
-# does its cost: 0.11 s at 30 and 0.23-0.25 s at 45, and 0.31 s at 45 with
-# --chiral (a fresh process, best of 7, 2-vCPU host, Python 3.11).
+# does its cost: 0.13 s at 30 and 0.22 s at 45, and 0.31 s at 45 with
+# --chiral (a fresh process, best of 7, 2-vCPU host, Python 3.11.7).
 TABLE1_C_MAX = 45
 
 # Each Table 1 type as its marks, in the order i0/j0 and i1/j1 name them.
@@ -195,33 +196,6 @@ def _slots(
     return found
 
 
-def _matches_for_candidate(word: Word, braid: int) -> list[NonminimalType]:
-    # braid - 2 counts the spots, a 6 twice: read only the spots it admits
-    fours, sixes = [], []
-    for i, e in enumerate(word, 1) if braid > 2 else ():
-        if e != 2 and e != -2:
-            if e == 4 or e == -4:
-                fours.append(i)
-            elif e == 6 or e == -6:
-                sixes.append(i)
-    repeats = []
-    if braid > 2 + len(fours) + 2 * len(sixes):
-        repeats = [i for i in range(1, len(word)) if word[i - 1] * word[i] > 0]
-    spots = fours + sixes + repeats
-    out: list[NonminimalType] = []
-    clauses = _BY_SPOTS.get((len(fours), len(sixes), len(repeats)), ())
-    for kind, marks, lost, picks, reach in clauses:
-        factors = _factorizations(len(word) + 1 + lost)
-        for pick in picks if factors else ():
-            at = list(map(spots.__getitem__, pick))
-            i0, i1 = at + [None] * (2 - len(at))
-            for r, m in factors:
-                for slots in _slots(marks, reach, at, 2 * m + 1):
-                    j0, j1 = slots + (None,) * (2 - len(slots))
-                    out.append(NonminimalType(kind, word, r, m, i0, i1, j0, j1))
-    return out
-
-
 def nonminimal_matches(word: Word) -> tuple[NonminimalType, ...]:
     """All satisfied non-minimality clauses, over both normalized reps."""
     word = check_even_word(word)
@@ -232,13 +206,44 @@ def nonminimal_matches(word: Word) -> tuple[NonminimalType, ...]:
 
 
 def _matches(candidates: tuple[Word, ...], braid: int) -> tuple[NonminimalType, ...]:
-    """The clauses a checked word of braid index 2..4 satisfies, by its positive-lead words."""
-    matches: list[NonminimalType] = []
-    for candidate in candidates:
-        matches.extend(_matches_for_candidate(candidate, braid))
-    if len(matches) < 2:
-        return tuple(matches)
-    return tuple(sorted(set(matches), key=NonminimalType.sort_key))
+    """The clauses a checked word of braid index 2..4 satisfies, by its positive-lead words.
+
+    Each match is distinct: the words differ, and (kind, pick, r, m, slots)
+    fixes the rest.
+    """
+    word = candidates[0]
+    length = len(word)
+    # braid - 2 counts the spots, a 6 twice: read only the spots it admits
+    fours, sixes = [], []
+    for i, e in enumerate(word, 1) if braid > 2 else ():
+        if e != 2 and e != -2:
+            if e == 4 or e == -4:
+                fours.append(i)
+            elif e == 6 or e == -6:
+                sixes.append(i)
+    repeats = []
+    if braid > 2 + len(fours) + 2 * len(sixes):
+        repeats = [i for i in range(1, length) if word[i - 1] * word[i] > 0]
+    spotted = [(word, fours + sixes + repeats)]
+    if len(candidates) > 1:
+        # the other word is this one reversed up to sign: entry i moves to
+        # length + 1 - i, and the pair at i to length - i
+        mirrored = [length + 1 - i for i in fours[::-1] + sixes[::-1]]
+        spotted.append((candidates[1], mirrored + [length - i for i in repeats[::-1]]))
+    out: list[NonminimalType] = []
+    clauses = _BY_SPOTS.get((len(fours), len(sixes), len(repeats)), ())
+    for kind, marks, lost, picks, reach in clauses:  # each with its own lost
+        factors = _factorizations(length + 1 + lost)
+        for (candidate, spots), pick in product(spotted, picks) if factors else ():
+            at = list(map(spots.__getitem__, pick))
+            i0, i1 = at + [None] * (2 - len(at))
+            for r, m in factors:
+                for slots in _slots(marks, reach, at, 2 * m + 1):
+                    j0, j1 = slots + (None,) * (2 - len(slots))
+                    out.append(NonminimalType(kind, candidate, r, m, i0, i1, j0, j1))
+    if len(out) < 2:
+        return tuple(out)
+    return tuple(sorted(out, key=NonminimalType.sort_key))
 
 
 def reconstruct_params(match: NonminimalType) -> OrsParams:
@@ -256,7 +261,7 @@ def reconstruct_params(match: NonminimalType) -> OrsParams:
     at, slots = (match.i0, match.i1), (match.j0, match.j1)
     zeroed = [j for x, j in zip(marks, slots) if x == "Z"]
     eps = [1] * (2 * r + 1)
-    cvec = [(-1) ** j for j in range(2 * r)]
+    cvec = [1, -1] * r
     for x, i, j in zip(marks, at, slots):
         if x != "F":
             cvec[j - 1] *= _SCALE[x]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from operator import lt, mul, neg, or_
+from operator import gt, neg, or_
 from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
@@ -37,10 +37,10 @@ class NotAKnotFraction(ValueError):
 def check_word(entries: Iterable[int]) -> Word:
     """Validate a word: length >= 1, no zero entry, and no entry type but int (no conversion)."""
     word = tuple(entries)
-    if {*map(type, word)} - {int}:
-        raise ValueError(f"word entries must be ints, got {word}")
     if not word:
         raise ValueError("empty word")
+    if set(map(type, word)) != {int}:
+        raise ValueError(f"word entries must be ints, got {word}")
     if 0 in word:
         raise ValueError(f"word {word} contains a zero entry")
     return word
@@ -82,12 +82,16 @@ def eval_word(word: Sequence[int]) -> Fraction:
 
 
 def sign_changes(word: Sequence[int]) -> int:
-    """Number of adjacent sign changes: #{i : word[i] * word[i+1] < 0}."""
-    return sum(map(lt, map(mul, word, word[1:]), repeat(0)))
+    """Number of adjacent sign changes, #{i : word[i] * word[i+1] < 0}, of nonzero entries.
+
+    Each entry is one byte, 1 if positive, and a change is a 01 or 10 pair.
+    """
+    signs = bytes(map(gt, word, repeat(0)))
+    return signs.count(b"\0\1") + signs.count(b"\1\0")
 
 
 def reverse(word: Sequence[int]) -> Word:
-    return tuple(reversed(word))
+    return tuple(word)[::-1]
 
 
 def negate(word: Sequence[int]) -> Word:
@@ -131,7 +135,7 @@ def to_reduced_even(r: Fraction) -> Word:
     entries: list[int] = []
     n, d = num, den
     while n:
-        a = 2 * ((d + n) // (2 * n))
+        a = (d + n) // n & -2  # 2 floor((d + n) / 2n), as floor(floor(x) / 2) = floor(x / 2)
         entries.append(a)
         n, d = d - a * n, n
     word = tuple(entries)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .contfrac import Word, check_even_word, format_word, negate, rev_neg, reverse, sign_changes
+from .contfrac import Word, check_even_word, format_word, negate, rev_neg, sign_changes
 
 
 def crossing_number(word: Word) -> int:
@@ -39,7 +39,8 @@ def canonical_word(word: Word) -> Word:
 def mirror_orbit(word: Word) -> tuple[Word, ...]:
     """The up-to-mirror orbit {w, rev_neg(w), negate(w), reverse(w)}, deduplicated."""
     word = tuple(word)
-    return tuple(sorted({word, rev_neg(word), negate(word), reverse(word)}))
+    negated = negate(word)
+    return tuple(sorted({word, negated[::-1], negated, word[::-1]}))
 
 
 def mirror_canonical_word(word: Word) -> Word:
@@ -70,7 +71,9 @@ def knot_from_word(word: Word) -> KnotClass:
     canon = min(word, rev_neg(word))
     total = sum(map(abs, canon))
     signchg = sign_changes(canon)
-    return KnotClass(canon, total - signchg, total // 2 - signchg + 1, len(canon) // 2, signchg)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__, as OrsParams does
+    fields = (canon, total - signchg, total // 2 - signchg + 1, len(canon) // 2, signchg)
+    return tuple.__new__(KnotClass, fields)
 
 
 def is_torus_two_strand(knot: KnotClass) -> int | None:

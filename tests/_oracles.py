@@ -10,13 +10,22 @@ partial sums were collapsed to powers of two; tests compare the closed
 form against it.  ``witness_json`` and the functions it calls give each
 record as the dict that ``json.dumps`` writes; ``cli.witness_writer``
 must write the same bytes.  ``genus`` is a word's genus, its number of
-entry pairs.
+entry pairs.  ``matches_per_candidate`` is the clause matcher reading each
+positive-lead word's spots on its own; ``classify`` mirrors one word's.
 """
 
 from math import comb
 
 from bridgekit.census import _sign_vectors, _slices, _words
-from bridgekit.contfrac import format_word
+from bridgekit.classify import (
+    _BY_SPOTS,
+    NonminimalType,
+    _factorizations,
+    _positive_candidates,
+    _slots,
+)
+from bridgekit.contfrac import check_even_word, format_word
+from bridgekit.knot import braid_index
 
 
 def raw_words(c: int, *, ell: int | None = None):
@@ -94,3 +103,35 @@ def witness_json(witness) -> dict:
         "params": params_json(witness.params),
         "audit": witness.audit._asdict(),
     }
+
+
+def matches_per_candidate(word) -> tuple:
+    """``classify.nonminimal_matches``, reading each positive-lead word's spots on its own.
+
+    Factorizations are taken once per clause and candidate, and the matches
+    are deduplicated by a set before they are sorted.
+    """
+    word = check_even_word(word)
+    braid = braid_index(word)
+    if braid not in (2, 3, 4):
+        raise ValueError(f"classification covers braid index 2..4 only: {word}")
+    matches = set()
+    for candidate in _positive_candidates(word):
+        fours = [i for i, e in enumerate(candidate, 1) if abs(e) == 4] if braid > 2 else []
+        sixes = [i for i, e in enumerate(candidate, 1) if abs(e) == 6] if braid > 2 else []
+        repeats = []
+        if braid > 2 + len(fours) + 2 * len(sixes):
+            repeats = [i for i in range(1, len(candidate)) if candidate[i - 1] * candidate[i] > 0]
+        spots = fours + sixes + repeats
+        for kind, marks, lost, picks, reach in _BY_SPOTS.get(
+            (len(fours), len(sixes), len(repeats)), ()
+        ):
+            factors = _factorizations(len(candidate) + 1 + lost)
+            for pick in picks:
+                at = [spots[k] for k in pick]
+                i0, i1 = at + [None] * (2 - len(at))
+                for r, m in factors:
+                    for slots in _slots(marks, reach, at, 2 * m + 1):
+                        j0, j1 = slots + (None,) * (2 - len(slots))
+                        matches.add(NonminimalType(kind, candidate, r, m, i0, i1, j0, j1))
+    return tuple(sorted(matches, key=NonminimalType.sort_key))

@@ -25,7 +25,7 @@ from bridgekit.knot import (
     mirror_orbit,
 )
 
-from _oracles import is_mirror_representative
+from _oracles import is_mirror_representative, matches_per_candidate
 
 # stdout past the golden horizon (table1 --max-c 13), recorded while
 # table1 still classified every braid <= 4 knot
@@ -61,6 +61,36 @@ def braid_slice(c, braid):
     if ell < 0:
         return
     yield from enumerate_words(c, ell=ell)
+
+
+def marked_word(rng):
+    """An alternating +-2 word of even length up to 200 with up to two marks.
+
+    A mark makes one entry a 4 or a 6, or negates a suffix, which leaves a
+    repeated sign; "r+" negates two suffixes one entry apart, which leaves
+    two adjacent repeats.  A mark sits at or next to an end, or near a
+    multiple of a small odd period, where the clauses put their spots.
+    """
+    length = 2 * rng.randint(1, 100)
+    word = [2 * (-1) ** i for i in range(length)]
+    period = rng.choice((3, 5, 7, 9))
+
+    def place():
+        if rng.random() < 0.3:
+            return rng.choice((1, 2, length - 1, length))
+        near = period * rng.randint(1, max(1, length // period)) + rng.randint(-3, 1)
+        return min(max(1, near), length)
+
+    cut = 0
+    for mark in rng.choice(("", "4", "44", "6", "r", "rr", "4r", "r+")):
+        if mark in "r+":
+            cut = place() if mark == "r" else cut + 1
+            word[cut:] = [-e for e in word[cut:]]
+        else:
+            i = place() - 1
+            word[i] += (2 if mark == "4" else 4) * (1 if word[i] > 0 else -1)
+    sign = rng.choice((1, -1))
+    return tuple(sign * e for e in word)
 
 
 class TestNonminimalClauses:
@@ -125,6 +155,43 @@ class TestNonminimalClauses:
                     for match in nonminimal_matches(word):
                         composed = ors_compose(reconstruct_params(match))
                         assert canonical_word(composed) == canonical_word(match.word)
+
+
+class TestMatcherOracle:
+    """``nonminimal_matches`` against the matcher that reads each candidate's spots anew."""
+
+    @staticmethod
+    def agree(word):
+        matches = nonminimal_matches(word)
+        assert matches == matches_per_candidate(word), word
+        assert len(set(matches)) == len(matches), word
+        return matches
+
+    def test_census_words_in_their_mirror_orbits(self):
+        words = [
+            image
+            for c in range(3, 17)
+            for braid in (2, 3, 4)
+            for word in braid_slice(c, braid)
+            for image in mirror_orbit(word)
+        ]
+        matched = [word for word in words if self.agree(word)]
+        assert len(words) == 2666 and len(matched) == 340
+
+    def test_seeded_marked_words(self):
+        rng = random.Random(3801)
+        seen = dict.fromkeys(["first", "last", "adjacent repeats", "six", "both words"], 0)
+        for _ in range(2000):
+            word = marked_word(rng)
+            matches = self.agree(word)
+            enlarged = [i for i, e in enumerate(word, 1) if abs(e) != 2]
+            repeats = [i for i in range(1, len(word)) if word[i - 1] * word[i] > 0]
+            seen["first"] += 1 in enlarged + repeats
+            seen["last"] += len(word) in enlarged or len(word) - 1 in repeats
+            seen["adjacent repeats"] += len(repeats) == 2 and repeats[1] - repeats[0] == 1
+            seen["six"] += any(abs(e) == 6 for e in word)
+            seen["both words"] += len({match.word for match in matches}) == 2
+        assert min(seen.values()) >= 30, seen
 
 
 class TestTable:

@@ -101,6 +101,19 @@ class TestSignChanges:
     def test_examples(self, word, expected):
         assert sign_changes(word) == expected
 
+    def test_pairwise_products_on_large_entries_and_long_runs(self):
+        # the sign of each entry, however large, and runs of one sign
+        rng = random.Random(3802)
+        words = [(256, -256), (-255, -257, 1), (2**70, 3, -(2**64)), (5,) * 300, (-2,) * 301]
+        words.append(tuple([7] * 100 + [-9] * 100 + [11] * 50))
+        words += [
+            tuple(rng.choice((1, -1)) * rng.randint(1, 2**40) for _ in range(rng.randint(1, 60)))
+            for _ in range(300)
+        ]
+        for word in words:
+            products = sum(a * b < 0 for a, b in zip(word, word[1:]))
+            assert sign_changes(word) == sign_changes(list(word)) == products, word
+
     @given(even_words)
     def test_invariant_under_negate_and_reverse(self, word):
         assert sign_changes(negate(word)) == sign_changes(word)
@@ -240,6 +253,11 @@ class TestEntryRule:
         word = (2, 4, 6, 8)
         expected = check(word)
         assert check(list(word)) == check(e for e in word) == check(range(2, 10, 2)) == expected
+
+    @pytest.mark.parametrize("check", CHECKS.values(), ids=CHECKS)
+    def test_an_entry_type_is_reported_before_a_zero(self, check):
+        with pytest.raises(ValueError, match="word entries must be ints"):
+            check((0, 2.0))
 
     @pytest.mark.parametrize("check", [check_word, check_even_word, eval_word])
     def test_empty_word(self, check):

@@ -1,6 +1,7 @@
 """Knot classes, invariants, and mirror quotients."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -108,6 +109,19 @@ class TestMirror:
         assert len(mirror_orbit((2, -2))) == 2  # rev_neg-fixed chiral pair
         assert len(mirror_orbit((2, -2, 2, 2))) == 4
 
+    def test_orbit_is_its_definition(self):
+        # any list of nonzero ints, of any length and parity, not only words
+        rng = random.Random(38)
+        words = [[2], [-3], [1, 1], [3, -5, 7], [2, -2, 2], [4, 2]]
+        words += [
+            [rng.choice((1, -1)) * rng.randint(1, 7) for _ in range(rng.randint(1, 9))]
+            for _ in range(300)
+        ]
+        for word in words:
+            fixed = tuple(word)
+            orbit = {fixed, rev_neg(fixed), negate(fixed), reverse(fixed)}
+            assert mirror_orbit(word) == tuple(sorted(orbit)), word
+
 
 class TestCounts:
     @pytest.mark.parametrize("c", range(3, 13))
@@ -141,6 +155,16 @@ class TestNamesAndJson:
         payload = knot_json(knot_from_word((2, -4, 4, -2)))
         assert payload == {"word": "2,-4,4,-2", "crossing": 9, "braid": 4, "genus": 2}
         json.dumps(payload)
+
+    def test_knot_is_a_knot_class_record(self):
+        for c in range(3, 11):
+            for word in enumerate_words(c):
+                knot = knot_from_word(list(word))
+                assert type(knot) is KnotClass
+                fields = knot._asdict()
+                assert list(fields) == ["canon", "crossing", "braid", "genus", "signchg"]
+                assert KnotClass(**fields) == knot and fields["canon"] == word
+                assert fields["crossing"] == crossing_number(word) == c
 
     def test_canonical_order_fixed(self):
         assert canonical_word((4, 2)) == (-2, -4)
