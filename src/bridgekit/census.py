@@ -263,13 +263,13 @@ def brute_counts(c: int) -> CensusRow:
         ts_star += ell * star
         # tuple.__new__ skips the NamedTuple's Python-level __new__, as OrsParams does
         by_ell.append(tuple.__new__(SignClassCount, (c, ell, count)))
-    return CensusRow(
+    return tuple.__new__(CensusRow, (  # as SignClassCount above
         c, tk, ts, tk_star, ts_star,
         Fraction((c + 2) * tk - ts, 2 * tk),
         Fraction((c + 2) * tk_star - ts_star, 2 * tk_star),
         Fraction(genus_total, tk),
         tuple(by_ell),
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +402,11 @@ def closed_row(c: int) -> CensusRow:
     ells = range(c % 2, ell_max + 1, 2)
     counts = zip(repeat(c), ells, map(closed_n, repeat(c), ells))
     avg_braid = closed_avg_braid(c)  # for odd c, also the average up to mirror image
-    return CensusRow(
+    return tuple.__new__(CensusRow, (  # as in brute_counts
         c, closed_tk(c), closed_ts(c), closed_tk_star(c), closed_ts_star(c),
         avg_braid, avg_braid if c % 2 else closed_avg_braid_star(c), closed_avg_genus(c),
-        tuple(map(tuple.__new__, repeat(SignClassCount), counts)),  # as in brute_counts
-    )
+        tuple(map(tuple.__new__, repeat(SignClassCount), counts)),
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -44,12 +44,12 @@ from itertools import combinations, permutations, product
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .contfrac import Word, check_even_word, format_word, negate, rev_neg, reverse
+from .contfrac import Word, check_even_word, format_word, negate, rev_neg, reverse, sign_changes
 from .epim import AuditFailure, OrsParams, audit_params, ors_words
-from .knot import braid_index, crossing_number, display_name, knot_from_word
+from .knot import braid_index, display_name, knot_from_word
 
 # table1's rows grow about as c^3 (577 at c_max = 30, 1,902 at 45), and so
-# does its cost: 0.13 s at 30 and 0.22 s at 45, and 0.31 s at 45 with
+# does its cost: 0.13 s at 30 and 0.24 s at 45, and 0.30 s at 45 with
 # --chiral (a fresh process, best of 7, 2-vCPU host, Python 3.11.7).
 TABLE1_C_MAX = 45
 
@@ -131,16 +131,8 @@ class NonminimalType(NamedTuple):
         return "2" if self.kind == "TORUS" else self.kind
 
     def sort_key(self):
-        return (
-            KIND_RANK[self.kind],
-            self.r,
-            self.m,
-            self.j0 or 0,
-            self.j1 or 0,
-            self.i0 or 0,
-            self.i1 or 0,
-            self.word,
-        )
+        kind, word, r, m, i0, i1, j0, j1 = self
+        return KIND_RANK[kind], r, m, j0 or 0, j1 or 0, i0 or 0, i1 or 0, word
 
 
 def _positive_candidates(word: Word) -> tuple[Word, ...]:
@@ -240,7 +232,9 @@ def _matches(candidates: tuple[Word, ...], braid: int) -> tuple[NonminimalType, 
             for r, m in factors:
                 for slots in _slots(marks, reach, at, 2 * m + 1):
                     j0, j1 = slots + (None,) * (2 - len(slots))
-                    out.append(NonminimalType(kind, candidate, r, m, i0, i1, j0, j1))
+                    # all eight fields: tuple.__new__ fills in no defaults
+                    fields = (kind, candidate, r, m, i0, i1, j0, j1)
+                    out.append(tuple.__new__(NonminimalType, fields))
     if len(out) < 2:
         return tuple(out)
     return tuple(sorted(out, key=NonminimalType.sort_key))
@@ -312,19 +306,23 @@ def table1(c_max: int, *, up_to_mirror: bool = True) -> list[Table1Row]:
             lead = min(reps)
             for name, rep in zip(names, reps):
                 if rep == lead or not up_to_mirror:
-                    targets.setdefault(rep, set()).add(name)
+                    images = targets.get(rep)  # a set only for a new representative
+                    if images is None:
+                        targets[rep] = {name}
+                    else:
+                        images.add(name)
     rows = []
     for rep, images in targets.items():
         # a generated word: even, nonzero, and of braid index 2..4 by the walk's bound
-        braid = braid_index(rep)
+        size, changes = sum(map(abs, rep)), sign_changes(rep)
+        braid = size // 2 - changes + 1  # braid_index and crossing_number, from one count
         candidates = _positive_candidates(rep)
         matches = _matches(candidates, braid)
         if not matches:
             raise AuditFailure(f"ORS word {format_word(rep)} matches no clause")
-        names = tuple(sorted(images))
         display = candidates[0] if up_to_mirror else rep
-        crossing = crossing_number(rep)
-        rows.append(Table1Row(braid, matches[0].label, crossing, display, names, matches))
+        fields = (braid, matches[0].label, size - changes, display, tuple(sorted(images)), matches)
+        rows.append(tuple.__new__(Table1Row, fields))
     rows.sort(key=itemgetter(0, 1, 2, 4, 3))  # braid, kind, crossing, images, word
     return rows
 

@@ -179,14 +179,14 @@ def format_table(
 
 
 # One witness as ``json.dumps(..., indent=2)`` writes its fields, with each
-# knot's object and the entries of eps and cvec left to fill in.
+# knot's object and the entries of eps and cvec left to fill in by %.
 _WITNESS = (
-    '{{\n  "big": {},\n  "small": {},\n  "params": {{\n    "target": "{}",\n    "r": {},\n'
-    '    "eps": [\n      {}\n    ],\n    "cvec": [\n      {}\n    ]\n  }},\n'
-    '  "audit": {{\n    "term_copies": {},\n    "term_cbudget": {},\n    "term_zero": {},\n'
-    '    "term_signs": {},\n    "slack": {}\n  }}\n}}'
+    '{\n  "big": %s,\n  "small": %s,\n  "params": {\n    "target": "%s",\n    "r": %d,\n'
+    '    "eps": [\n      %s\n    ],\n    "cvec": [\n      %s\n    ]\n  },\n'
+    '  "audit": {\n    "term_copies": %d,\n    "term_cbudget": %d,\n    "term_zero": %d,\n'
+    '    "term_signs": %d,\n    "slack": %d\n  }\n}'
 )
-_KNOT = '{{\n    "word": "{}",\n    "crossing": {},\n    "braid": {},\n    "genus": {}\n  }}'
+_KNOT = '{\n    "word": "%s",\n    "crossing": %d,\n    "braid": %d,\n    "genus": %d\n  }'
 
 
 def witness_writer(margin: str = "") -> Callable[[Sequence[epim.EpiWitness]], str]:
@@ -200,22 +200,22 @@ def witness_writer(margin: str = "") -> Callable[[Sequence[epim.EpiWitness]], st
     witness needs escaping.
     """
     newline = "\n" + margin + "  "
-    witness = _WITNESS.replace("\n", newline).format
-    knot_object = _KNOT.replace("\n", newline).format
+    witness = _WITNESS.replace("\n", newline)
+    knot_object = _KNOT.replace("\n", newline)
     entries = f",{newline}      ".join
     knots: dict[KnotClass, str] = {}
 
     def knot(k: KnotClass) -> str:
         text = knots.get(k)
         if text is None:
-            text = knots[k] = knot_object(format_word(k.canon), k.crossing, k.braid, k.genus)
+            text = knots[k] = knot_object % (format_word(k.canon), k.crossing, k.braid, k.genus)
         return text
 
     def write(witnesses: Sequence[epim.EpiWitness]) -> str:
         if not witnesses:
             return "[]"
         items = [
-            witness(
+            witness % (
                 knot(big), knot(small), format_word(params.target), params.r,
                 entries(map(str, params.eps)), entries(map(str, params.cvec)), *audit,
             )
@@ -242,7 +242,8 @@ def write_dot(max_crossing: int, out: TextIO) -> None:
         labels = texts if c > _NAMED_C_MAX else [
             f"{_NAMES_BY_TEXT[text]}\\n{text}" if text in _NAMES_BY_TEXT else text for text in texts
         ]
-        out.write("".join(map('  "{}" [label="{}"];\n'.format, texts, labels)))
+        # '  "<text>" [label="<label>"];\n' for each node; a chunk is never empty
+        out.write('  "' + '"];\n  "'.join(map('" [label="'.join, zip(texts, labels))) + '"];\n')
         edges += node_edges
     for big, small, witnesses in edges:
         first = witnesses[0].params
@@ -258,8 +259,9 @@ def write_json(max_crossing: int, out: TextIO) -> None:
     a chunk at a time.
 
     A chunk's nodes share crossing number, braid index (c - ell) / 2 + 1
-    and genus m, so one template writes them all; another writes each edge,
-    and one ``witness_writer`` its witnesses.  At --max-c 22 there are
+    and genus m, so one text between word and name serves them all, and
+    the chunk is one join; a template writes each edge, and one
+    ``witness_writer`` its witnesses.  At --max-c 22 there are
     699,732 nodes and 11,824 edges with 15,032 witnesses, and no general
     writer writes them as fast: the edges take 0.09 s of a 1.34 s command,
     and ``format_json`` would take 0.20 s.
@@ -268,13 +270,16 @@ def write_json(max_crossing: int, out: TextIO) -> None:
     out.write(f'{{\n  "max_crossing": {max_crossing},\n  "nodes": [')
     edges = []
     comma = "\n"
+    # a node is head, word, middle, name, tail; nothing in it needs escaping
+    head, tail = '    {\n      "word": "', '"\n    }'
+    between = tail + ",\n" + head
     for c, m, ell, texts, node_edges in nodes:
-        node = (  # nothing in a node needs escaping
-            '    {{\n      "word": "{}",\n      "crossing": %d,\n      "braid": %d,\n'
-            '      "genus": %d,\n      "name": "{}"\n    }}' % (c, (c - ell) // 2 + 1, m)
+        middle = (
+            '",\n      "crossing": %d,\n      "braid": %d,\n      "genus": %d,\n      "name": "'
+            % (c, (c - ell) // 2 + 1, m)
         )
         names = texts if c > _NAMED_C_MAX else [_NAMES_BY_TEXT.get(t, t) for t in texts]
-        out.write(comma + ",\n".join(map(node.format, texts, names)))
+        out.write(comma + head + between.join(map(middle.join, zip(texts, names))) + tail)
         comma = ",\n"
         edges += node_edges
     out.write('\n  ],\n  "edges": [')
@@ -368,13 +373,12 @@ def cmd_census(args) -> int:
         if args.format == "json":
             records = [
                 {  # CensusRow's fields, in order
-                    **r._asdict(),
-                    "avg_braid": fmt(r.avg_braid),
-                    "avg_braid_star": fmt(r.avg_braid_star),
-                    "avg_genus": fmt(r.avg_genus),
-                    "by_ell": {str(ell): count for _, ell, count in r.by_ell},
+                    "c": c, "tk": tk, "ts": ts, "tk_star": tk_star, "ts_star": ts_star,
+                    "avg_braid": fmt(braid), "avg_braid_star": fmt(braid_star),
+                    "avg_genus": fmt(genus),
+                    "by_ell": {str(ell): count for _, ell, count in by_ell},
                 }
-                for r in rows
+                for c, tk, ts, tk_star, ts_star, braid, braid_star, genus, by_ell in rows
             ]
             print(format_json(records))
         else:
@@ -541,7 +545,10 @@ def cmd_table1(args) -> int:
                 "word": format_word(row.word),
                 "onto": list(row.images),
                 "matches": [  # NonminimalType's fields, in order
-                    {**m._asdict(), "kind": m.label, "word": format_word(m.word)}
+                    {
+                        "kind": m.label, "word": format_word(m.word), "r": m.r, "m": m.m,
+                        "i0": m.i0, "i1": m.i1, "j0": m.j0, "j1": m.j1,
+                    }
                     for m in row.matches
                 ],
             }
@@ -594,17 +601,24 @@ class _Parser(argparse.ArgumentParser):
     the word ``-2,2``, as a positional, where argparse alone admits only a
     negative number.  A parser with subcommands refuses an unknown --flag
     before its subcommand by name, where argparse would set the flag aside
-    and read its value as the subcommand.  Subcommand parsers share the class."""
+    and read its value as the subcommand: ``add_subparsers`` keeps the
+    names, the choices of the action it returns, and a parser holding none
+    reads no token ahead.  Subcommand parsers share the class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._commands: dict[str, argparse.ArgumentParser] = {}  # by name
+
+    def add_subparsers(self, **kwargs):
+        action = super().add_subparsers(**kwargs)
+        self._commands = action.choices  # filled as add_parser adds each subcommand
+        return action
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else args
-        commands = [a.choices for a in self._actions if isinstance(a, argparse._SubParsersAction)]
-        for token in args if commands else ():
-            if token == "--" or token in commands[0]:
+        for token in args if self._commands else ():
+            if token == "--" or token in self._commands:
                 break
             # a prefix of a known flag abbreviates it, and argparse reads it
             if token.startswith("--") and not any(

@@ -52,8 +52,8 @@ from .contfrac import Word, check_even_word, format_word, negate, rev_neg, rever
 from .knot import KnotClass, canonical_word, knot_from_word
 
 # The largest --max-c of epi graph, whose cost grows exponentially in c: at 22
-# it writes 50 MB of dot in 1.10 s, or 124 MB of json in 1.34 s, at 29 MB peak
-# RSS (a fresh process, best of 7, 2-vCPU host, Python 3.11).
+# it writes 50 MB of dot in 1.12 s, or 124 MB of json in 1.55 s, at 30 MB peak
+# RSS (a fresh process, best of 7, 2-vCPU host, Python 3.11.7).
 EPI_GRAPH_C_MAX = 22
 # Longest word the CLI reads, and the search's one bound.  On a word of L
 # entries the search checks at most two patterns of each even length
@@ -133,14 +133,9 @@ class EpiWitness(NamedTuple):
     params: OrsParams
     audit: InequalityAudit
 
-    def sort_key(self):
-        return (
-            self.small.canon,
-            self.params.r,
-            self.params.target,
-            self.params.cvec,
-            self.params.eps,
-        )
+    # the order epi_targets and epi_graph sort witnesses in; not a method: call
+    # it as EpiWitness.sort_key(witness)
+    sort_key = attrgetter("small.canon", "params.r", "params.target", "params.cvec", "params.eps")
 
 
 def ors_compose(params: OrsParams) -> Word:
@@ -236,7 +231,7 @@ def ors_words(
 
 def audit_params(params: OrsParams, composed: Word) -> InequalityAudit:
     """Compute and check the four-term decomposition for ``composed``, spelled by ``params``."""
-    target, r, cvec = params.target, params.r, params.cvec
+    target, r, _, cvec = params
     t_small, t_big = sign_changes(target), sign_changes(composed)
     # braid = sum|e| / 2 - t + 1, from the one count of each word's sign changes
     braid_small = sum(map(abs, target)) // 2 - t_small + 1
@@ -247,8 +242,9 @@ def audit_params(params: OrsParams, composed: Word) -> InequalityAudit:
     zero = 2 * r - nonzero
     signs = (2 * r + 1) * t_small + 2 * nonzero - t_big
     slack = braid_big - 3 * braid_small + 4
-    audit = InequalityAudit(copies, cbudget, zero, signs, slack)
-    if min(copies, cbudget, zero, signs) < 0:
+    # tuple.__new__ skips the NamedTuple's Python-level __new__, as OrsParams does
+    audit = tuple.__new__(InequalityAudit, (copies, cbudget, zero, signs, slack))
+    if copies < 0 or cbudget < 0 or zero < 0 or signs < 0:
         raise AuditFailure(f"negative audit term for {params}: {audit}")
     if copies + cbudget + zero + signs != slack:
         raise AuditFailure(f"audit terms do not sum to the slack for {params}: {audit}")
@@ -451,17 +447,23 @@ def epi_graph(max_crossing: int) -> Iterator[tuple[int, int, int, list[str], lis
     """
     found: dict[Word, list[tuple[KnotClass, OrsParams, InequalityAudit]]] = {}
     for c in range(3, max_crossing // 3 + 1):
-        for canon in enumerate_words(c):
-            small = knot_from_word(canon)
-            for pattern in _orientations(canon):
+        for small_canon in enumerate_words(c):
+            small = knot_from_word(small_canon)
+            for pattern in _orientations(small_canon):
                 for params, word in ors_words(pattern, max_crossing):
                     audit = audit_params(params, word)
-                    found.setdefault(canonical_word(word), []).append((small, params, audit))
+                    canon = canonical_word(word)
+                    spelled = found.get(canon)  # setdefault would build a list per word
+                    if spelled is None:
+                        found[canon] = [(small, params, audit)]
+                    else:
+                        spelled.append((small, params, audit))
     edges = {}
     while found:  # each knot's spelled words are dropped once grouped
         canon, spelled = found.popitem()
         big = knot_from_word(canon)
-        witnesses = sorted([EpiWitness(big, *w) for w in spelled], key=EpiWitness.sort_key)
+        witnesses = [tuple.__new__(EpiWitness, (big, *w)) for w in spelled]
+        witnesses.sort(key=EpiWitness.sort_key)
         groups = groupby(witnesses, attrgetter("small"))
         edges[format_word(canon)] = tuple((big, small, tuple(group)) for small, group in groups)
     # the text of each entry 2 s p, by sign s and halved magnitude p <= max_crossing

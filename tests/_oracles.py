@@ -10,22 +10,17 @@ partial sums were collapsed to powers of two; tests compare the closed
 form against it.  ``witness_json`` and the functions it calls give each
 record as the dict that ``json.dumps`` writes; ``cli.witness_writer``
 must write the same bytes.  ``genus`` is a word's genus, its number of
-entry pairs.  ``matches_per_candidate`` is the clause matcher reading each
-positive-lead word's spots on its own; ``classify`` mirrors one word's.
+entry pairs.  ``matches_per_candidate`` is the clause matcher written from
+the ``classify`` docstring alone: it shares only the clause table
+``CLAUSES`` with it, and tries every slot tuple against the position rule.
 """
 
+from itertools import combinations, product
 from math import comb
 
 from bridgekit.census import _sign_vectors, _slices, _words
-from bridgekit.classify import (
-    _BY_SPOTS,
-    NonminimalType,
-    _factorizations,
-    _positive_candidates,
-    _slots,
-)
+from bridgekit.classify import CLAUSES
 from bridgekit.contfrac import check_even_word, format_word
-from bridgekit.knot import braid_index
 
 
 def raw_words(c: int, *, ell: int | None = None):
@@ -105,33 +100,88 @@ def witness_json(witness) -> dict:
     }
 
 
-def matches_per_candidate(word) -> tuple:
-    """``classify.nonminimal_matches``, reading each positive-lead word's spots on its own.
+# The spot each mark leaves: D and Z an entry 4, T an entry 6, F a repeated sign
+MARK_SPOT = {"D": 4, "Z": 4, "T": 6, "F": "repeat"}
+# How many places before its connector each mark's spot sits
+MARK_BEFORE = {"D": (0,), "T": (0,), "Z": (1,), "F": (0, 1)}
 
-    Factorizations are taken once per clause and candidate, and the matches
-    are deduplicated by a set before they are sorted.
+
+def matches_per_candidate(word) -> tuple:
+    """The clauses ``word`` satisfies, as plain tuples in NonminimalType's field order.
+
+    Written from the ``classify`` docstring, sharing only ``CLAUSES``.  Each
+    word of the mirror orbit that leads positive reads its own spots: the
+    positions of its 4s and 6s, and the first position of each pair of
+    entries of one sign.  A clause matches at (r, m) when its marks take
+    every spot, one each, marks of one letter left to right, and
+    (2r+1)(2m+1) = length + 1 + 2 #Z.  Every slot tuple in 1..2r is then
+    tried against the position rule: connector j sits at j(2m+1), two places
+    further left per zeroed connector before it; D and T sit at their
+    connector, a zero's 4 one place before it, a repeat at it or one place
+    before; a zeroed slot takes no other mark.  The matches are sorted by
+    kind in ``CLAUSES`` order, r, m, slots, spots and word.
     """
     word = check_even_word(word)
-    braid = braid_index(word)
+    changes = sum(1 for a, b in zip(word, word[1:]) if a * b < 0)
+    braid = sum(abs(e) for e in word) // 2 - changes + 1
     if braid not in (2, 3, 4):
         raise ValueError(f"classification covers braid index 2..4 only: {word}")
-    matches = set()
-    for candidate in _positive_candidates(word):
-        fours = [i for i, e in enumerate(candidate, 1) if abs(e) == 4] if braid > 2 else []
-        sixes = [i for i, e in enumerate(candidate, 1) if abs(e) == 6] if braid > 2 else []
-        repeats = []
-        if braid > 2 + len(fours) + 2 * len(sixes):
-            repeats = [i for i in range(1, len(candidate)) if candidate[i - 1] * candidate[i] > 0]
-        spots = fours + sixes + repeats
-        for kind, marks, lost, picks, reach in _BY_SPOTS.get(
-            (len(fours), len(sixes), len(repeats)), ()
-        ):
-            factors = _factorizations(len(candidate) + 1 + lost)
-            for pick in picks:
-                at = [spots[k] for k in pick]
-                i0, i1 = at + [None] * (2 - len(at))
+    negated = tuple(-e for e in word)
+    orbit = {word, negated, word[::-1], negated[::-1]}
+    found = set()
+    for candidate in (w for w in orbit if w[0] > 0):
+        length = len(candidate)
+        spots = {
+            4: [i for i, e in enumerate(candidate, 1) if abs(e) == 4],
+            6: [i for i, e in enumerate(candidate, 1) if abs(e) == 6],
+            "repeat": [i for i in range(1, length) if candidate[i - 1] * candidate[i] > 0],
+        }
+        for kind, marks in CLAUSES.items():
+            wanted = [MARK_SPOT[x] for x in marks]
+            if any(wanted.count(spot) != len(at) for spot, at in spots.items()):
+                continue
+            tiles = length + 1 + 2 * marks.count("Z")
+            factors = [
+                (r, (tiles // (2 * r + 1) - 1) // 2)
+                for r in range(1, tiles)
+                if tiles % (2 * r + 1) == 0 and tiles // (2 * r + 1) >= 3
+            ]
+            for at in product(*(spots[spot] for spot in wanted)):
+                pairs = combinations(zip(marks, at), 2)
+                if any(
+                    MARK_SPOT[x] == MARK_SPOT[y] and (i == k or (x == y and i > k))
+                    for (x, i), (y, k) in pairs
+                ):
+                    continue  # a spot taken twice, or marks of one letter out of order
+                i0, i1 = (*at, None, None)[:2]
                 for r, m in factors:
-                    for slots in _slots(marks, reach, at, 2 * m + 1):
-                        j0, j1 = slots + (None,) * (2 - len(slots))
-                        matches.add(NonminimalType(kind, candidate, r, m, i0, i1, j0, j1))
-    return tuple(sorted(matches, key=NonminimalType.sort_key))
+                    for slots in _rule_slots(marks, at, r, 2 * m + 1):
+                        j0, j1 = (*slots, None, None)[:2]
+                        found.add((kind, candidate, r, m, i0, i1, j0, j1))
+    rank = {kind: n for n, kind in enumerate(CLAUSES)}
+
+    def order(match):
+        kind, candidate, r, m, i0, i1, j0, j1 = match
+        return rank[kind], r, m, j0 or 0, j1 or 0, i0 or 0, i1 or 0, candidate
+
+    return tuple(sorted(found, key=order))
+
+
+def _rule_slots(marks, at, r, period):
+    """Every slot tuple in 1..2r that puts each mark on its spot by the position rule.
+
+    A mark's spot sits at most one place before its connector, which sits at
+    most two places left of j(2m+1) per zero: so a slot j with j(2m+1) - i
+    outside 0..1 + 2 #Z is passed over before the rule is tried.
+    """
+    reach = range(2 + 2 * marks.count("Z"))
+    options = [[j for j in range(1, 2 * r + 1) if j * period - i in reach] for i in at]
+    found = []
+    for slots in product(*options):
+        zeroed = [j for x, j in zip(marks, slots) if x == "Z"]
+        if any(slots.count(z) > 1 for z in zeroed):
+            continue
+        connectors = [j * period - 2 * sum(z < j for z in zeroed) for j in slots]
+        if all(c - i in MARK_BEFORE[x] for x, i, c in zip(marks, at, connectors)):
+            found.append(slots)
+    return found

@@ -158,7 +158,8 @@ class TestNonminimalClauses:
 
 
 class TestMatcherOracle:
-    """``nonminimal_matches`` against the matcher that reads each candidate's spots anew."""
+    """``nonminimal_matches`` against the matcher written from the module docstring,
+    which shares only ``CLAUSES`` with it and tries every slot tuple."""
 
     @staticmethod
     def agree(word):

@@ -5,6 +5,7 @@ import io
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -129,6 +130,24 @@ class TestAudit:
         audit = audited(params((2, -2), 1, (1, -1, -1), (-1, 1)))
         assert audit.slack == 1
         assert audit[:4] == (0, 0, 0, 1)
+
+    @pytest.mark.parametrize(
+        "term, fields, composed",
+        [
+            # r = 0 and a target of braid index 3; the constructor refuses r < 1
+            ("term_copies", ((2, 2), 0, (1,), ()), (2, 2)),
+            # connectors of magnitude 1/2, which no constructor makes
+            ("term_cbudget", ((2, -2), 1, (1, 1, 1), (Fraction(1, 2), Fraction(-1, 2))), (2, -2)),
+            # four connectors at r = 1: the audit counts the connectors, not 2r
+            ("term_zero", ((2, -2), 1, (1, 1, 1), (1, -1, 1, -1)), (2, -2)),
+            # valid parameters, and a word with more sign changes than they spell
+            ("term_signs", OrsParams((2, 2), 1, (1, 1, 1), (1, 1)), (2, -2) * 4),
+        ],
+    )
+    def test_each_negative_term_is_named(self, term, fields, composed):
+        # the only negative term, so the negativity check must raise before the sum check
+        with pytest.raises(AuditFailure, match=f"negative audit term .*{term}=[^,]*-"):
+            audit_params(fields, composed)
 
     def test_witness_audit_recomputes(self):
         witness = admits_epi(TORUS9, TREFOIL)

@@ -3,16 +3,18 @@
 import copy
 import os
 import pickle
+import random
 import re
 import subprocess
 import sys
+from itertools import groupby
 from pathlib import Path
 
 import pytest
 
-from bridgekit.census import enumerate_words
-from bridgekit.classify import TABLE1_REFERENCE, table1, table1_diff
-from bridgekit.epim import OrsParams
+from bridgekit.census import CensusRow, brute_counts, closed_row, enumerate_words
+from bridgekit.classify import TABLE1_REFERENCE, NonminimalType, Table1Row, table1, table1_diff
+from bridgekit.epim import EpiWitness, InequalityAudit, OrsParams, epi_graph, epi_targets
 from bridgekit.knot import KnotClass, knot_from_word
 
 from _oracles import params_json
@@ -93,3 +95,63 @@ def test_cli_import_loads_no_dataclasses():
         check=True,
     )
     assert proc.stdout == "[]\n"
+
+
+# Records built by tuple.__new__, which runs no __new__ and fills in no default
+
+def assert_records(records, record_type):
+    assert records
+    for record in records:
+        assert type(record) is record_type, record
+        assert len(record) == len(record_type._fields), record
+        assert record_type(*record) == record, record
+
+
+def five_tuple_key(witness):
+    """The witness order as EpiWitness.sort_key gave it when it was a method."""
+    params = witness.params
+    return (witness.small.canon, params.r, params.target, params.cvec, params.eps)
+
+
+def assert_witness_order(witnesses, rng):
+    assert list(witnesses) == sorted(witnesses, key=five_tuple_key)
+    assert all(EpiWitness.sort_key(w) == five_tuple_key(w) for w in witnesses)
+    shuffled = rng.sample(list(witnesses), len(witnesses))
+    assert sorted(shuffled, key=EpiWitness.sort_key) == sorted(shuffled, key=five_tuple_key)
+
+
+def test_graph_witnesses_and_audits_are_records_in_order():
+    edges = [edge for *_, chunk in epi_graph(12) for edge in chunk]
+    witnesses = [w for _, _, group in edges for w in group]
+    assert len(edges) == 72 and len(witnesses) == 88
+    assert_records(witnesses, EpiWitness)
+    assert_records([w.audit for w in witnesses], InequalityAudit)
+    rng = random.Random(3901)
+    # each big knot's edges are consecutive, and its witnesses sorted across them
+    for _, group in groupby(witnesses, lambda w: w.big):
+        assert_witness_order(list(group), rng)
+
+
+def test_search_witnesses_and_audits_are_records_in_order():
+    rng = random.Random(3902)
+    found = []
+    for c in range(3, 13):
+        for word in enumerate_words(c):
+            witnesses = epi_targets(knot_from_word(word))
+            assert_witness_order(witnesses, rng)
+            found += witnesses
+    assert len(found) == 88
+    assert_records(found, EpiWitness)
+    assert_records([w.audit for w in found], InequalityAudit)
+
+
+@pytest.mark.parametrize("up_to_mirror", [True, False])
+def test_table1_rows_and_matches_are_records(up_to_mirror):
+    rows = table1(30, up_to_mirror=up_to_mirror)
+    assert_records(rows, Table1Row)
+    assert_records([match for row in rows for match in row.matches], NonminimalType)
+
+
+def test_census_rows_are_records():
+    assert_records([brute_counts(c) for c in range(3, 61)], CensusRow)
+    assert_records([closed_row(c) for c in range(3, 61)], CensusRow)
